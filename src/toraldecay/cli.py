@@ -15,7 +15,7 @@ import numpy as np
 from . import analysis, interval, lacunary, lattice, rng, serialize, spectral
 from . import stochastic, tiling
 from ._version import __version__
-from .errors import DegenerateBound, InputError, ToralDecayError
+from .errors import InputError, ToralDecayError
 from .spectral import TrigPolynomial
 
 ULAM_MODULUS_GRID = [float(d) for d in np.logspace(-4, -1, 25)]
@@ -125,21 +125,15 @@ def cmd_transfer(args):
             serialize.write_csv(args.out, ["delta", "omega"], rows, config)
         _print(text)
         return 0
-    centered = abs(f.mean()) > 0
-    fc = f.centered() if centered else f
-    lam = matrix.lambda_min
+    report = analysis.decay_report(f, None, matrix, args.steps, mode="transfer_norm",
+                                   fit=False)
+    fc = f.centered()
     rows = []
-    for n in range(1, args.steps + 1):
-        g = spectral.transfer_fourier(fc, matrix, n)
-        l2 = spectral.norm(g, 2)
-        lo, hi = spectral.sup_norm_bracket(g)
-        omega = spectral.modulus_value(fc, 2, lam ** (-n), saturate=True)
-        if omega <= 0.0 and l2 > 1e-12:
-            raise DegenerateBound("modulus vanished while the norm did not")
-        ratio = l2 / omega if omega > 0 else 0.0
-        rows.append([n, l2, lo, hi, omega, ratio])
+    for r in report.rows:
+        lo, hi = spectral.sup_norm_bracket(spectral.transfer_fourier(fc, matrix, r.n))
+        rows.append([r.n, r.value, lo, hi, r.bound, r.ratio])
     cols = ["n", "norm_L2", "norm_sup_lower", "norm_sup_upper", "omega_L2", "bound_ratio"]
-    footer = ["centered: %s" % ("true" if centered else "false")]
+    footer = ["centered: %s" % ("true" if report.centered else "false")]
     text = serialize.render_csv(cols, rows, config, footer=footer)
     if args.out:
         serialize.write_csv(args.out, cols, rows, config, footer=footer)
@@ -176,35 +170,18 @@ def cmd_decay(args):
         "mc_samples": args.mc_samples,
         "seed": args.seed,
     }
-    if args.mc_samples:
-        if args.mode != "correlation":
-            raise InputError("--mc-samples applies only to correlation mode")
-        fc = f.centered()
-        lam = matrix.lambda_min
-        g_norm = spectral.norm(g, 2)
-        rows = []
-        for n in range(1, args.nmax + 1):
-            value = abs(
-                analysis.correlation(
-                    f, g, matrix, n, mc_samples=args.mc_samples,
-                    seed=args.seed, threads=args.threads,
-                )
-            )
-            bound = g_norm * spectral.modulus_value(fc, 2, lam ** (-n), saturate=True)
-            rows.append([n, value, bound, value / bound if bound > 0 else 0.0])
-    else:
-        report = analysis.decay_report(f, g, matrix, args.nmax, mode=args.mode)
-        rows = [[r.n, r.value, r.bound, r.ratio] for r in report.rows]
+    report = analysis.decay_report(
+        f, g, matrix, args.nmax, mode=args.mode, mc_samples=args.mc_samples,
+        seed=args.seed, threads=args.threads,
+    )
+    rows = [[r.n, r.value, r.bound, r.ratio] for r in report.rows]
     cols = ["n", "value", "bound", "ratio"]
     footer = _fit_footer([(r[0], r[1]) for r in rows])
     text = serialize.render_csv(cols, rows, config, seed=args.seed, footer=footer)
     if args.out:
         serialize.write_csv(args.out, cols, rows, config, seed=args.seed, footer=footer)
     if args.plot_out:
-        report_rows = [analysis.DecayRow(r[0], r[1], r[2], r[3]) for r in rows]
-        emit_plotdata(
-            analysis.DecayReport(report_rows, args.mode, 2, 0.0, True), args.plot_out
-        )
+        emit_plotdata(report, args.plot_out)
     _print(text)
     return 0
 

@@ -16,15 +16,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate, special
 
-from . import analysis, rng
+from . import analysis, rng, stochastic
 from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
+from .spectral import ModulusCurve
+from .stochastic import ORBIT_GUARD, REFRESH_PERIOD
 
 DEFAULT_TRUNCATION = 10**5
 SERIES_TOL = 1e-12
 ZERO_VARIANCE_TOL = 1e-10
 LOG_FLOOR = 1e-300
-ORBIT_GUARD = 10**9
-REFRESH_PERIOD = 40
 REFRESH_SCALE = 2.0**-40
 
 
@@ -240,8 +240,6 @@ def uvn_modulus_sqrt_delta(deltas):
     (the expression is increasing there) gives the modulus, of order
     sqrt(delta) as delta -> 0.
     """
-    from .spectral import ModulusCurve
-
     radii = [float(d) for d in deltas]
     if not radii:
         raise InputError("empty delta list")
@@ -253,12 +251,8 @@ def uvn_modulus_sqrt_delta(deltas):
         omega_sq = math.pi**2 * grid * (2.0 - grid) / 4.0
         values.append(math.sqrt(float(np.max(omega_sq))))
     curve = ModulusCurve(radii, values, 2, 1, {"method": "closed-form scan", "grid": 1024})
-    x = np.log(radii)
-    y = np.log(values)
-    coeffs, *_ = np.linalg.lstsq(
-        np.stack([np.ones_like(x), x], axis=1), y, rcond=None
-    )
-    return SqrtModulusResult(curve, float(coeffs[1]))
+    _, slope, _ = analysis._linear_fit(np.log(radii), np.log(values))
+    return SqrtModulusResult(curve, float(slope))
 
 
 def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
@@ -295,7 +289,7 @@ def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
 
 
 @dataclass
-class LyapunovReport:
+class LyapunovReport(stochastic.SampleMoments):
     horizon: int
     sample_count: int
     seed: int
@@ -303,14 +297,6 @@ class LyapunovReport:
     samples: np.ndarray  # normalized fluctuations (S_n - n log 2)/sqrt(n)
     mean_log_derivative: float  # average over samples of S_n / n
     ks_stat: float = None
-
-    @property
-    def sample_mean(self):
-        return float(np.mean(self.samples)) if len(self.samples) else 0.0
-
-    @property
-    def sample_var(self):
-        return float(np.var(self.samples)) if len(self.samples) else 0.0
 
 
 def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
@@ -360,8 +346,6 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
     mean_log = float(np.mean(sums)) / horizon if len(sums) else 0.0
     report = LyapunovReport(horizon, count, seed, sigma2, fluct, mean_log)
     if sigma2 is not None and sigma2 > 0:
-        from . import stochastic
-
         report.ks_stat = stochastic.ks_statistic(report)
     return report
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import lattice
-from .errors import InputError, TooLarge
+from .errors import DegenerateBound, InputError, TooLarge
 
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 10**6  # max q^n branches for the spatial form
@@ -170,16 +170,6 @@ def transfer_fourier(f, matrix, n):
     return TrigPolynomial(f.dim, out)
 
 
-def _branch_points(matrix, digits, n):
-    """Float b_gamma = S_gamma 0 for gamma in D^n, in canonical digit order."""
-    inv_a = np.linalg.inv(matrix.as_array())
-    pts = np.zeros((1, matrix.dim))
-    dig = digits.as_array()
-    for _ in range(n):
-        pts = np.concatenate([(pts + g) @ inv_a.T for g in dig])
-    return pts
-
-
 def transfer_spatial_eval(f, matrix, digits, n, x):
     """Spatial form: (1/q^n) sum over gamma in D^n of f(A^-n x + b_gamma).
 
@@ -200,7 +190,7 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
         return complex(vals[0]) if scalar else vals
     a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
     base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
-    cloud = _branch_points(matrix, digits, n)
+    cloud = lattice.branch_points(matrix, digits, n)
     # (m, q^n, d) evaluation grid, flattened for one vectorized pass
     grid = base[:, None, :] + cloud[None, :, :]
     flat = grid.reshape(-1, matrix.dim)
@@ -292,7 +282,7 @@ def sup_norm_bracket(f):
 
             x[i] = _golden_refine(along, x[i] - step, x[i] + step)
     lower = float(abs(f.evaluate(tuple(x))))
-    lower = max(lower, float(vals[idx]))
+    lower = max(lower, float(vals.flat[flat_best]))
     return min(lower, upper), upper
 
 
@@ -487,13 +477,10 @@ def inv_norm_sup(matrix, cap=512):
     """
     g = 1.0
     for j in range(1, cap + 1):
-        a_j = np.array(lattice.mat_pow(matrix.entries, j), dtype=float)
-        val = 1.0 / float(np.linalg.svd(a_j, compute_uv=False)[-1])
+        val = 1.0 / min_singular_power(matrix, j)
         g = max(g, val)
         if val <= 1.0:
             return g
-    from .errors import DegenerateBound
-
     raise DegenerateBound("||A^-j|| did not fall below 1 within %d powers" % cap)
 
 

@@ -48,7 +48,9 @@ def sigma_squared(f, matrix):
     threshold = spectral.inv_norm_sup(matrix) * max(norms) / min(norms)
     total = 0j
     n = 0
-    while spectral.min_singular_power(matrix, n) <= threshold:
+    # stop only past a relative margin: a float sigma_min may round just above
+    # a threshold it equals exactly, and the term at that n need not vanish
+    while spectral.min_singular_power(matrix, n) <= threshold * (1.0 + 1e-9):
         term = analysis.correlation(f, f, matrix, n)
         total += term if n == 0 else 2.0 * term
         n += 1
@@ -103,16 +105,8 @@ def check_dini(f, matrix, n_scales):
     return DiniReport(terms, partial, classification, tail_estimate)
 
 
-@dataclass
-class CltExperiment:
-    function: object
-    matrix: object
-    horizon: int
-    sample_count: int
-    seed: int
-    sigma2: float
-    samples: np.ndarray
-    ks_stat: float = None
+class SampleMoments:
+    """Mean and variance of a `samples` array, 0.0 when it is empty."""
 
     @property
     def sample_mean(self):
@@ -121,6 +115,18 @@ class CltExperiment:
     @property
     def sample_var(self):
         return float(np.var(self.samples)) if len(self.samples) else 0.0
+
+
+@dataclass
+class CltExperiment(SampleMoments):
+    function: object
+    matrix: object
+    horizon: int
+    sample_count: int
+    seed: int
+    sigma2: float
+    samples: np.ndarray
+    ks_stat: float = None
 
 
 def _mul_small(hi, lo, mult):

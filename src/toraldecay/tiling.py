@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from . import lattice, rng
+from . import lattice, rng, spectral
 from .errors import DegenerateBound, InputError, TooLarge
 
 LEVEL_GUARD = 10**7  # max q^n cloud points
@@ -27,16 +27,11 @@ def neumann_tail(matrix, rel_tol=1e-12, cap=2048):
     """
     total = 0.0
     for k in range(1, cap + 1):
-        term = 1.0 / spectral_min_singular(matrix, k)
+        term = 1.0 / spectral.min_singular_power(matrix, k)
         total += term
         if k >= 4 and term < rel_tol * total:
             return total
     raise DegenerateBound("Neumann tail sum did not converge within %d terms" % cap)
-
-
-def spectral_min_singular(matrix, k):
-    a_k = np.array(lattice.mat_pow(matrix.entries, k), dtype=float)
-    return float(np.linalg.svd(a_k, compute_uv=False)[-1])
 
 
 def digit_diameter(digits):
@@ -85,12 +80,8 @@ def tile_points(matrix, digits, level):
         raise TooLarge(
             "q^level = %d exceeds the cloud guard %d" % (q**level, LEVEL_GUARD)
         )
-    inv_a = np.linalg.inv(matrix.as_array())
-    pts = np.zeros((1, matrix.dim))
-    dig = digits.as_array()
-    for _ in range(level):
-        pts = np.concatenate([(pts + g) @ inv_a.T for g in dig])
-    radius = tile_diameter_bound(matrix, digits) / spectral_min_singular(matrix, level)
+    pts = lattice.branch_points(matrix, digits, level)
+    radius = tile_diameter_bound(matrix, digits) / spectral.min_singular_power(matrix, level)
     return TileApproximation(matrix, digits, level, pts, radius)
 
 
@@ -162,10 +153,8 @@ def check_self_affinity(tile):
     """
     if tile.level < 2:
         raise InputError("self-affinity check needs level >= 2")
-    prev = tile_points(tile.matrix, tile.digits, tile.level - 1)
-    inv_a = np.linalg.inv(tile.matrix.as_array())
-    dig = tile.digits.as_array()
-    expanded = np.concatenate([(prev.points + g) @ inv_a.T for g in dig])
+    prev = lattice.branch_points(tile.matrix, tile.digits, tile.level - 1)
+    expanded = lattice.branch_points(tile.matrix, tile.digits, 1, points=prev)
 
     def sorted_rows(arr):
         order = np.lexsort(arr.T[::-1])

@@ -90,6 +90,9 @@ def test_correlation_input_checks():
         analysis.correlation(f, f, TWIN, 1)  # dim mismatch
     with pytest.raises(InputError):
         analysis.correlation(f, f, DOUBLE, -1)
+    for samples in (0, -5):
+        with pytest.raises(InputError):
+            analysis.correlation(f, f, DOUBLE, 1, mc_samples=samples)
 
 
 def test_decay_report_bound_holds():
@@ -123,6 +126,25 @@ def test_decay_report_transfer_norm_mode():
         analysis.decay_report(f, f, DOUBLE, 5, mode="bogus")
     with pytest.raises(InputError):
         analysis.decay_report(f, f, DOUBLE, 0)
+
+
+def test_decay_report_monte_carlo():
+    f = TrigPolynomial(1, {(0,): 0.3, (1,): 0.5, (-1,): 0.5, (2,): 0.25, (-2,): 0.25})
+    g = TrigPolynomial.cosine(1)
+    report = analysis.decay_report(f, g, DOUBLE, 3, mc_samples=2000, seed=4)
+    exact = analysis.decay_report(f, g, DOUBLE, 3)
+    # the Monte Carlo values use the uncentered f; the bounds do not depend on it
+    assert report.values() == [
+        abs(analysis.correlation(f, g, DOUBLE, n, mc_samples=2000, seed=4))
+        for n in (1, 2, 3)
+    ]
+    assert [r.bound for r in report.rows] == [r.bound for r in exact.rows]
+    with pytest.raises(InputError):
+        analysis.decay_report(f, g, DOUBLE, 3, mode="transfer_norm", mc_samples=10)
+    # a constant f has a zero bound; noisy estimates must not trip DegenerateBound
+    const = TrigPolynomial(1, {(0,): 2.0})
+    report = analysis.decay_report(const, g, DOUBLE, 2, mc_samples=500, seed=1)
+    assert all(r.bound == 0.0 and r.ratio == 0.0 for r in report.rows)
 
 
 def test_decay_report_all_zero_fit():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from toraldecay import analysis, cli, spectral
+from toraldecay import analysis, cli, lattice, spectral
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -84,6 +84,45 @@ def test_transfer_norms(capsys, rich_path):
     assert float(rows[0][2]) <= float(rows[0][3])
 
 
+def test_transfer_norms_match_decay_report(capsys, tmp_path):
+    path = tmp_path / "dyadic.json"
+    coeffs = {(0,): 0.3}
+    for j in range(6):
+        coeffs[(2**j,)] = coeffs[(-(2**j),)] = 0.5 * 0.6**j
+    f = TrigPolynomial(1, coeffs)
+    f.save(path)
+    code, out = run(
+        capsys,
+        ["transfer", "--matrix", "2", "--function", str(path), "--steps", "4",
+         "--emit", "norms"],
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    m = lattice.validate_expanding([[2]])
+    report = analysis.decay_report(f, None, m, 4, mode="transfer_norm", fit=False)
+    assert [[float(r[1]), float(r[4]), float(r[5])] for r in rows] == [
+        [row.value, row.bound, row.ratio] for row in report.rows
+    ]
+
+
+def test_transfer_norms_three_dimensional(capsys, tmp_path):
+    path = tmp_path / "f3.json"
+    TrigPolynomial(3, {(0, 0, 0): 0.5, (2, 2, 0): 0.5, (-2, -2, 0): 0.5,
+                       (4, 0, 2): 0.25, (-4, 0, -2): 0.25}).save(path)
+    code, out = run(
+        capsys,
+        ["transfer", "--matrix", "2,0,0;0,2,0;0,0,2", "--function", str(path),
+         "--steps", "2", "--emit", "norms"],
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    # step 1 keeps (1, 1, 0) and (2, 0, 1): sup = 1.5 at the origin
+    assert float(rows[0][2]) == pytest.approx(1.5, abs=1e-9)
+    assert float(rows[0][3]) == 1.5
+    assert footer_lines(out) == ["# centered: true"]
+
+
 def test_transfer_coeffs_round_trip(capsys, rich_path, tmp_path):
     out_path = tmp_path / "lf.json"
     code, _ = run(
@@ -138,12 +177,59 @@ def test_decay_mc_close_to_exact(capsys, rich_path, f1_path):
     _, rows = parse_csv(out)
     f = TrigPolynomial.load(rich_path)
     g = TrigPolynomial.load(f1_path)
-    from toraldecay import lattice
-
     m = lattice.validate_expanding([[2]])
     for r in rows:
         exact = abs(analysis.correlation(f, g, m, int(r[0])))
         assert abs(float(r[1]) - exact) < 5.0 / math.sqrt(40000)
+
+
+def test_decay_mc_matches_correlation(capsys, tmp_path, f1_path):
+    # a nonzero mean pins the uncentered Monte Carlo estimator
+    path = tmp_path / "fmean.json"
+    f = TrigPolynomial(1, {(0,): 0.3, (2,): 0.5, (-2,): 0.5, (4,): 0.25, (-4,): 0.25})
+    f.save(path)
+    code, out = run(
+        capsys,
+        ["decay", "--matrix", "2", "--f", str(path), "--g", f1_path,
+         "--nmax", "3", "--mc-samples", "3000", "--seed", "11"],
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    g = TrigPolynomial.load(f1_path)
+    m = lattice.validate_expanding([[2]])
+    assert [float(r[1]) for r in rows] == [
+        abs(analysis.correlation(f, g, m, n, mc_samples=3000, seed=11))
+        for n in (1, 2, 3)
+    ]
+
+
+def test_decay_mc_constant_f(capsys, tmp_path, f1_path):
+    path = tmp_path / "const.json"
+    TrigPolynomial(1, {(0,): 2.0}).save(path)
+    code, out = run(
+        capsys,
+        ["decay", "--matrix", "2", "--f", str(path), "--g", f1_path,
+         "--nmax", "3", "--mc-samples", "500", "--seed", "1"],
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [float(r[2]) for r in rows] == [0.0, 0.0, 0.0]
+
+
+def test_decay_rejects_bad_mc_samples(capsys, rich_path, f1_path):
+    for samples in ("-5", "0"):
+        code, _ = run(
+            capsys,
+            ["decay", "--matrix", "2", "--f", rich_path, "--g", f1_path,
+             "--nmax", "3", "--mc-samples", samples],
+        )
+        assert code == 2
+    code, _ = run(
+        capsys,
+        ["decay", "--matrix", "2", "--f", rich_path, "--g", f1_path,
+         "--nmax", "3", "--mode", "transfer_norm", "--mc-samples", "100"],
+    )
+    assert code == 2
 
 
 def test_decay_rerun_byte_identical(capsys, rich_path, f1_path):

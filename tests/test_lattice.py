@@ -157,3 +157,19 @@ def test_star_and_power():
     assert m.star() == ((1, 1), (-1, 1))
     assert m.power(2) == ((0, -2), (2, 0))
     assert lattice.mat_vec(m.star(), (1, 0)) == (1, -1)
+
+
+def test_branch_points():
+    m = lattice.validate_expanding(TWIN)
+    digits = lattice.digit_set(m)
+    cloud = lattice.branch_points(m, digits, 3)
+    assert cloud.shape == (8, 2)
+    # b_gamma = sum_j A^-j gamma_j over digit strings, outermost digit first
+    inv = np.linalg.inv(np.array(TWIN, dtype=float))
+    d = np.array(digits.digits, dtype=float)
+    want = [inv @ (g3 + inv @ (g2 + inv @ g1)) for g3 in d for g2 in d for g1 in d]
+    assert np.allclose(cloud, want, atol=1e-15)
+    # one more step from a given cloud equals the next level, bit for bit
+    step = lattice.branch_points(m, digits, 1, points=cloud)
+    assert np.array_equal(step, lattice.branch_points(m, digits, 4))
+    assert np.array_equal(lattice.branch_points(m, digits, 0), np.zeros((1, 2)))

@@ -149,6 +149,19 @@ def test_sup_norm_bracket():
     assert spectral.norm(TrigPolynomial(1, {}), "inf") == 0.0
 
 
+def test_sup_norm_bracket_three_dimensional():
+    # d >= 3 scans a flat grid; cos 2pi x + 0.5 cos 2pi(y + z) peaks at 0
+    f = TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 1): 0.25,
+                           (0, -1, -1): 0.25})
+    lo, hi = spectral.sup_norm_bracket(f)
+    assert abs(lo - 1.5) < 1e-9
+    assert hi == 1.5
+    g = TrigPolynomial(3, {(0, 2, -1): 1j, (0, -2, 1): -1j})  # -2 sin 2pi(2y - z)
+    lo, hi = spectral.sup_norm_bracket(g)
+    assert abs(lo - 2.0) < 1e-9
+    assert lo <= hi == 2.0
+
+
 def test_modulus_value_exact_cosine_1d():
     # || cos(2 pi k (x+v)) - cos(2 pi k x) ||_2 = sqrt(2) |sin(pi k v)|
     for k in (1, 2, 5):

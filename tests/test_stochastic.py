@@ -88,6 +88,15 @@ def test_sigma_squared_known_values():
     assert stochastic.sigma_squared(empty, DOUBLE) == 0.0
 
 
+def test_sigma_squared_keeps_term_at_threshold():
+    # sigma_min(A^3) = 12 equals the stopping threshold 144/12 exactly, yet
+    # A*^3 (12, 0) = (0, 144): rho(3) = 2, so sigma^2 = 4 + 2 * 2
+    matrix = lattice.validate_expanding([[0, -2], [3, 0]])
+    f = TrigPolynomial(2, {(12, 0): 1.0, (-12, 0): 1.0, (0, 144): 1.0, (0, -144): 1.0})
+    assert stochastic.analysis.correlation(f, f, matrix, 3) == 2.0
+    assert stochastic.sigma_squared(f, matrix) == 8.0
+
+
 def test_sigma_squared_matches_cesaro_variance():
     # Var(S_n)/n = rho(0) + 2 sum (1 - k/n) rho(k), exact for finite range
     rng = np.random.default_rng(35)
