@@ -59,15 +59,18 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
 def _correlation_mc(f, g, matrix, n, samples, seed, threads):
     a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
 
-    def worker(block, start, stop):
-        x = rng.substream(seed, block).random((stop - start, matrix.dim))
-        y = (x @ a_n.T) % 1.0
-        return complex(np.sum(f.evaluate(x) * g.evaluate(y)))
+    def worker(run):
+        sums = []
+        for block, start, stop in run:
+            x = rng.substream(seed, block).random((stop - start, matrix.dim))
+            y = (x @ a_n.T) % 1.0
+            sums.append(complex(np.sum(f.evaluate(x) * g.evaluate(y))))
+        return sums
 
-    parts = rng.map_blocks(samples, worker, threads)
     total = 0j
-    for p in parts:  # fixed block order keeps the float reduction reproducible
-        total += p
+    for sums in rng.map_blocks(samples, worker, threads):
+        for p in sums:  # fixed block order keeps the float reduction reproducible
+            total += p
     return total / samples - f.mean() * g.mean()
 
 

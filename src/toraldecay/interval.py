@@ -304,7 +304,8 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
 
     Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
     U in double precision with the same low-bit refresh policy as the toral
-    sampler. log|U'(y)| = log(4|y|) is clamped away from the y = 0
+    sampler, and a worker advances its run of blocks as one array.
+    log|U'(y)| = log(4|y|) is clamped away from the y = 0
     singularity (measure-zero, log-integrable). An explicit observable
     replaces the Lyapunov summand, with no mean subtraction. The limit
     variance of the default observable is zero (coboundary), so the KS
@@ -328,16 +329,19 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
         shift = 0.0
     scale = 1.0 / math.sqrt(horizon)
 
-    def worker(block, start, stop):
-        gen = rng.substream(seed, block)
-        m = stop - start
-        y = np.sin(0.5 * math.pi * (2.0 * gen.random(m) - 1.0))
-        acc = np.zeros(m)
+    def worker(run):
+        blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
+
+        def draw():  # the run's blocks stacked, each from its own substream
+            return np.concatenate([gen.random(count) for gen, count in blocks])
+
+        y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
+        acc = np.zeros(len(y))
         for step in range(horizon):
             acc += step_value(y)
             y = 1.0 - 2.0 * y * y
             if (step + 1) % REFRESH_PERIOD == 0 and step + 1 < horizon:
-                y = np.clip(y + (gen.random(m) - 0.5) * REFRESH_SCALE, -1.0, 1.0)
+                y = np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0)
         return acc
 
     parts = rng.map_blocks(count, worker, threads)

@@ -4,7 +4,9 @@ Every Monte Carlo routine in the package draws from Philox substreams
 keyed by (seed, block index). Work is split into fixed-size blocks of
 BLOCK samples; block b always uses substream b and blocks are always
 reassembled in block order, so results are byte-identical for any
-thread count.
+thread count. Workers receive runs, contiguous lists of blocks, so a
+sampler can advance several blocks as one array while each block keeps
+its own substream.
 """
 
 import os
@@ -17,6 +19,10 @@ from .errors import InputError
 # Fixed block size. Changing it changes every sampled result, so it is
 # part of the reproducibility contract, not a tuning knob.
 BLOCK = 1024
+
+# Most blocks in one run. It bounds the memory a worker holds at once;
+# results do not depend on it.
+RUN_BLOCKS = 16
 
 THREADS_ENV = "TORAL_DECAY_THREADS"
 
@@ -77,17 +83,27 @@ def block_ranges(total):
 
 
 def map_blocks(total, worker, threads):
-    """Run `worker(block_index, start, stop)` over all blocks.
+    """Run `worker(run)` over block_ranges(total) cut into runs.
 
-    Returns the per-block results in block order regardless of the
-    thread count or scheduling, which is what makes downstream
-    reassembly deterministic.
+    A run is a contiguous list of (block_index, start, stop) triples in
+    block order: one run per thread, at most RUN_BLOCKS blocks in a run,
+    run lengths differing by at most one block. Returns the per-run
+    results in block order regardless of the thread count or scheduling,
+    so a worker whose output per sample does not depend on how blocks
+    are grouped gives byte-identical results for any thread count.
     """
     blocks = block_ranges(total)
     if not blocks:
         return []
     threads = resolve_threads(threads)
-    if threads == 1 or len(blocks) == 1:
-        return [worker(*blk) for blk in blocks]
+    count = max(min(threads, len(blocks)), -(-len(blocks) // RUN_BLOCKS))
+    size, extra = divmod(len(blocks), count)
+    runs, start = [], 0
+    for r in range(count):
+        stop = start + size + (r < extra)
+        runs.append(blocks[start:stop])
+        start = stop
+    if threads == 1 or len(runs) <= 1:
+        return [worker(run) for run in runs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda blk: worker(*blk), blocks))
+        return list(pool.map(worker, runs))

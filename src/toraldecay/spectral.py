@@ -28,6 +28,23 @@ def _freq_key(k, dim):
     return key
 
 
+def _as_points(x, dim):
+    """(m, dim) float points from x, and whether x was a single point.
+
+    A scalar (dim 1) or a 1-D input of length dim is one point. For
+    dim 1 a flat 1-D array of any other length is that many points. A
+    2-D input holds one point per row.
+    """
+    arr = np.asarray(x, dtype=float)
+    if (arr.ndim == 0 and dim == 1) or (arr.ndim == 1 and len(arr) == dim):
+        return arr.reshape(1, dim), True
+    if arr.ndim == 1 and dim == 1:
+        return arr.reshape(-1, 1), False
+    if arr.ndim == 2 and arr.shape[1] == dim:
+        return arr, False
+    raise InputError("points must have dimension %d" % dim)
+
+
 class TrigPolynomial:
     """Finite map frequency -> complex coefficient.
 
@@ -89,21 +106,14 @@ class TrigPolynomial:
         return max(max(abs(v) for v in k) for k in self.coeffs)
 
     def evaluate(self, x):
-        """f at one point (tuple / scalar) or at an (m, d) array of points."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[-1] != self.dim:
-            if self.dim == 1 and pts.shape[0] == 1:
-                pts = pts.reshape(-1, 1)
-            else:
-                raise InputError("points must have dimension %d" % self.dim)
+        """f at one point (complex) or at many points (array); see `_as_points`."""
+        pts, single = _as_points(x, self.dim)
         if not self.coeffs:
             vals = np.zeros(pts.shape[0], dtype=complex)
         else:
             k, c = self.freq_array()
             vals = np.exp(2j * np.pi * (pts @ k.T)) @ c
-        if np.isscalar(x) or (np.asarray(x).ndim <= 1):
-            return complex(vals[0])
-        return vals
+        return complex(vals[0]) if single else vals
 
     @staticmethod
     def cosine(k, amplitude=1.0, dim=None):
@@ -173,21 +183,18 @@ def transfer_fourier(f, matrix, n):
 def transfer_spatial_eval(f, matrix, digits, n, x):
     """Spatial form: (1/q^n) sum over gamma in D^n of f(A^-n x + b_gamma).
 
-    Independent oracle for transfer_fourier. x may be a single point
-    (returns a complex number) or an (m, d) array (returns an array).
+    Independent oracle for transfer_fourier. x is one point (returns a
+    complex number) or many points (returns an array), as in `_as_points`.
     """
     if n < 0:
         raise InputError("steps must be >= 0")
     q = matrix.det_abs
     if q**n > SPATIAL_GUARD:
         raise TooLarge("q^n = %d exceeds the spatial guard %d" % (q**n, SPATIAL_GUARD))
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[-1] != matrix.dim and matrix.dim == 1:
-        pts = pts.reshape(-1, 1)
-    scalar = np.isscalar(x) or np.asarray(x).ndim <= 1
+    pts, single = _as_points(x, matrix.dim)
     if n == 0:
-        vals = f.evaluate(pts) if pts.shape[0] > 1 else np.array([f.evaluate(pts[0])])
-        return complex(vals[0]) if scalar else vals
+        vals = f.evaluate(pts)
+        return complex(vals[0]) if single else vals
     a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
     base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
     cloud = lattice.branch_points(matrix, digits, n)
@@ -200,7 +207,7 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
         out = vals.mean(axis=1)
     else:
         out = np.zeros(pts.shape[0], dtype=complex)
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if single else out
 
 
 def norm(f, r):

@@ -5,7 +5,9 @@ trigonometric polynomials: autocorrelations vanish once the adjoint matrix
 power stretches every support frequency outside the support. Sampling the
 sums needs care: iterating x -> Ax mod 1 in binary floating point erases
 mantissa bits (about one per step for A = [[2]]), so orbits are kept in
-128-bit fixed point with fresh low-order bits injected every 40 steps.
+128-bit fixed point with fresh low-order bits injected every 40 steps,
+and f is evaluated from exact integer phases <k, x> mod 1 rather than
+from float coordinates.
 """
 
 import math
@@ -25,6 +27,7 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK24 = np.uint64(0xFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT40 = np.uint64(40)
+_TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
 
 def sigma_squared(f, matrix):
@@ -129,65 +132,98 @@ class CltExperiment(SampleMoments):
     ks_stat: float = None
 
 
-def _mul_small(hi, lo, mult):
-    """(hi, lo) * mult mod 2^128 for 0 <= mult < 2^31, via 32-bit limbs."""
-    m = np.uint64(mult)
-    p0 = (lo & _MASK32) * m
-    p1 = (lo >> _SHIFT32) * m + (p0 >> _SHIFT32)
-    new_lo = (p1 << _SHIFT32) | (p0 & _MASK32)
-    carry = p1 >> _SHIFT32
-    q0 = (hi & _MASK32) * m + carry
-    q1 = (hi >> _SHIFT32) * m + (q0 >> _SHIFT32)
-    new_hi = (q1 << _SHIFT32) | (q0 & _MASK32)
-    return new_hi, new_lo
+def _scale(hi, lo, a):
+    """(hi, lo) * a mod 2^128 for 1 <= a < 2^31, as cheaply as `a` allows.
+
+    1 is free, a power of two is a shift, anything else is a wrapping
+    product on each word plus the high half of lo * a as the carry.
+    """
+    if a == 1:
+        return hi, lo
+    shift = a.bit_length() - 1
+    if a == 1 << shift:
+        return (hi << shift) | (lo >> (64 - shift)), lo << shift
+    m = np.uint64(a)
+    carry = (((lo & _MASK32) * m >> _SHIFT32) + (lo >> _SHIFT32) * m) >> _SHIFT32
+    return hi * m + carry, lo * m
 
 
-def _neg128(hi, lo):
-    new_lo = (~lo) + np.uint64(1)
-    new_hi = (~hi) + (lo == 0).astype(np.uint64)
-    return new_hi, new_lo
-
-
-def _add128(h1, l1, h2, l2):
-    lo = l1 + l2
-    hi = h1 + h2 + (lo < l1).astype(np.uint64)
-    return hi, lo
+def _accumulate(acc, term, subtract):
+    """acc + term, or acc - term, mod 2^128 on (hi, lo) word pairs."""
+    (acc_hi, acc_lo), (hi, lo) = acc, term
+    if subtract:
+        return acc_hi - hi - (acc_lo < lo), acc_lo - lo
+    new_lo = acc_lo + lo
+    return acc_hi + hi + (new_lo < lo), new_lo
 
 
 def _orbit_step(hi, lo, entries):
-    """x -> Ax mod 1 on fixed-point coordinates, exactly. Shapes (m, d)."""
-    d = len(entries)
-    out_hi = np.empty_like(hi)
-    out_lo = np.empty_like(lo)
-    for i in range(d):
-        acc_hi = np.zeros(hi.shape[0], dtype=np.uint64)
-        acc_lo = np.zeros(hi.shape[0], dtype=np.uint64)
-        for j in range(d):
-            a = entries[i][j]
-            if a == 0:
-                continue
-            th, tl = _mul_small(hi[:, j], lo[:, j], abs(a))
-            if a < 0:
-                th, tl = _neg128(th, tl)
-            acc_hi, acc_lo = _add128(acc_hi, acc_lo, th, tl)
-        out_hi[:, i] = acc_hi
-        out_lo[:, i] = acc_lo
-    return out_hi, out_lo
+    """x -> Ax mod 1 on 128-bit fixed-point coordinates, exactly. Shapes (d, m)."""
+    new_hi = np.empty_like(hi)
+    new_lo = np.empty_like(lo)
+    for i, row in enumerate(entries):
+        acc = None  # positive terms sort first, so a row rarely starts from zero
+        for negative, a, j in sorted((a < 0, abs(a), j) for j, a in enumerate(row) if a):
+            term = _scale(hi[j], lo[j], a)
+            if acc is None and not negative:
+                acc = term
+            else:
+                acc = _accumulate(acc or (0, 0), term, negative)
+        new_hi[i], new_lo[i] = acc or (0, 0)
+    return new_hi, new_lo
 
 
-def _orbit_floats(hi, lo):
-    return hi * 2.0**-64 + lo * 2.0**-128
+def _phase_terms(f):
+    """Mean-zero f as sum a cos(2 pi <k, x>) + b sin(2 pi <k, x>).
+
+    Each +-k pair folds into one frequency k with weights a, b, so the
+    value equals Re sum c_k e(<k, x>) term by term; a missing partner,
+    which the hermitian tolerance allows for tiny coefficients, counts
+    as 0. Returns [(k, a, b), ...].
+    """
+    terms = []
+    done = {f.zero_key}
+    for k in f.support():
+        if k in done:
+            continue
+        neg = tuple(-v for v in k)
+        done.update((k, neg))
+        c, cn = f.coeffs[k], f.coeffs.get(neg, 0j)
+        terms.append((k, c.real + cn.real, cn.imag - c.imag))
+    return terms
+
+
+def _phase(hi, k):
+    """<k, x> mod 1 in units of 2^-64 turns: sum_j k_j hi_j, wrapping uint64.
+
+    k must be nonzero. The low words are left out, which moves the phase
+    by less than ||k||_1 2^-64 turns.
+    """
+    phase = None
+    for j, kj in enumerate(k):
+        if kj:
+            term = hi[j] if kj == 1 else hi[j] * np.uint64(kj % 2**64)
+            phase = term if phase is None else phase + term
+    return phase
+
+
+def _phase_angles(hi, k):
+    """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word."""
+    return _phase(hi, k).view(np.int64) * _TURN
 
 
 def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     """M normalized Birkhoff sums S_n(f)/sqrt(n) from seeded uniform starts.
 
-    One counter-based substream per fixed-size sample block; blocks are
-    reduced in index order, so results are byte-identical for any thread
-    count. The orbit is exact integer arithmetic on 128-bit fixed-point
-    coordinates; every 40 steps the bits below 2^-40 are redrawn, which
-    perturbs the law by at most 2^-40 per coordinate but prevents the
-    mod-1 dynamics from collapsing onto short floating-point cycles.
+    One counter-based substream per fixed-size sample block; a worker
+    advances its run of blocks as one (d, m) array, and every sample's
+    value is independent of how blocks are grouped, so results are
+    byte-identical for any thread count. The orbit is exact integer
+    arithmetic on 128-bit fixed-point coordinates; every 40 steps the
+    bits below 2^-40 are redrawn, which perturbs the law by at most
+    2^-40 per coordinate but prevents the mod-1 dynamics from collapsing
+    onto short floating-point cycles. f is evaluated from exact integer
+    phases of the high words (see `_phase`).
     """
     horizon = int(horizon)
     samples = int(samples)
@@ -204,21 +240,30 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     sigma2 = sigma_squared(f, matrix)
     d = matrix.dim
     entries = matrix.entries
+    terms = _phase_terms(f)  # sigma_squared has checked that f has mean zero
     scale = 1.0 / math.sqrt(horizon)
 
-    def worker(block, start, stop):
-        gen = rng.substream(seed, block)
-        count = stop - start
-        hi = rng.uniform64(gen, (count, d))
-        lo = rng.uniform64(gen, (count, d))
-        acc = np.zeros(count)
+    def worker(run):
+        blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
+
+        def draw():  # (d, m) words; each block draws (count, d) as it always has
+            words = [rng.uniform64(gen, (count, d)) for gen, count in blocks]
+            return np.ascontiguousarray(np.concatenate(words).T)
+
+        hi = draw()
+        lo = draw()
+        acc = np.zeros(hi.shape[1])
         for step in range(horizon):
-            acc += f.evaluate(_orbit_floats(hi, lo)).real
+            for k, a, b in terms:
+                angle = _phase_angles(hi, k)
+                if a:
+                    acc += a * np.cos(angle)
+                if b:
+                    acc += b * np.sin(angle)
             hi, lo = _orbit_step(hi, lo, entries)
             if (step + 1) % REFRESH_PERIOD == 0 and step + 1 < horizon:
-                fresh = rng.uniform64(gen, (count, d)) >> _SHIFT40
-                hi = (hi & ~_MASK24) | fresh
-                lo = rng.uniform64(gen, (count, d))
+                hi = (hi & ~_MASK24) | (draw() >> _SHIFT40)
+                lo = draw()
         return acc * scale
 
     parts = rng.map_blocks(samples, worker, threads)

@@ -126,15 +126,18 @@ def check_tiling(tile, samples, seed, threads=None):
     ).reshape(-1, d)
     tree = cKDTree(tile.points)
 
-    def worker(block, start, stop):
-        count = stop - start
-        x = rng.substream(seed, block).random((count, d))
-        shifted = (x[:, None, :] - offsets[None, :, :]).reshape(-1, d)
-        dist, _ = tree.query(shifted, k=1)
-        hits = (dist <= tile.cell_radius).reshape(count, -1).sum(axis=1)
-        return np.bincount(hits, minlength=2)
+    def worker(run):
+        counts = []
+        for block, start, stop in run:
+            count = stop - start
+            x = rng.substream(seed, block).random((count, d))
+            shifted = (x[:, None, :] - offsets[None, :, :]).reshape(-1, d)
+            dist, _ = tree.query(shifted, k=1)
+            hits = (dist <= tile.cell_radius).reshape(count, -1).sum(axis=1)
+            counts.append(np.bincount(hits, minlength=2))
+        return counts
 
-    parts = rng.map_blocks(samples, worker, threads)
+    parts = [p for counts in rng.map_blocks(samples, worker, threads) for p in counts]
     width = max(len(p) for p in parts)
     total = np.zeros(width, dtype=np.int64)
     for p in parts:  # summed in block order; integer adds are order-exact anyway

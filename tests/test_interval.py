@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from toraldecay import interval
+from toraldecay import interval, rng
 from toraldecay.errors import InputError, TooLarge, TruncationTooSmall
 
 
@@ -237,6 +237,13 @@ def test_lyapunov_clt_recovers_log2():
     a = interval.lyapunov_clt(200, 600, seed=3, threads=1)
     b = interval.lyapunov_clt(200, 600, seed=3, threads=4)
     assert np.array_equal(a.samples, b.samples)
+    # more blocks than RUN_BLOCKS * threads, so threads and runs both matter
+    count = (3 * rng.RUN_BLOCKS + 1) * rng.BLOCK + 7
+    one = interval.lyapunov_clt(45, count, seed=3, threads=1)
+    for threads in (2, 3, 4):
+        many = interval.lyapunov_clt(45, count, seed=3, threads=threads)
+        assert np.array_equal(one.samples, many.samples)
+        assert one.mean_log_derivative == many.mean_log_derivative
 
 
 def test_lyapunov_clt_custom_observable():

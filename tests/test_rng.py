@@ -1,5 +1,7 @@
 """Counter-based substreams and deterministic block mapping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,13 +47,23 @@ def test_block_ranges_cover():
 
 
 def test_map_blocks_order_independent_of_threads():
-    def worker(block, start, stop):
-        return (block, stop - start)
+    def worker(run):
+        return [(block, stop - start) for block, start, stop in run]
 
-    serial = rng.map_blocks(5000, worker, threads=1)
-    parallel = rng.map_blocks(5000, worker, threads=8)
+    serial = [blk for run in rng.map_blocks(5000, worker, threads=1) for blk in run]
+    parallel = [blk for run in rng.map_blocks(5000, worker, threads=8) for blk in run]
     assert serial == parallel
     assert [b for b, _ in serial] == sorted(b for b, _ in serial)
+    # runs are contiguous, in block order, capped, and cover every block once
+    for total in (1, 5000, 3 * rng.RUN_BLOCKS * rng.BLOCK + 1, 200 * rng.BLOCK):
+        blocks = rng.block_ranges(total)
+        for threads in range(1, 9):
+            runs = rng.map_blocks(total, lambda run: run, threads)
+            assert [blk for run in runs for blk in run] == blocks
+            assert all(1 <= len(run) <= rng.RUN_BLOCKS for run in runs)
+            want = max(min(threads, len(blocks)), math.ceil(len(blocks) / rng.RUN_BLOCKS))
+            assert len(runs) == want
+            assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
 
 def test_resolve_threads(monkeypatch):

@@ -101,6 +101,38 @@ def test_transfer_composition():
             assert abs(once.coeffs[k] - both.coeffs[k]) < 1e-15
 
 
+def test_point_shapes():
+    # a scalar or a length-dim vector is one point; a flat array in dim 1 is many
+    f = TrigPolynomial.cosine(1)
+    flat = np.array([0.0, 0.25, 0.5])
+    vals = f.evaluate(flat)
+    assert vals.shape == (3,)
+    assert np.allclose(vals, [1.0, 0.0, -1.0])
+    assert np.array_equal(f.evaluate(flat[:, None]), vals)
+    assert isinstance(f.evaluate(0.5), complex)
+    assert f.evaluate(np.array([0.5])) == f.evaluate(0.5) == f.evaluate((0.5,))
+    assert f.evaluate(np.zeros(0)).shape == (0,)
+    g = TrigPolynomial.cosine((1, 2))
+    assert isinstance(g.evaluate(np.array([0.1, 0.2])), complex)
+    assert g.evaluate(np.array([[0.1, 0.2]])).shape == (1,)
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.5):
+        with pytest.raises(InputError):
+            g.evaluate(bad)
+
+
+def test_transfer_spatial_eval_flat_points():
+    f = TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5, (2,): 0.25j, (-2,): -0.25j})
+    digits = lattice.digit_set(DOUBLE)
+    flat = np.array([0.1, 0.3, 0.7])
+    for n in (0, 1, 2):
+        vals = spectral.transfer_spatial_eval(f, DOUBLE, digits, n, flat)
+        assert vals.shape == (3,)
+        want = spectral.transfer_fourier(f, DOUBLE, n).evaluate(flat)
+        assert np.max(np.abs(vals - want)) < 1e-12
+        single = spectral.transfer_spatial_eval(f, DOUBLE, digits, n, 0.3)
+        assert isinstance(single, complex) and abs(single - vals[1]) < 1e-15
+
+
 def test_transfer_fourier_vs_spatial():
     # the two operator implementations are independent; they must agree
     rng = np.random.default_rng(4)

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from toraldecay import lattice, stochastic
+from toraldecay import rng as rng_module
 from toraldecay.errors import InputError, NotMeanZero, TooLarge, ZeroVariance
 from toraldecay.spectral import TrigPolynomial
 
@@ -26,8 +27,10 @@ def rand_u64(rng, n):
 def test_mul_small_matches_python_ints():
     rng = np.random.default_rng(30)
     hi, lo = rand_u64(rng, 200), rand_u64(rng, 200)
-    for mult in (1, 2, 3, 7, 2**31 - 1):
-        rh, rl = stochastic._mul_small(hi, lo, mult)
+    lo[:4] = 0
+    lo[4:8] = np.uint64(2**64 - 1)  # largest carries out of the low word
+    for mult in (1, 2, 3, 7, 2**30, 2**31 - 1):
+        rh, rl = stochastic._scale(hi, lo, mult)
         for i in range(200):
             want = (to_int128(hi[i], lo[i]) * mult) & MASK128
             assert to_int128(rh[i], rl[i]) == want
@@ -35,12 +38,17 @@ def test_mul_small_matches_python_ints():
 
 def test_neg128_matches_python_ints():
     rng = np.random.default_rng(31)
-    hi, lo = rand_u64(rng, 100), rand_u64(rng, 100)
-    lo[:5] = 0  # exercise the borrow path
-    hi[5:8] = 0
-    rh, rl = stochastic._neg128(hi, lo)
+    h1, l1 = rand_u64(rng, 100), rand_u64(rng, 100)
+    h2, l2 = rand_u64(rng, 100), rand_u64(rng, 100)
+    l1[:5] = 0  # exercise the borrow path
+    l2[5:8] = np.uint64(2**64 - 1)
+    h1[8:11] = 0
+    # subtracting from zero is negation
+    nh, nl = stochastic._accumulate((0, 0), (h2, l2), True)
+    rh, rl = stochastic._accumulate((h1, l1), (h2, l2), True)
     for i in range(100):
-        want = (-to_int128(hi[i], lo[i])) & MASK128
+        assert to_int128(nh[i], nl[i]) == (-to_int128(h2[i], l2[i])) & MASK128
+        want = (to_int128(h1[i], l1[i]) - to_int128(h2[i], l2[i])) & MASK128
         assert to_int128(rh[i], rl[i]) == want
 
 
@@ -49,34 +57,102 @@ def test_add128_matches_python_ints():
     h1, l1 = rand_u64(rng, 100), rand_u64(rng, 100)
     h2, l2 = rand_u64(rng, 100), rand_u64(rng, 100)
     l1[:4] = np.uint64(2**64 - 1)  # force carries
-    rh, rl = stochastic._add128(h1, l1, h2, l2)
+    h1[4:8] = np.uint64(2**64 - 1)  # and wrap-around of the high word
+    rh, rl = stochastic._accumulate((h1, l1), (h2, l2), False)
     for i in range(100):
         want = (to_int128(h1[i], l1[i]) + to_int128(h2[i], l2[i])) & MASK128
         assert to_int128(rh[i], rl[i]) == want
 
 
 def test_orbit_step_exact():
+    # entries 0, +-1, +-2, 3 and 2^31 - 1, rows led by a negative entry
     rng = np.random.default_rng(33)
-    for matrix in (DOUBLE, TWIN, lattice.validate_expanding([[2, 1], [-1, 3]])):
-        d = matrix.dim
-        hi = rand_u64(rng, (8, d))
-        lo = rand_u64(rng, (8, d))
-        nh, nl = stochastic._orbit_step(hi, lo, matrix.entries)
-        for s in range(8):
+    for entries in ([[2]], [[-3]], TWIN.entries, [[2, 1], [-1, 3]], [[0, -2], [3, 0]],
+                    [[3, 0, 1], [-2, 1, 2**31 - 1], [-1, -2, 0]]):
+        d = len(entries)
+        hi = rand_u64(rng, (d, 12))
+        lo = rand_u64(rng, (d, 12))
+        lo[:, :3] = 0  # borrows and carries across the word boundary
+        lo[:, 3:6] = np.uint64(2**64 - 1)
+        hi[:, 6:8] = 0
+        nh, nl = stochastic._orbit_step(hi, lo, entries)
+        assert nh.shape == nl.shape == (d, 12)
+        for s in range(12):
             for i in range(d):
                 want = sum(
-                    matrix.entries[i][j] * to_int128(hi[s, j], lo[s, j])
-                    for j in range(d)
+                    entries[i][j] * to_int128(hi[j, s], lo[j, s]) for j in range(d)
                 ) & MASK128
-                assert to_int128(nh[s, i], nl[s, i]) == want
+                assert to_int128(nh[i, s], nl[i, s]) == want
 
 
-def test_orbit_floats_range():
+def test_orbit_phases_exact():
     rng = np.random.default_rng(34)
-    hi = rand_u64(rng, (50, 2))
-    lo = rand_u64(rng, (50, 2))
-    x = stochastic._orbit_floats(hi, lo)
-    assert np.all(x >= 0.0) and np.all(x < 1.0)
+    hi = rand_u64(rng, (3, 50))
+    for k in ((1, 0, 0), (0, -1, 0), (2, -3, 5), (-7, 1, 2**40)):
+        phase = stochastic._phase(hi, k)
+        angles = stochastic._phase_angles(hi, k)
+        assert np.all(angles >= -math.pi) and np.all(angles < math.pi)
+        for s in range(50):
+            word = sum(kj * int(hi[j, s]) for j, kj in enumerate(k)) % 2**64
+            assert int(phase[s]) == word
+            turns = (word - 2**64 if word >= 2**63 else word) / 2**64
+            assert abs(angles[s] - 2.0 * math.pi * turns) <= 1e-15
+
+
+def _reference_samples(f, matrix, horizon, samples, seed, picks):
+    """Slow S_n(f)/sqrt(n) for the picked samples: Python-int 128-bit orbits,
+    the sampler's Philox draw order, and f.evaluate on float coordinates."""
+    d = matrix.dim
+    refresh = [s for s in range(1, horizon) if s % stochastic.REFRESH_PERIOD == 0]
+    words = {}
+    for block, start, stop in rng_module.block_ranges(samples):
+        gen = rng_module.substream(seed, block)
+        # per block: start hi, start lo, then (fresh, lo) at each refresh
+        draws = [rng_module.uniform64(gen, (stop - start, d)) for _ in range(2 + 2 * len(refresh))]
+        for i in range(start, stop):
+            words[i] = [w[i - start] for w in draws]
+    out = []
+    for i in picks:
+        draws = words[i]
+        x = [(int(draws[0][j]) << 64) | int(draws[1][j]) for j in range(d)]
+        total = 0.0
+        for step in range(1, horizon + 1):
+            total += f.evaluate(tuple(v / 2**128 for v in x)).real
+            x = [sum(a * v for a, v in zip(row, x)) & MASK128 for row in matrix.entries]
+            if step in refresh:
+                r = 2 + 2 * refresh.index(step)
+                fresh, low = draws[r], draws[r + 1]
+                x = [((((v >> 64) & ~0xFFFFFF) | (int(fresh[j]) >> 40)) << 64) | int(low[j])
+                     for j, v in enumerate(x)]
+        out.append(total / math.sqrt(horizon))
+    return np.array(out)
+
+
+def test_birkhoff_matches_slow_reference():
+    # near-hermitian complex coefficients, one partnerless tiny term, two refreshes
+    eps = 3e-13
+    cases = (
+        (lattice.validate_expanding([[3]]),
+         {(1,): 0.4 + 0.3j, (-1,): 0.4 - 0.3j + eps, (2,): -0.2j, (-2,): 0.2j, (5,): eps}),
+        (lattice.validate_expanding([[2, 1], [-1, 3]]),
+         {(1, 0): 0.5 + 0.1j, (-1, 0): 0.5 - 0.1j, (2, -1): 0.3j, (-2, 1): -0.3j + eps}),
+        (lattice.validate_expanding([[2, -1, 0], [0, 2, 1], [1, 0, -3]]),
+         {(1, 0, 0): 0.3 - 0.2j, (-1, 0, 0): 0.3 + 0.2j,
+          (1, -2, 3): 0.1 + 0.1j, (-1, 2, -3): 0.1 - 0.1j + eps, (0, 0, 4): eps}),
+    )
+    picks = [0, 1, 2, 1021, 1022, 1023, 1024, 1025, 1099]
+    for matrix, coeffs in cases:
+        f = TrigPolynomial(matrix.dim, coeffs)
+        assert f.real_valued
+        # the folded +-k pairs give Re f exactly, tiny asymmetries included
+        x = np.random.default_rng(7).random((20, matrix.dim))
+        folded = sum(a * np.cos(2 * np.pi * x @ k) + b * np.sin(2 * np.pi * x @ k)
+                     for k, a, b in stochastic._phase_terms(f))
+        assert np.max(np.abs(folded - f.evaluate(x).real)) <= 1e-14
+        want = _reference_samples(f, matrix, 90, 1100, 6, picks)
+        for threads in (1, 2):
+            got = stochastic.birkhoff_samples(f, matrix, 90, 1100, seed=6, threads=threads)
+            assert np.max(np.abs(got.samples[picks] - want)) <= 1e-12
 
 
 def test_sigma_squared_known_values():
@@ -156,11 +232,19 @@ def test_birkhoff_guards():
 def test_birkhoff_deterministic_across_threads_and_seeds():
     f = TrigPolynomial.cosine(1)
     a = stochastic.birkhoff_samples(f, DOUBLE, 130, 2100, seed=4, threads=1)
-    b = stochastic.birkhoff_samples(f, DOUBLE, 130, 2100, seed=4, threads=4)
-    assert np.array_equal(a.samples, b.samples)
-    assert a.ks_stat == b.ks_stat
+    for threads in (2, 3, 4):
+        b = stochastic.birkhoff_samples(f, DOUBLE, 130, 2100, seed=4, threads=threads)
+        assert np.array_equal(a.samples, b.samples)
+        assert a.ks_stat == b.ks_stat
     c = stochastic.birkhoff_samples(f, DOUBLE, 130, 2100, seed=5, threads=1)
     assert not np.array_equal(a.samples, c.samples)
+    # more blocks than RUN_BLOCKS * threads: several runs per thread
+    g = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j})
+    count = (3 * rng_module.RUN_BLOCKS + 1) * rng_module.BLOCK + 7
+    one = stochastic.birkhoff_samples(g, TWIN, 45, count, seed=4, threads=1)
+    for threads in (2, 3):
+        many = stochastic.birkhoff_samples(g, TWIN, 45, count, seed=4, threads=threads)
+        assert np.array_equal(one.samples, many.samples)
 
 
 def test_birkhoff_moments_and_ks():
