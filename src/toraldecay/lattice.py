@@ -264,14 +264,13 @@ def digit_set(matrix):
     )
 
 
-def branch_points(matrix, digits, n, points=None):
-    """Float cloud S_gamma p for gamma in D^n, in canonical digit order.
+def branch_points(matrix, digits, n):
+    """Float branch points b_gamma = S_gamma 0 for gamma in D^n.
 
-    S_g x = A^-1 (x + g). points defaults to the origin, which gives the
-    branch points b_gamma = S_gamma 0 of the self-affine tile.
+    S_g x = A^-1 (x + g); the points come in canonical digit order.
     """
     inv_a = np.linalg.inv(matrix.as_array())
-    pts = np.zeros((1, matrix.dim)) if points is None else points
+    pts = np.zeros((1, matrix.dim))
     dig = digits.as_array()
     for _ in range(n):
         pts = np.concatenate([(pts + g) @ inv_a.T for g in dig])

@@ -114,6 +114,14 @@ def check_tiling(tile, samples, seed, threads=None):
     within cell_radius of some cloud point. For an exact tile the count
     is 1 away from the boundary, so fraction(count=1) must climb toward
     1 as the level grows. Deterministic for any thread count.
+
+    Only translates that can hit are queried. A point outside the
+    cloud's bounding box padded by margin = 2 cell_radius is more than
+    cell_radius from every cloud point, so per axis the candidates are
+    the integers k with x - k inside that box: ceil(x - hi) plus a fixed
+    local grid of floor(hi - lo) + 1 steps (at most the window's width),
+    masked to the box and to the window. The hit test is unchanged, so
+    the histogram equals the one from querying every window translate.
     """
     samples = int(samples)
     d = tile.matrix.dim
@@ -121,8 +129,12 @@ def check_tiling(tile, samples, seed, threads=None):
     stats = CoverageStats(tile.level, samples, int(seed), tile.cell_radius, window)
     if samples == 0:
         return stats
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-window, window + 1)] * d), indexing="ij"), axis=-1
+    margin = 2.0 * tile.cell_radius
+    lo = tile.points.min(axis=0) - margin
+    hi = tile.points.max(axis=0) + margin
+    side = np.minimum(np.floor(hi - lo).astype(np.int64) + 1, 2 * window + 1)
+    local = np.stack(
+        np.meshgrid(*[np.arange(s) for s in side], indexing="ij"), axis=-1
     ).reshape(-1, d)
     tree = cKDTree(tile.points)
 
@@ -131,10 +143,16 @@ def check_tiling(tile, samples, seed, threads=None):
         for block, start, stop in run:
             count = stop - start
             x = rng.substream(seed, block).random((count, d))
-            shifted = (x[:, None, :] - offsets[None, :, :]).reshape(-1, d)
-            dist, _ = tree.query(shifted, k=1)
-            hits = (dist <= tile.cell_radius).reshape(count, -1).sum(axis=1)
-            counts.append(np.bincount(hits, minlength=2))
+            # clamping the first candidate to -window keeps the window
+            # covered when the padded box is wider than the window
+            first = np.maximum(np.ceil(x - hi), -window)
+            k = first[:, None, :] + local[None, :, :]
+            shifted = x[:, None, :] - k
+            keep = ((shifted >= lo) & (shifted <= hi) & (np.abs(k) <= window)).all(axis=2)
+            dist, _ = tree.query(shifted[keep], distance_upper_bound=margin)
+            hit = np.zeros(keep.shape, dtype=bool)
+            hit[keep] = dist <= tile.cell_radius
+            counts.append(np.bincount(hit.sum(axis=1), minlength=2))
         return counts
 
     parts = [p for counts in rng.map_blocks(samples, worker, threads) for p in counts]
@@ -147,23 +165,24 @@ def check_tiling(tile, samples, seed, threads=None):
 
 
 def check_self_affinity(tile):
-    """Fraction of level-n points not matched by expanding level n-1.
+    """Fraction of level-n points not matched by an independent cloud.
 
-    The subdivision identity makes the two clouds equal as point sets;
-    the fraction must be exactly 0. Both sides are computed separately
-    and matched after lexicographic sorting with a 1e-12 per-coordinate
-    tolerance.
+    The subdivision identity b_(g1..gn) = b_(g1..g(n-1)) + A^-n g_n
+    builds the level-n cloud from level n-1 by appending the deepest
+    digit. A^-n = adj(A)^n / det(A)^n comes once from exact integers, so
+    the last level is not built by the A^-1 step of lattice.branch_points
+    that tile.points came from. Each of these points is matched to its
+    nearest neighbour in tile.points in the max norm, with a 1e-12
+    tolerance; the fraction must be exactly 0.
     """
     if tile.level < 2:
         raise InputError("self-affinity check needs level >= 2")
-    prev = lattice.branch_points(tile.matrix, tile.digits, tile.level - 1)
-    expanded = lattice.branch_points(tile.matrix, tile.digits, 1, points=prev)
-
-    def sorted_rows(arr):
-        order = np.lexsort(arr.T[::-1])
-        return arr[order]
-
-    lhs = sorted_rows(np.array(tile.points))
-    rhs = sorted_rows(expanded)
-    mismatched = int((np.abs(lhs - rhs) > 1e-12).any(axis=1).sum())
-    return mismatched / len(lhs)
+    n = tile.level
+    inv_n = np.array(lattice.mat_pow(tile.matrix.adjugate, n), dtype=float) / float(
+        tile.matrix.det**n
+    )
+    prev = lattice.branch_points(tile.matrix, tile.digits, n - 1)
+    deepest = tile.digits.as_array() @ inv_n.T
+    independent = (prev[:, None, :] + deepest[None, :, :]).reshape(-1, tile.matrix.dim)
+    dist, _ = cKDTree(tile.points).query(independent, p=np.inf)
+    return int((dist > 1e-12).sum()) / len(independent)

@@ -335,6 +335,35 @@ def test_tile_outputs(capsys, tmp_path):
     assert sum(payload["histogram"].values()) == 1000
 
 
+@pytest.mark.parametrize(
+    "matrix, level, want",
+    [
+        ("1,-1;1,1", 10, {
+            "cell_radius": 0.07544417382402199, "fraction_one": 0.3263333333333333,
+            "histogram": {"1": 979, "2": 1889, "3": 132}, "window": 4,
+        }),
+        ("1,1,0;-1,1,0;0,0,2", 6, {
+            "cell_radius": 0.5226925687930561, "fraction_one": 0.0,
+            "histogram": {"7": 1, "8": 16, "9": 105, "10": 293, "11": 764, "12": 872,
+                          "13": 554, "14": 294, "15": 97, "16": 4},
+            "window": 6,
+        }),
+    ],
+)
+def test_tile_census_pinned(capsys, tmp_path, matrix, level, want):
+    # coverage files written by the census that queried every window translate
+    cov = tmp_path / "cov.json"
+    code, _ = run(
+        capsys,
+        ["tile", "--matrix", matrix, "--level", str(level), "--samples", "3000",
+         "--seed", "11", "--threads", "2", "--self-affinity", "--coverage-out", str(cov)],
+    )
+    assert code == 0
+    payload = json.loads(cov.read_text())
+    assert {key: payload[key] for key in want} == want
+    assert payload["self_affinity_mismatch"] == 0.0
+
+
 def test_ulam_decay(capsys):
     code, out = run(capsys, ["ulam", "--op", "decay", "--nmax", "10",
                              "--truncation", "1000000"])

@@ -169,7 +169,4 @@ def test_branch_points():
     d = np.array(digits.digits, dtype=float)
     want = [inv @ (g3 + inv @ (g2 + inv @ g1)) for g3 in d for g2 in d for g1 in d]
     assert np.allclose(cloud, want, atol=1e-15)
-    # one more step from a given cloud equals the next level, bit for bit
-    step = lattice.branch_points(m, digits, 1, points=cloud)
-    assert np.array_equal(step, lattice.branch_points(m, digits, 4))
     assert np.array_equal(lattice.branch_points(m, digits, 0), np.zeros((1, 2)))

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from toraldecay import lattice, tiling
+from toraldecay import lattice, rng, tiling
 from toraldecay.errors import InputError, TooLarge
 
 TWIN = lattice.validate_expanding([[1, -1], [1, 1]])
@@ -48,8 +49,31 @@ def test_self_affinity_exact_zero():
     for level in (2, 5, 9):
         tile = tiling.tile_points(TWIN, TWIN_DIGITS, level)
         assert tiling.check_self_affinity(tile) == 0.0
+    # det 3: A^-1 is not dyadic, so at level 5 the two sides differ in the
+    # last bits, well inside the tolerance
+    for entries in ([[-3]], [[0, -3], [1, 0]], [[0, 0, 3], [1, 0, 0], [0, 1, 0]]):
+        m = lattice.validate_expanding(entries)
+        for level in (2, 5):
+            tile = tiling.tile_points(m, lattice.digit_set(m), level)
+            assert tiling.check_self_affinity(tile) == 0.0
     with pytest.raises(InputError):
         tiling.check_self_affinity(tiling.tile_points(TWIN, TWIN_DIGITS, 1))
+
+
+def test_self_affinity_catches_a_wrong_kernel(monkeypatch):
+    # a cloud kernel stepping with A^-T instead of A^-1 builds the mirrored
+    # twin dragon; the check's own A^-n side must not follow it
+    def transposed_branch_points(matrix, digits, n):
+        inv_t = np.linalg.inv(matrix.as_array())
+        pts = np.zeros((1, matrix.dim))
+        for _ in range(n):
+            pts = np.concatenate([(pts + g) @ inv_t for g in digits.as_array()])
+        return pts
+
+    monkeypatch.setattr(lattice, "branch_points", transposed_branch_points)
+    for level in (2, 5, 9):
+        tile = tiling.tile_points(TWIN, TWIN_DIGITS, level)
+        assert tiling.check_self_affinity(tile) > 0.0
 
 
 def test_attractor_points_stay_in_bound():
@@ -84,3 +108,45 @@ def test_check_tiling_coverage_improves_with_level():
     # nothing is ever uncovered: the clouds cover T and T tiles the plane
     assert lo.fraction(0) == 0.0
     assert hi.fraction(0) == 0.0
+
+
+def all_translates_census(tile, samples, seed):
+    """Reference census: query every window translate, without pruning."""
+    d = tile.matrix.dim
+    window = int(np.ceil(tiling.attractor_radius(tile.matrix, tile.digits))) + 1
+    offsets = np.stack(
+        np.meshgrid(*([np.arange(-window, window + 1)] * d), indexing="ij"), axis=-1
+    ).reshape(-1, d)
+    tree = cKDTree(tile.points)
+    histogram = {}
+    for block, start, stop in rng.block_ranges(samples):
+        x = rng.substream(seed, block).random((stop - start, d))
+        dist, _ = tree.query((x[:, None, :] - offsets[None, :, :]).reshape(-1, d))
+        for hits in (dist <= tile.cell_radius).reshape(stop - start, -1).sum(axis=1):
+            histogram[int(hits)] = histogram.get(int(hits), 0) + 1
+    return window, histogram
+
+
+def test_check_tiling_matches_all_translates():
+    # levels 1 and 2 have a cell radius near the tile's size, so the padded
+    # box can be wider than the window; the last level is a deep one
+    cases = [
+        ([[2]], 12),
+        ([[-3]], 8),
+        ([[1, -1], [1, 1]], 14),
+        ([[2, 1], [0, 2]], 7),
+        ([[0, -2], [1, 0]], 12),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 5),
+        ([[1, 1, 0], [-1, 1, 0], [0, 0, 2]], 4),
+    ]
+    samples = rng.BLOCK + 100  # two blocks, so two threads split the work
+    for entries, deep in cases:
+        m = lattice.validate_expanding(entries)
+        digits = lattice.digit_set(m)
+        for level in (1, 2, deep):
+            tile = tiling.tile_points(m, digits, level)
+            window, want = all_translates_census(tile, samples, seed=level)
+            for threads in (1, 2):
+                stats = tiling.check_tiling(tile, samples, seed=level, threads=threads)
+                assert stats.window == window
+                assert stats.histogram == want, (entries, level, threads)
