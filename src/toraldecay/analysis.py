@@ -15,6 +15,7 @@ from . import lattice, rng, spectral
 from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
+MIN_FIT_ROWS = 8  # fewest nonzero rows any model is fitted to
 
 
 def pairing(g, h):
@@ -104,12 +105,6 @@ class DecayReport:
     def fitted_model(self):
         return self.fit.model if self.fit else None
 
-    @property
-    def fitted_params(self):
-        if not self.fit:
-            return None
-        return (self.fit.param, self.fit.amplitude, self.fit.residual)
-
     def values(self):
         return [row.value for row in self.rows]
 
@@ -121,8 +116,8 @@ class DecayReport:
         return True
 
 
-def decay_report(f, g, matrix, n_max, mode="correlation", r=2, fit=True,
-                 mc_samples=None, seed=0, threads=None):
+def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, seed=0,
+                 threads=None):
     """Per-step decay values against the modulus bound.
 
     mode="correlation": value = |rho_{f,g}(n)|, bound = ||g||_2 *
@@ -131,7 +126,8 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, fit=True,
     constant C is the n=1 ratio, so later rows make the bound
     falsifiable rather than tautological. mc_samples, seed and threads
     are passed to correlation; the Monte Carlo values are noisy, so only
-    exact values are checked against a vanishing bound.
+    exact values are checked against a vanishing bound. The report's
+    fit is `fit_if_possible` of its rows.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -163,12 +159,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, fit=True,
         ratio = value / bound if bound > 0 else 0.0
         rows.append(DecayRow(n, value, bound, ratio))
     report = DecayReport(rows, mode, r, rows[0].ratio if rows else 0.0, centered)
-    if fit:
-        nonzero = sum(1 for row in rows if row.value > 0)
-        if nonzero == 0:
-            report.fit = FitResult("all-zero", float("nan"), 0.0, 0.0)
-        elif nonzero >= 8:
-            report.fit = fit_rate(report)
+    report.fit = fit_if_possible(report)
     return report
 
 
@@ -181,6 +172,25 @@ def _linear_fit(x, y):
     return coeffs[0], coeffs[1], float(np.sqrt(np.mean(resid**2)))
 
 
+def _rows(report_or_rows):
+    if isinstance(report_or_rows, DecayReport):
+        return [(row.n, row.value) for row in report_or_rows.rows]
+    return [(int(n), float(v)) for n, v in report_or_rows]
+
+
+def fit_if_possible(report_or_rows):
+    """fit_rate of the rows with n >= 1, or None when there are too few.
+
+    None means no row has n >= 1, or 1 to MIN_FIT_ROWS - 1 of them are
+    nonzero. Rows that are all zero give the "all-zero" result.
+    """
+    rows = [(n, v) for n, v in _rows(report_or_rows) if n >= 1]
+    nonzero = sum(1 for _, v in rows if v > 0)
+    if not rows or 0 < nonzero < MIN_FIT_ROWS:
+        return None
+    return fit_rate(rows)
+
+
 def fit_rate(report_or_rows):
     """Fit power n^-p, log (log n)^-p, and exponential theta^n models.
 
@@ -188,17 +198,14 @@ def fit_rate(report_or_rows):
     smallest log-space residual wins. The log model only sees rows with
     n >= 10. All-zero inputs are reported, not fitted.
     """
-    if isinstance(report_or_rows, DecayReport):
-        rows = [(row.n, row.value) for row in report_or_rows.rows]
-    else:
-        rows = [(int(n), float(v)) for n, v in report_or_rows]
+    rows = _rows(report_or_rows)
     if not rows:
         raise InputError("empty report")
     nonzero = [(n, v) for n, v in rows if v > 0 and n >= 1]
     if not nonzero:
         return FitResult("all-zero", float("nan"), 0.0, 0.0)
-    if len(nonzero) < 8:
-        raise InputError("rate fitting needs at least 8 nonzero rows")
+    if len(nonzero) < MIN_FIT_ROWS:
+        raise InputError("rate fitting needs at least %d nonzero rows" % MIN_FIT_ROWS)
     ns = np.array([n for n, _ in nonzero], dtype=float)
     logv = np.log([v for _, v in nonzero])
     candidates = {}
@@ -207,7 +214,7 @@ def fit_rate(report_or_rows):
     a, b, res = _linear_fit(ns, logv)
     candidates["exponential"] = (math.exp(b), math.exp(a), res)
     mask = ns >= LOG_FIT_MIN_N
-    if int(mask.sum()) >= 8:
+    if int(mask.sum()) >= MIN_FIT_ROWS:
         a, b, res = _linear_fit(np.log(np.log(ns[mask])), logv[mask])
         candidates["log"] = (-b, math.exp(a), res)
     best = min(candidates, key=lambda name: candidates[name][2])

@@ -7,6 +7,7 @@ they must never change results.
 """
 
 import argparse
+import json
 import math
 import sys
 
@@ -45,6 +46,33 @@ def _emit_json(obj, path=None):
     _print(text)
 
 
+def _emit_csv(cols, rows, config, path=None, seed=None, footer=None):
+    text = serialize.render_csv(cols, rows, config, seed=seed, footer=footer)
+    if path:
+        serialize.write_csv(path, cols, rows, config, seed=seed, footer=footer)
+    _print(text)
+
+
+def _fit_fields(fit):
+    return {name: getattr(fit, name) if fit is not None else None
+            for name in ("model", "param", "amplitude", "residual")}
+
+
+def _fit_footer(fit):
+    """The `fit:` footer line of a FitResult; null when there is no fitted model."""
+    if fit is None or fit.model == "all-zero":
+        return ["fit: null"]
+    return ["fit: " + json.dumps(_fit_fields(fit), sort_keys=True)]
+
+
+def int_list(text):
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+def float_list(text):
+    return [float(v) for v in text.replace(",", " ").split()]
+
+
 def cmd_matrix_info(args):
     matrix = _matrix(args)
     digits = lattice.digit_set(matrix)
@@ -76,11 +104,11 @@ def cmd_tile(args):
         "samples": args.samples,
         "seed": args.seed,
     }
+    stats = tiling.check_tiling(tile, args.samples, args.seed, threads=args.threads)
     if args.points_out:
         cols = ["x%d" % (i + 1) for i in range(matrix.dim)]
         rows = [[float(v) for v in p] for p in tile.points]
         serialize.write_csv(args.points_out, cols, rows, config, seed=args.seed)
-    stats = tiling.check_tiling(tile, args.samples, args.seed, threads=args.threads)
     coverage = {
         "cell_radius": stats.cell_radius,
         "fraction_one": stats.fraction_one,
@@ -109,24 +137,14 @@ def cmd_transfer(args):
         "emit": args.emit,
     }
     if args.emit == "coeffs":
-        g = spectral.transfer_fourier(f, matrix, args.steps)
-        entries = [
-            {"k": list(k), "re": float(c.real), "im": float(c.imag)}
-            for k, c in sorted(g.coeffs.items())
-        ]
-        _emit_json(entries, args.out)
+        _emit_json(spectral.transfer_fourier(f, matrix, args.steps).entries(), args.out)
         return 0
     if args.emit == "modulus":
         radii = [matrix.lambda_min ** (-n) for n in range(1, args.steps + 1)]
         curve = spectral.modulus(f, 2, radii)
-        rows = list(zip(curve.radii, curve.values))
-        text = serialize.render_csv(["delta", "omega"], rows, config)
-        if args.out:
-            serialize.write_csv(args.out, ["delta", "omega"], rows, config)
-        _print(text)
+        _emit_csv(["delta", "omega"], curve.as_rows(), config, args.out)
         return 0
-    report = analysis.decay_report(f, None, matrix, args.steps, mode="transfer_norm",
-                                   fit=False)
+    report = analysis.decay_report(f, None, matrix, args.steps, mode="transfer_norm")
     fc = f.centered()
     rows = []
     for r in report.rows:
@@ -134,28 +152,8 @@ def cmd_transfer(args):
         rows.append([r.n, r.value, lo, hi, r.bound, r.ratio])
     cols = ["n", "norm_L2", "norm_sup_lower", "norm_sup_upper", "omega_L2", "bound_ratio"]
     footer = ["centered: %s" % ("true" if report.centered else "false")]
-    text = serialize.render_csv(cols, rows, config, footer=footer)
-    if args.out:
-        serialize.write_csv(args.out, cols, rows, config, footer=footer)
-    _print(text)
+    _emit_csv(cols, rows, config, args.out, footer=footer)
     return 0
-
-
-def _fit_footer(rows):
-    """Footer lines with the fitted model for rows of (n, value)."""
-    positive = [(n, v) for n, v in rows if v > 0 and n >= 1]
-    if len(positive) < 8:
-        return ["fit: null"]
-    fit = analysis.fit_rate(positive)
-    payload = {
-        "model": fit.model,
-        "param": fit.param,
-        "amplitude": fit.amplitude,
-        "residual": fit.residual,
-    }
-    import json
-
-    return ["fit: " + json.dumps(payload, sort_keys=True)]
 
 
 def cmd_decay(args):
@@ -174,33 +172,29 @@ def cmd_decay(args):
         f, g, matrix, args.nmax, mode=args.mode, mc_samples=args.mc_samples,
         seed=args.seed, threads=args.threads,
     )
-    rows = [[r.n, r.value, r.bound, r.ratio] for r in report.rows]
-    cols = ["n", "value", "bound", "ratio"]
-    footer = _fit_footer([(r[0], r[1]) for r in rows])
-    text = serialize.render_csv(cols, rows, config, seed=args.seed, footer=footer)
-    if args.out:
-        serialize.write_csv(args.out, cols, rows, config, seed=args.seed, footer=footer)
-    if args.plot_out:
+    if args.plot_out:  # first, so a report it cannot plot leaves no --out file
         emit_plotdata(report, args.plot_out)
-    _print(text)
+    rows = [[r.n, r.value, r.bound, r.ratio] for r in report.rows]
+    _emit_csv(["n", "value", "bound", "ratio"], rows, config, args.out, seed=args.seed,
+              footer=_fit_footer(report.fit))
     return 0
 
 
 def cmd_lacunary(args):
     matrix = _matrix(args)
-    h = tuple(int(v) for v in args.h.replace(",", " ").split())
     if args.design:
         targets = serialize.read_targets_csv(args.design)
         coeffs = lacunary.design_for_rate(targets, norm=args.design_norm)
-        spec = lacunary.LacunarySpec(h, matrix, "explicit", coeffs)
+        spec = lacunary.LacunarySpec(args.h, matrix, "explicit", coeffs)
         family = "explicit(designed)"
     elif args.family == "explicit":
-        coeffs = [float(v) for v in args.param.replace(",", " ").split()]
-        spec = lacunary.LacunarySpec(h, matrix, "explicit", coeffs)
+        spec = lacunary.LacunarySpec(args.h, matrix, "explicit", args.param)
         family = "explicit"
     else:
+        if len(args.param) != 1:
+            raise InputError("--param of family %s must be one number" % args.family)
         spec = lacunary.LacunarySpec(
-            h, matrix, args.family, float(args.param), truncation=args.truncation
+            args.h, matrix, args.family, args.param[0], truncation=args.truncation
         )
         family = args.family
     build_k = (
@@ -209,12 +203,12 @@ def cmd_lacunary(args):
         else max(64, args.nmax + 32)
     )
     built = lacunary.lacunary_build(
-        lacunary.LacunarySpec(h, matrix, spec.family, spec.param, truncation=build_k)
+        lacunary.LacunarySpec(args.h, matrix, spec.family, spec.param, truncation=build_k)
     )
     config = {
         "subcommand": "lacunary",
         "matrix": args.matrix,
-        "h": list(h),
+        "h": list(args.h),
         "family": family,
         "param": str(spec.param),
         "nmax": args.nmax,
@@ -228,13 +222,10 @@ def cmd_lacunary(args):
         measured = spectral.norm(spectral.transfer_fourier(built, matrix, n), 2)
         rows.append([n, l2_tail, l1_tail, bounds.sup_bound, bounds.l2_bound, measured])
     cols = ["n", "l2_tail", "l1_tail", "prop2_sup_bound", "prop2_l2_bound", "measured_l2_norm"]
-    footer = _fit_footer([(r[0], r[1]) for r in rows])
+    footer = _fit_footer(analysis.fit_if_possible([(r[0], r[1]) for r in rows]))
     if args.design:
         footer.append("designed_coefficients: %d terms" % len(spec.param))
-    text = serialize.render_csv(cols, rows, config, footer=footer)
-    if args.out:
-        serialize.write_csv(args.out, cols, rows, config, footer=footer)
-    _print(text)
+    _emit_csv(cols, rows, config, args.out, footer=footer)
     return 0
 
 
@@ -280,22 +271,14 @@ def cmd_ulam(args):
             "truncation": truncation,
         }
         rows = [[r.n, r.value, r.ratio] for r in report.rows]
-        cols = ["n", "norm", "pow2_ratio"]
-        footer = _fit_footer([(r.n, r.value) for r in report.rows])
-        text = serialize.render_csv(cols, rows, config, footer=footer)
-        if args.out:
-            serialize.write_csv(args.out, cols, rows, config, footer=footer)
-        _print(text)
+        _emit_csv(["n", "norm", "pow2_ratio"], rows, config, args.out,
+                  footer=_fit_footer(report.fit))
         return 0
     if args.op == "modulus":
         result = interval.uvn_modulus_sqrt_delta(ULAM_MODULUS_GRID)
         config = {"subcommand": "ulam", "op": "modulus", "grid": "1e-4..1e-1/25"}
-        rows = list(zip(result.curve.radii, result.curve.values))
-        footer = ["fitted_exponent: %r" % result.exponent]
-        text = serialize.render_csv(["delta", "omega"], rows, config, footer=footer)
-        if args.out:
-            serialize.write_csv(args.out, ["delta", "omega"], rows, config, footer=footer)
-        _print(text)
+        _emit_csv(["delta", "omega"], result.curve.as_rows(), config, args.out,
+                  footer=["fitted_exponent: %r" % result.exponent])
         return 0
     report = interval.lyapunov_clt(
         args.horizon, args.samples, args.seed, threads=args.threads
@@ -322,7 +305,7 @@ def cmd_ulam(args):
 
 
 def emit_plotdata(report, path):
-    """Two-column plot data plus a JSON sidecar with the fitted model.
+    """Two-column plot data plus a JSON sidecar with the report's own fit.
 
     DecayReport rows become (log_n, log_value) over positive entries;
     a ModulusCurve becomes (delta, omega). Empty reports are an error
@@ -337,19 +320,11 @@ def emit_plotdata(report, path):
         if not rows:
             raise InputError("report has no positive rows to plot")
         cols = ["log_n", "log_value"]
-        fit = report.fit
-        if fit is None and len(rows) >= 8:
-            fit = analysis.fit_rate([(r.n, r.value) for r in report.rows])
-        sidecar = {
-            "model": fit.model if fit else None,
-            "param": fit.param if fit else None,
-            "amplitude": fit.amplitude if fit else None,
-            "residual": fit.residual if fit else None,
-        }
+        sidecar = _fit_fields(report.fit)
     elif isinstance(report, spectral.ModulusCurve):
         if not report.radii:
             raise InputError("empty modulus curve")
-        rows = [[d, v] for d, v in zip(report.radii, report.values)]
+        rows = report.as_rows()
         cols = ["delta", "omega"]
         sidecar = {"norm_index": report.norm_index, "points": len(rows)}
     else:
@@ -420,9 +395,9 @@ def build_parser():
 
     p = sub.add_parser("lacunary", help="lacunary tails, bounds, measured norms")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--h", required=True, help="base frequency, e.g. '1,0'")
+    p.add_argument("--h", type=int_list, required=True, help="base frequency, e.g. '1,0'")
     p.add_argument("--family", choices=list(lacunary.FAMILIES), default="power")
-    p.add_argument("--param", default="2.0",
+    p.add_argument("--param", type=float_list, default="2.0",
                    help="family parameter, or coefficient list for explicit")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--truncation", type=int, default=None)

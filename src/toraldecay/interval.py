@@ -221,9 +221,7 @@ def uvn_decay_norms(n_max, truncation=10**6):
         bound = 2.0**-n
         rows.append(analysis.DecayRow(n, value, bound, value / bound))
     report = analysis.DecayReport(rows, "uvn_decay", 2, rows[0].ratio, False)
-    positive = sum(1 for row in rows if row.n >= 1 and row.value > 0)
-    if positive >= 8:
-        report.fit = analysis.fit_rate(report)
+    report.fit = analysis.fit_if_possible(report)
     return report
 
 

@@ -81,17 +81,21 @@ def write_json(path, obj):
 
 def read_targets_csv(path):
     """One target value per data row (first column); '#' lines are comments."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError("cannot read targets file %s: %s" % (path, exc)) from exc
     values = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            first = line.split(",")[0].strip()
-            try:
-                values.append(float(first))
-            except ValueError:
-                continue  # header row
+    for raw in lines:
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        first = line.split(",")[0].strip()
+        try:
+            values.append(float(first))
+        except ValueError:
+            continue  # header row
     if not values:
         raise InputError("no numeric targets found in %s" % path)
     return values

@@ -17,6 +17,12 @@ from .errors import DegenerateBound, InputError, TooLarge
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 10**6  # max q^n branches for the spatial form
 GRID_WORK_GUARD = 10**8  # max grid points x frequencies for sup scans
+GOLDEN_ITERS = 48  # golden-section steps per coordinate of a sup-norm peak
+MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
+MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
+MODULUS_RADII_STEPS = 32  # d >= 2: radii per shift direction
+SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
+INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
 
 
 def _freq_key(k, dim):
@@ -128,13 +134,16 @@ class TrigPolynomial:
             return TrigPolynomial(dim, {k: amplitude})
         return TrigPolynomial(dim, {k: half, neg: half})
 
-    def save(self, path):
-        entries = [
+    def entries(self):
+        """The function-file form: one {"k", "re", "im"} object per frequency."""
+        return [
             {"k": list(k), "re": float(c.real), "im": float(c.imag)}
             for k, c in sorted(self.coeffs.items())
         ]
+
+    def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=1)
+            json.dump(self.entries(), fh, indent=1)
             fh.write("\n")
 
     @staticmethod
@@ -145,8 +154,11 @@ class TrigPolynomial:
             raise InputError("function file must hold a JSON list of entries")
         coeffs = {}
         for e in entries:
-            k = tuple(int(v) for v in e["k"])
-            coeffs[k] = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+            try:
+                k = tuple(int(v) for v in e["k"])
+                coeffs[k] = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+            except (KeyError, TypeError) as exc:
+                raise InputError("bad function file entry %r" % (e,)) from exc
             dim = dim or len(k)
         if dim is None:
             raise InputError("cannot infer dimension from an empty function file")
@@ -170,8 +182,9 @@ def transfer_fourier(f, matrix, n):
     if n == 0:
         return TrigPolynomial(f.dim, dict(f.coeffs), real_valued=f.real_valued)
     star_n = lattice.mat_pow(matrix.star(), n)
-    _, adj = lattice.char_poly_and_adjugate(star_n)
-    det = lattice.determinant(star_n)
+    # adj(A*^n) = (adj(A)^n)^T and det(A*^n) = det(A)^n, exactly
+    adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
+    det = matrix.det**n
     out = {}
     for j, c in f.coeffs.items():
         k = lattice.exact_solve_integral(star_n, adj, det, j)
@@ -243,14 +256,14 @@ def _grid_values(f, n_pts):
     return np.abs(vals), axes
 
 
-def _golden_refine(fun, lo, hi, iters=48):
+def _golden_refine(fun, lo, hi):
     """Golden-section maximization of a scalar unimodal-ish function."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + phi * (b - a)
@@ -382,7 +395,7 @@ def _pattern_search(objective, v0, delta, step0, dim, tol_factor=1e-14, iters=20
     return best, v
 
 
-def modulus_value(f, r, delta, directions=64, radii_steps=32, saturate=False):
+def modulus_value(f, r, delta, saturate=False):
     """One certified lower estimate of Omega_{f,r}(delta).
 
     Shifts live on the torus, so for saturate=True the scan radius is
@@ -400,21 +413,21 @@ def modulus_value(f, r, delta, directions=64, radii_steps=32, saturate=False):
         freqs, c = f.freq_array()
         wsq = np.abs(c) ** 2
         if d == 1:
-            grid = np.linspace(0.0, d_eff, 1025)[1:]
+            grid = np.linspace(0.0, d_eff, MODULUS_LINE_STEPS + 1)[1:]
             vals = 4.0 * (wsq @ np.sin(np.pi * freqs @ grid[None, :]) ** 2)
             v0 = np.array([grid[int(np.argmax(vals))]])
             obj = lambda v: float(
                 4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2)
             )
-            best, _ = _pattern_search(obj, v0, d_eff, d_eff / 1024.0, 1)
+            best, _ = _pattern_search(obj, v0, d_eff, d_eff / MODULUS_LINE_STEPS, 1)
             return math.sqrt(max(best, float(np.max(vals))))
-        dirs = _directions(d, directions)
-        rads = d_eff * (np.arange(1, radii_steps + 1) / radii_steps)
+        dirs = _directions(d, MODULUS_DIRECTIONS)
+        rads = d_eff * (np.arange(1, MODULUS_RADII_STEPS + 1) / MODULUS_RADII_STEPS)
         pts = (dirs[:, None, :] * rads[None, :, None]).reshape(-1, d)
         vals = 4.0 * (wsq @ np.sin(np.pi * (freqs @ pts.T)) ** 2)
         v0 = pts[int(np.argmax(vals))]
         obj = lambda v: float(4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2))
-        best, _ = _pattern_search(obj, v0, d_eff, d_eff / radii_steps, d)
+        best, _ = _pattern_search(obj, v0, d_eff, d_eff / MODULUS_RADII_STEPS, d)
         return math.sqrt(max(best, float(np.max(vals))))
     if r in (np.inf, float("inf"), "inf"):
         return _omega_sup(f, d_eff)
@@ -430,11 +443,11 @@ def _shift_diff_poly(f, v):
     return TrigPolynomial(f.dim, out)
 
 
-def _omega_sup(f, delta, scan=48):
+def _omega_sup(f, delta):
     """Grid-sampled sup-norm differences, maximized over the shift ball."""
     d = f.dim
     if d == 1:
-        shifts = np.linspace(0.0, delta, scan + 1)[1:, None]
+        shifts = np.linspace(0.0, delta, SUP_SHIFT_SCAN + 1)[1:, None]
     else:
         dirs = _directions(d, 16)
         rads = delta * (np.arange(1, 9) / 8.0)
@@ -464,17 +477,15 @@ def modulus(f, r, radii):
     if radii[0] > 0.5 or radii[-1] <= 0.0:
         raise InputError("radii must lie in (0, 1/2]")
     values = [modulus_value(f, r, delta) for delta in radii]
-    dcount = 1 if f.dim == 1 else 64
+    one_d = f.dim == 1
     return ModulusCurve(
-        radii,
-        values,
-        r,
-        dcount,
-        {"radial_steps": 32 if f.dim > 1 else 1024, "refinement": "pattern-search"},
+        radii, values, r, 1 if one_d else MODULUS_DIRECTIONS,
+        {"radial_steps": MODULUS_LINE_STEPS if one_d else MODULUS_RADII_STEPS,
+         "refinement": "pattern-search"},
     )
 
 
-def inv_norm_sup(matrix, cap=512):
+def inv_norm_sup(matrix):
     """G = sup over j >= 0 of ||A^-j||_2, a finite expansion constant.
 
     Scans j upward; once some ||A^-j|| <= 1 every later value is bounded
@@ -483,12 +494,12 @@ def inv_norm_sup(matrix, cap=512):
     bounded window.
     """
     g = 1.0
-    for j in range(1, cap + 1):
+    for j in range(1, INV_NORM_CAP + 1):
         val = 1.0 / min_singular_power(matrix, j)
         g = max(g, val)
         if val <= 1.0:
             return g
-    raise DegenerateBound("||A^-j|| did not fall below 1 within %d powers" % cap)
+    raise DegenerateBound("||A^-j|| did not fall below 1 within %d powers" % INV_NORM_CAP)
 
 
 def min_singular_power(matrix, n):

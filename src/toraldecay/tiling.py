@@ -17,21 +17,23 @@ from . import lattice, rng, spectral
 from .errors import DegenerateBound, InputError, TooLarge
 
 LEVEL_GUARD = 10**7  # max q^n cloud points
+NEUMANN_REL_TOL = 1e-12  # the tail sum stops at a term this small relative to the total
+NEUMANN_CAP = 2048  # terms summed before the tail is declared divergent
 
 
-def neumann_tail(matrix, rel_tol=1e-12, cap=2048):
+def neumann_tail(matrix):
     """sum over k >= 1 of ||A^-k||_2, summed to relative convergence.
 
     Converges because the spectral radius of A^-1 is below 1. Failure to
     converge within the cap signals a degenerate input, not a guard.
     """
     total = 0.0
-    for k in range(1, cap + 1):
+    for k in range(1, NEUMANN_CAP + 1):
         term = 1.0 / spectral.min_singular_power(matrix, k)
         total += term
-        if k >= 4 and term < rel_tol * total:
+        if k >= 4 and term < NEUMANN_REL_TOL * total:
             return total
-    raise DegenerateBound("Neumann tail sum did not converge within %d terms" % cap)
+    raise DegenerateBound("Neumann tail sum did not converge within %d terms" % NEUMANN_CAP)
 
 
 def digit_diameter(digits):
@@ -124,6 +126,8 @@ def check_tiling(tile, samples, seed, threads=None):
     the histogram equals the one from querying every window translate.
     """
     samples = int(samples)
+    if samples < 0:
+        raise InputError("samples must be >= 0")
     d = tile.matrix.dim
     window = int(np.ceil(attractor_radius(tile.matrix, tile.digits))) + 1
     stats = CoverageStats(tile.level, samples, int(seed), tile.cell_radius, window)

@@ -102,7 +102,7 @@ def test_criterion_02_modulus_bound():
         else:
             f = dense_poly(rng, 2, 5)
             matrix = MATRICES_2D[(i // 2) % 2]
-        report = analysis.decay_report(f, f, matrix, 10, mode="transfer_norm", r=2, fit=False)
+        report = analysis.decay_report(f, f, matrix, 10, mode="transfer_norm", r=2)
         if not report.check_bound(slack=0.05):
             violations += 1
         for row in report.rows:

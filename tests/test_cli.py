@@ -26,6 +26,17 @@ def rich_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def dyadic_path(tmp_path):
+    # fhat(2^j) != 0 for j < 10: nine nonzero correlations against cos(2 pi x)
+    path = tmp_path / "dyadic.json"
+    coeffs = {}
+    for j in range(10):
+        coeffs[(2**j,)] = coeffs[(-(2**j),)] = 0.5 * 0.6**j
+    TrigPolynomial(1, coeffs).save(path)
+    return str(path)
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -37,6 +48,16 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [l.split(",") for l in lines[1:]]
     return header, rows
+
+
+def footer_fit(text):
+    (line,) = [l for l in footer_lines(text) if l.startswith("# fit: ")]
+    return json.loads(line[len("# fit: "):])
+
+
+def fit_fields(fit):
+    return {"model": fit.model, "param": fit.param, "amplitude": fit.amplitude,
+            "residual": fit.residual}
 
 
 def footer_lines(text):
@@ -99,7 +120,7 @@ def test_transfer_norms_match_decay_report(capsys, tmp_path):
     assert code == 0
     _, rows = parse_csv(out)
     m = lattice.validate_expanding([[2]])
-    report = analysis.decay_report(f, None, m, 4, mode="transfer_norm", fit=False)
+    report = analysis.decay_report(f, None, m, 4, mode="transfer_norm")
     assert [[float(r[1]), float(r[4]), float(r[5])] for r in rows] == [
         [row.value, row.bound, row.ratio] for row in report.rows
     ]
@@ -240,7 +261,7 @@ def test_decay_rerun_byte_identical(capsys, rich_path, f1_path):
     assert first == second
 
 
-def test_decay_plot_out(capsys, rich_path, f1_path, tmp_path):
+def test_decay_plot_out(capsys, rich_path, f1_path, dyadic_path, tmp_path):
     plot = tmp_path / "plot.csv"
     code, _ = run(
         capsys,
@@ -250,7 +271,59 @@ def test_decay_plot_out(capsys, rich_path, f1_path, tmp_path):
     assert code == 0
     assert plot.exists()
     sidecar = json.loads((tmp_path / "plot.csv.fit.json").read_text())
-    assert "model" in sidecar
+    assert sidecar == dict.fromkeys(["model", "param", "amplitude", "residual"])
+    # the sidecar is the report's own fit, not a second one
+    code, _ = run(
+        capsys,
+        ["decay", "--matrix", "2", "--f", dyadic_path, "--g", f1_path,
+         "--nmax", "9", "--plot-out", str(plot)],
+    )
+    assert code == 0
+    m = lattice.validate_expanding([[2]])
+    report = analysis.decay_report(TrigPolynomial.load(dyadic_path),
+                                   TrigPolynomial.load(f1_path), m, 9)
+    sidecar = json.loads((tmp_path / "plot.csv.fit.json").read_text())
+    assert sidecar == fit_fields(report.fit)
+
+
+def test_decay_plot_out_failure_writes_nothing(capsys, f1_path, tmp_path):
+    # cos(2 pi x) falls into the kernel of the doubling map's transfer after one
+    # step, so there is no positive row to plot
+    out = tmp_path / "out.csv"
+    plot = tmp_path / "plot.csv"
+    code, _ = run(
+        capsys,
+        ["decay", "--matrix", "2", "--f", f1_path, "--g", f1_path, "--nmax", "9",
+         "--mode", "transfer_norm", "--out", str(out), "--plot-out", str(plot)],
+    )
+    capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert not plot.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, nonzero",
+    [
+        (["decay", "--matrix", "2", "--f", "{dyadic}", "--g", "{f1}", "--nmax", "9"], 9),
+        (["decay", "--matrix", "2", "--f", "{rich}", "--g", "{f1}", "--nmax", "9"], 1),
+        (["decay", "--matrix", "2", "--f", "{f1}", "--g", "{f1}", "--nmax", "9",
+          "--mode", "transfer_norm"], 0),
+        (["ulam", "--op", "decay", "--nmax", "10", "--truncation", "1000000"], 10),
+        (["lacunary", "--matrix", "2", "--h", "1", "--family", "power",
+          "--param", "2.5", "--nmax", "12"], 12),
+    ],
+    ids=["decay-fitted", "decay-few-rows", "decay-all-zero", "ulam-decay", "lacunary"],
+)
+def test_fit_footer_is_fit_rate(capsys, f1_path, rich_path, dyadic_path, argv, nonzero):
+    paths = {"f1": f1_path, "rich": rich_path, "dyadic": dyadic_path}
+    code, out = run(capsys, [a.format(**paths) for a in argv])
+    assert code == 0
+    _, rows = parse_csv(out)
+    points = [(int(r[0]), float(r[1])) for r in rows if int(r[0]) >= 1]
+    assert sum(1 for _, v in points if v > 0) == nonzero
+    want = fit_fields(analysis.fit_rate(points)) if nonzero >= 8 else None
+    assert footer_fit(out) == want
 
 
 def test_lacunary_families_and_design(capsys, tmp_path):
@@ -409,6 +482,34 @@ def test_exit_codes(capsys, f1_path):
         cli.main(["decay", "--matrix", "2", "--bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "--matrix", "2", "--function", "{no_k}", "--steps", "1"],
+        ["transfer", "--matrix", "2", "--function", "{not_object}", "--steps", "1"],
+        ["lacunary", "--matrix", "2", "--h", "1", "--design", "{missing}", "--nmax", "3"],
+        ["lacunary", "--matrix", "2", "--h", "x", "--nmax", "3"],
+        ["lacunary", "--matrix", "2", "--h", "1", "--param", "abc", "--nmax", "3"],
+        ["tile", "--matrix", "1,-1;1,1", "--level", "4", "--samples", "-5",
+         "--points-out", "{points}"],
+    ],
+    ids=["entry-without-k", "entry-not-object", "design-missing", "h-not-int",
+         "param-not-float", "negative-samples"],
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv):
+    (tmp_path / "no_k.json").write_text('[{"re": 1.0}]\n')
+    (tmp_path / "not_object.json").write_text("[1, 2]\n")
+    paths = {name: str(tmp_path / (name + ext)) for name, ext in (
+        ("no_k", ".json"), ("not_object", ".json"), ("missing", ".csv"), ("points", ".csv"))}
+    try:
+        code = cli.main([a.format(**paths) for a in argv])
+    except SystemExit as exc:  # argparse rejects a malformed option value
+        code = exc.code
+    capsys.readouterr()
+    assert code == 2
+    assert not (tmp_path / "points.csv").exists()  # a failed command writes no file
 
 
 def test_missing_function_file(capsys):
