@@ -81,6 +81,8 @@ class DecayRow:
     value: float
     bound: float
     ratio: float
+    # L^n f (centered) in transfer_norm mode; not part of the row's repr or equality
+    transferred: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -127,7 +129,8 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     falsifiable rather than tautological. mc_samples, seed and threads
     are passed to correlation; the Monte Carlo values are noisy, so only
     exact values are checked against a vanishing bound. The report's
-    fit is `fit_if_possible` of its rows.
+    fit is `fit_if_possible` of its rows; in transfer_norm mode each row
+    also keeps the transferred function it measured.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -144,20 +147,22 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         delta = lam ** (-n)
         omega = spectral.modulus_value(fc, 2 if mode == "correlation" else r, delta,
                                        saturate=True)
+        transferred = None
         if mode == "correlation":
             # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0
             value = abs(correlation(f, g, matrix, n, mc_samples=mc_samples, seed=seed,
                                     threads=threads))
             bound = g_norm * omega
         else:
-            value = spectral.norm(spectral.transfer_fourier(fc, matrix, n), r)
+            transferred = spectral.transfer_fourier(fc, matrix, n)
+            value = spectral.norm(transferred, r)
             bound = omega
         if mc_samples is None and bound <= 0.0 and value > 1e-12:
             raise DegenerateBound(
                 "modulus bound is 0 at n=%d while the value is %g" % (n, value)
             )
         ratio = value / bound if bound > 0 else 0.0
-        rows.append(DecayRow(n, value, bound, ratio))
+        rows.append(DecayRow(n, value, bound, ratio, transferred))
     report = DecayReport(rows, mode, r, rows[0].ratio if rows else 0.0, centered)
     report.fit = fit_if_possible(report)
     return report

@@ -145,10 +145,9 @@ def cmd_transfer(args):
         _emit_csv(["delta", "omega"], curve.as_rows(), config, args.out)
         return 0
     report = analysis.decay_report(f, None, matrix, args.steps, mode="transfer_norm")
-    fc = f.centered()
     rows = []
     for r in report.rows:
-        lo, hi = spectral.sup_norm_bracket(spectral.transfer_fourier(fc, matrix, r.n))
+        lo, hi = spectral.sup_norm_bracket(r.transferred)
         rows.append([r.n, r.value, lo, hi, r.bound, r.ratio])
     cols = ["n", "norm_L2", "norm_sup_lower", "norm_sup_upper", "omega_L2", "bound_ratio"]
     footer = ["centered: %s" % ("true" if report.centered else "false")]
@@ -181,6 +180,8 @@ def cmd_decay(args):
 
 
 def cmd_lacunary(args):
+    if args.nmax < 0:
+        raise InputError("--nmax must be >= 0")
     matrix = _matrix(args)
     if args.design:
         targets = serialize.read_targets_csv(args.design)

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
 
-from . import analysis, rng, stochastic
+from . import analysis, rng, stochastic, tails
 from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
 from .spectral import ModulusCurve
 from .stochastic import ORBIT_GUARD, REFRESH_PERIOD
@@ -26,6 +25,7 @@ SERIES_TOL = 1e-12
 ZERO_VARIANCE_TOL = 1e-10
 LOG_FLOOR = 1e-300
 REFRESH_SCALE = 2.0**-40
+LEGENDRE_NODES = 100
 
 
 def tent_map(x):
@@ -169,7 +169,8 @@ def uvn_pullback_log(truncation=DEFAULT_TRUNCATION):
 
 
 def _trigamma(x):
-    return float(special.polygamma(1, x))
+    """polygamma(1, x) = zeta(2, x) (DLMF 25.11.12)."""
+    return tails.hurwitz_zeta(2.0, x)
 
 
 def _odd_inverse_square_tail(first):
@@ -356,10 +357,14 @@ def log_abs_mean():
     """Quadrature of the Lyapunov-side mean: integral of log|y| d(arcsine law).
 
     Computed as the conjugated integral of log|sin(pi x/2)| over [-1,1] with
-    dx/2, splitting at the x = 0 singularity; the series identity gives the
-    exact value -log 2.
+    dx/2, which by symmetry is the integral over [0,1] with dx. The
+    substitution x = u^6 turns the log singularity at x = 0 into the mild
+    u^5 log u, and Gauss-Legendre with LEGENDRE_NODES nodes does the rest;
+    the series identity gives the exact value -log 2.
     """
-    value, _ = integrate.quad(
-        lambda x: math.log(abs(math.sin(0.5 * math.pi * x))), -1.0, 1.0, points=[0.0]
-    )
-    return 0.5 * value
+    from numpy.polynomial import legendre
+
+    nodes, weights = legendre.leggauss(LEGENDRE_NODES)
+    u = 0.5 * (nodes + 1.0)  # [-1, 1] -> [0, 1]
+    integrand = 6.0 * u**5 * np.log(np.sin(0.5 * math.pi * u**6))
+    return 0.5 * float(np.sum(weights * integrand))

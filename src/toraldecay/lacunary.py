@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
 
-from . import lattice
+from . import lattice, tails
 from .errors import InputError, InternalError, NotDecreasing, NotSimilarity
 from .spectral import TrigPolynomial
 
 FAMILIES = ("power", "logpower", "geometric", "explicit")
 TRUNCATION_CAP = 10**5
 TAIL_FRACTION = 1e-10
-# switch point between explicit summation and the analytic tail correction
-SUM_SPLIT = 10**6
+POWER_MAX = 1e4  # k^-alpha underflows for every k >= 2 from alpha = 1075 on
+# logpower heads are summed directly up to this index, then Euler-Maclaurin
+SUM_SPLIT = 512
 
 
 @dataclass
@@ -59,8 +59,8 @@ class LacunarySpec:
         else:
             p = float(self.param)
             self.param = p
-            if self.family == "power" and p <= 1:
-                raise InputError("power family needs alpha > 1")
+            if self.family == "power" and not 1 < p <= POWER_MAX:
+                raise InputError("power family needs 1 < alpha <= %g" % POWER_MAX)
             if self.family == "logpower" and p <= 1:
                 raise InputError("logpower family needs beta > 1")
             if self.family == "geometric":
@@ -139,8 +139,8 @@ def tail_norms(spec, n):
     """(sqrt(sum_{k>n} a_k^2), sum_{k>n} a_k), honoring the truncation.
 
     truncation=None gives the infinite-series tails: closed form for the
-    geometric family, Hurwitz zeta for the power family, and explicit
-    summation with an Euler-Maclaurin correction for the logpower family.
+    geometric family, Hurwitz zeta for the power family and a short head
+    plus Euler-Maclaurin for the logpower family (both in `tails`).
     """
     if n < 0:
         raise InputError("tail index must be >= 0")
@@ -158,8 +158,8 @@ def tail_norms(spec, n):
     if spec.family == "power":
         alpha = spec.param
         return TailNorms(
-            math.sqrt(float(special.zeta(2 * alpha, n + 1))),
-            float(special.zeta(alpha, n + 1)),
+            math.sqrt(tails.hurwitz_zeta(2 * alpha, n + 1)),
+            tails.hurwitz_zeta(alpha, n + 1),
         )
     beta = spec.param
     return TailNorms(
@@ -171,33 +171,30 @@ def tail_norms(spec, n):
 def _logpower_tail(p, b, n):
     """sum_{k>n} 1/(k^p log^b(k+1)) for p in {1,2}.
 
-    Terms up to SUM_SPLIT are summed directly (ascending); the remainder is
-    Euler-Maclaurin: integral + g(M)/2 - g'(M)/12, whose next correction is
-    O(g'''(M)) and far below 1e-14 of the total at M = 1e6.
+    Terms below m = SUM_SPLIT (m = 2(n+1) once n >= SUM_SPLIT) are summed
+    directly, ascending; tails.euler_maclaurin adds the rest from m. With
+    L(t) = log(t+1), the integral is Gauss-Laguerre after t = m e^u; for
+    p = 1 the part int_m^inf dt/((t+1) L^b) = L(m)^(1-b)/(b-1) is split off
+    first, leaving int_m^inf dt/(t (t+1) L^b).
     """
     m = SUM_SPLIT if n < SUM_SPLIT else 2 * (n + 1)
-    ks = np.arange(n + 1, m, dtype=float)
-    head = float(np.sum(1.0 / (ks[::-1] ** p * np.log(ks[::-1] + 1.0) ** b)))
-
-    def g(t):
-        return 1.0 / (t**p * math.log(t + 1.0) ** b)
-
-    def dg(t):
-        log1 = math.log(t + 1.0)
-        return -g(t) * (p / t + b / ((t + 1.0) * log1))
-
+    ks = np.arange(m - 1, n, -1, dtype=float)  # descending k, ascending terms
+    terms = np.log(ks + 1.0)  # in place: from n = SUM_SPLIT on the head has n + 1 terms
+    terms **= b
+    terms *= ks**p
+    head = float(np.sum(np.reciprocal(terms, out=terms)))
+    u, w = tails.gauss_laguerre()
+    log_t1 = math.log(m) + u + np.log1p(np.exp(-u) / m)  # L(m e^u)
     if p == 1:
-        # t = e^w turns the integrand into (w + log(1+e^-w))^-b
-        w0 = math.log(m)
-        integral, _ = integrate.quad(
-            lambda w: (w + math.log1p(math.exp(-w))) ** (-b), w0, math.inf
-        )
+        integral = math.log1p(m) ** (1.0 - b) / (b - 1.0)
+        integral += float(np.sum(w / ((m + np.exp(-u)) * log_t1**b)))
     else:
-        # u = 1/t; integrand log(1/u + 1)^-b is smooth and bounded near 0
-        integral, _ = integrate.quad(
-            lambda u: math.log(1.0 / u + 1.0) ** (-b), 0.0, 1.0 / m
-        )
-    return head + integral + g(m) / 2.0 - dg(m) / 12.0
+        integral = float(np.sum(w * log_t1 ** (-b))) / m
+    log_jet = [math.log1p(m)] + [
+        (-1.0) ** (k + 1) / (k * (m + 1.0) ** k) for k in range(1, tails.ORDER + 1)
+    ]
+    taylor = tails.series_mul(tails.power_taylor(m, p), tails.series_pow(log_jet, -b))
+    return tails.euler_maclaurin(head, integral, taylor)
 
 
 class Prop2Bounds(NamedTuple):

@@ -80,22 +80,26 @@ def write_json(path, obj):
 
 
 def read_targets_csv(path):
-    """One target value per data row (first column); '#' lines are comments."""
+    """One target value per data row (first column); '#' lines are comments.
+
+    The first row may be a header; any later row whose first field is not
+    a number is an error, not a row to skip.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read targets file %s: %s" % (path, exc)) from exc
+    rows = [line.strip() for line in lines]
+    rows = [line for line in rows if line and not line.startswith("#")]
     values = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for i, line in enumerate(rows):
         first = line.split(",")[0].strip()
         try:
             values.append(float(first))
         except ValueError:
-            continue  # header row
+            if i:  # only the first row may be a header
+                raise InputError("non-numeric target %r in %s" % (first, path)) from None
     if not values:
         raise InputError("no numeric targets found in %s" % path)
     return values

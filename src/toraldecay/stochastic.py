@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import analysis, rng, spectral
 from .errors import InputError, InternalError, NotMeanZero, TooLarge, ZeroVariance
@@ -283,6 +282,7 @@ def ks_statistic(experiment):
     m = len(z)
     if m == 0:
         raise InputError("no samples")
-    cdf = special.ndtr(z)
+    root2 = math.sqrt(2.0)
+    cdf = 0.5 * np.array([math.erfc(-v / root2) for v in z.tolist()])  # Phi(z)
     grid = np.arange(1, m + 1) / m
     return float(max(np.max(grid - cdf), np.max(cdf - (grid - 1.0 / m))))

@@ -11,7 +11,6 @@ introduces is quantified by the coverage statistics instead of resolved.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import lattice, rng, spectral
 from .errors import DegenerateBound, InputError, TooLarge
@@ -140,6 +139,8 @@ def check_tiling(tile, samples, seed, threads=None):
     local = np.stack(
         np.meshgrid(*[np.arange(s) for s in side], indexing="ij"), axis=-1
     ).reshape(-1, d)
+    from scipy.spatial import cKDTree  # imported here so only `tile` loads scipy
+
     tree = cKDTree(tile.points)
 
     def worker(run):
@@ -188,5 +189,7 @@ def check_self_affinity(tile):
     prev = lattice.branch_points(tile.matrix, tile.digits, n - 1)
     deepest = tile.digits.as_array() @ inv_n.T
     independent = (prev[:, None, :] + deepest[None, :, :]).reshape(-1, tile.matrix.dim)
+    from scipy.spatial import cKDTree
+
     dist, _ = cKDTree(tile.points).query(independent, p=np.inf)
     return int((dist > 1e-12).sum()) / len(independent)

@@ -128,6 +128,16 @@ def test_decay_report_transfer_norm_mode():
         analysis.decay_report(f, f, DOUBLE, 0)
 
 
+def test_decay_report_hands_back_transferred_functions():
+    f = TrigPolynomial(1, {(0,): 1.0, (3,): 0.5, (-3,): 0.5, (6,): 0.25, (-6,): 0.25})
+    report = analysis.decay_report(f, f, DOUBLE, 4, mode="transfer_norm")
+    for row in report.rows:
+        want = spectral.transfer_fourier(f.centered(), DOUBLE, row.n)
+        assert row.transferred.coeffs == want.coeffs
+    report = analysis.decay_report(f, f, DOUBLE, 2)
+    assert all(row.transferred is None for row in report.rows)
+
+
 def test_decay_report_monte_carlo():
     f = TrigPolynomial(1, {(0,): 0.3, (1,): 0.5, (-1,): 0.5, (2,): 0.25, (-2,): 0.25})
     g = TrigPolynomial.cosine(1)

@@ -494,9 +494,10 @@ def test_exit_codes(capsys, f1_path):
         ["lacunary", "--matrix", "2", "--h", "1", "--param", "abc", "--nmax", "3"],
         ["tile", "--matrix", "1,-1;1,1", "--level", "4", "--samples", "-5",
          "--points-out", "{points}"],
+        ["lacunary", "--matrix", "2", "--h", "1", "--nmax", "-1"],
     ],
     ids=["entry-without-k", "entry-not-object", "design-missing", "h-not-int",
-         "param-not-float", "negative-samples"],
+         "param-not-float", "negative-samples", "negative-nmax"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_k.json").write_text('[{"re": 1.0}]\n')

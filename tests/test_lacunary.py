@@ -45,6 +45,8 @@ def test_spec_validation():
         lacunary.LacunarySpec((1, 0), DOUBLE, "power", 2.0)  # dim mismatch
     with pytest.raises(InputError):
         lacunary.LacunarySpec((1,), DOUBLE, "power", 1.0)
+    with pytest.raises(InputError):  # the zeta head would run to 8 * 2 alpha terms
+        lacunary.LacunarySpec((1,), DOUBLE, "power", 2.0 * lacunary.POWER_MAX)
     with pytest.raises(InputError):
         lacunary.LacunarySpec((1,), DOUBLE, "logpower", 0.5)
     with pytest.raises(InputError):

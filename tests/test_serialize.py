@@ -75,3 +75,13 @@ def test_read_targets_csv(tmp_path):
     path.write_text("# nothing\n")
     with pytest.raises(InputError):
         serialize.read_targets_csv(path)
+
+
+@pytest.mark.parametrize("text", ["0.5\n0.2x\n0.125\n", "target\n0.5\nnan?\n",
+                                  "target\n# c\n\nother\n0.5\n"])
+def test_read_targets_csv_rejects_non_numeric_data_rows(tmp_path, text):
+    # only the first row may be a header; a typo later must not drop a target
+    path = tmp_path / "targets.csv"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        serialize.read_targets_csv(path)
