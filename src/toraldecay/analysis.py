@@ -142,11 +142,11 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     fc = f.centered() if centered else f
     lam = matrix.lambda_min
     g_norm = spectral.norm(g, 2) if mode == "correlation" else 1.0
+    radii = [lam ** (-n) for n in range(1, int(n_max) + 1)]
+    omegas = spectral.modulus_value(fc, 2 if mode == "correlation" else r, radii,
+                                    saturate=True)
     rows = []
-    for n in range(1, int(n_max) + 1):
-        delta = lam ** (-n)
-        omega = spectral.modulus_value(fc, 2 if mode == "correlation" else r, delta,
-                                       saturate=True)
+    for n, omega in enumerate(omegas, start=1):
         transferred = None
         if mode == "correlation":
             # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0

@@ -22,6 +22,8 @@ FAMILIES = ("power", "logpower", "geometric", "explicit")
 TRUNCATION_CAP = 10**5
 TAIL_FRACTION = 1e-10
 POWER_MAX = 1e4  # k^-alpha underflows for every k >= 2 from alpha = 1075 on
+# a_1 = log(2)^-beta; 4 a_1^2 (the prop2 L2 bound) leaves float range near beta = 966
+LOGPOWER_MAX = 900.0
 # logpower heads are summed directly up to this index, then Euler-Maclaurin
 SUM_SPLIT = 512
 
@@ -61,8 +63,8 @@ class LacunarySpec:
             self.param = p
             if self.family == "power" and not 1 < p <= POWER_MAX:
                 raise InputError("power family needs 1 < alpha <= %g" % POWER_MAX)
-            if self.family == "logpower" and p <= 1:
-                raise InputError("logpower family needs beta > 1")
+            if self.family == "logpower" and not 1 < p <= LOGPOWER_MAX:
+                raise InputError("logpower family needs 1 < beta <= %g" % LOGPOWER_MAX)
             if self.family == "geometric":
                 lo = 1.0 / self.matrix.lambda_min
                 if not lo < p < 1:
@@ -82,7 +84,8 @@ def coefficients(spec, kmax):
     if spec.family == "power":
         a = ks ** (-spec.param)
     elif spec.family == "logpower":
-        a = 1.0 / (ks * np.log(ks + 1.0) ** spec.param)
+        with np.errstate(over="ignore"):  # a denominator past float range gives a_k = 0
+            a = 1.0 / (ks * np.log(ks + 1.0) ** spec.param)
     elif spec.family == "geometric":
         a = spec.param**ks
     else:
@@ -179,17 +182,18 @@ def _logpower_tail(p, b, n):
     """
     m = SUM_SPLIT if n < SUM_SPLIT else 2 * (n + 1)
     ks = np.arange(m - 1, n, -1, dtype=float)  # descending k, ascending terms
-    terms = np.log(ks + 1.0)  # in place: from n = SUM_SPLIT on the head has n + 1 terms
-    terms **= b
-    terms *= ks**p
-    head = float(np.sum(np.reciprocal(terms, out=terms)))
     u, w = tails.gauss_laguerre()
     log_t1 = math.log(m) + u + np.log1p(np.exp(-u) / m)  # L(m e^u)
-    if p == 1:
-        integral = math.log1p(m) ** (1.0 - b) / (b - 1.0)
-        integral += float(np.sum(w / ((m + np.exp(-u)) * log_t1**b)))
-    else:
-        integral = float(np.sum(w * log_t1 ** (-b))) / m
+    with np.errstate(over="ignore"):  # a denominator past float range adds 0
+        terms = np.log(ks + 1.0)  # in place: from n = SUM_SPLIT on the head has n + 1 terms
+        terms **= b
+        terms *= ks**p
+        head = float(np.sum(np.reciprocal(terms, out=terms)))
+        if p == 1:
+            integral = math.log1p(m) ** (1.0 - b) / (b - 1.0)
+            integral += float(np.sum(w / ((m + np.exp(-u)) * log_t1**b)))
+        else:
+            integral = float(np.sum(w * log_t1 ** (-b))) / m
     log_jet = [math.log1p(m)] + [
         (-1.0) ** (k + 1) / (k * (m + 1.0) ** k) for k in range(1, tails.ORDER + 1)
     ]

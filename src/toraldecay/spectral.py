@@ -15,12 +15,15 @@ from . import lattice
 from .errors import DegenerateBound, InputError, TooLarge
 
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
-SPATIAL_GUARD = 10**6  # max q^n branches for the spatial form
+SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
 GRID_WORK_GUARD = 10**8  # max grid points x frequencies for sup scans
 GOLDEN_ITERS = 48  # golden-section steps per coordinate of a sup-norm peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
 MODULUS_RADII_STEPS = 32  # d >= 2: radii per shift direction
+MODULUS_EXPLORE_TOL = 1e-3  # r = 2 pattern search stops once its step is this * delta
+MODULUS_EXPLORE_SWEEPS = 30  # ... or after this many sweeps
+MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 search
 SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
 INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
 
@@ -198,12 +201,16 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
 
     Independent oracle for transfer_fourier. x is one point (returns a
     complex number) or many points (returns an array), as in `_as_points`.
+    Points are evaluated in chunks of at most SPATIAL_GUARD elements of
+    points x q^n x (d + |support|); TooLarge means one point's q^n
+    branches alone exceed that.
     """
     if n < 0:
         raise InputError("steps must be >= 0")
-    q = matrix.det_abs
-    if q**n > SPATIAL_GUARD:
-        raise TooLarge("q^n = %d exceeds the spatial guard %d" % (q**n, SPATIAL_GUARD))
+    row = matrix.det_abs**n * (matrix.dim + len(f.coeffs))
+    if row > SPATIAL_GUARD:
+        raise TooLarge("one point needs %d elements, over the spatial guard %d"
+                       % (row, SPATIAL_GUARD))
     pts, single = _as_points(x, matrix.dim)
     if n == 0:
         vals = f.evaluate(pts)
@@ -211,15 +218,16 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
     a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
     base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
     cloud = lattice.branch_points(matrix, digits, n)
-    # (m, q^n, d) evaluation grid, flattened for one vectorized pass
-    grid = base[:, None, :] + cloud[None, :, :]
-    flat = grid.reshape(-1, matrix.dim)
+    out = np.zeros(pts.shape[0], dtype=complex)
     if f.coeffs:
         k, c = f.freq_array()
-        vals = (np.exp(2j * np.pi * (flat @ k.T)) @ c).reshape(pts.shape[0], -1)
-        out = vals.mean(axis=1)
-    else:
-        out = np.zeros(pts.shape[0], dtype=complex)
+        chunk = SPATIAL_GUARD // row
+        for lo in range(0, pts.shape[0], chunk):
+            # (chunk, q^n, d) evaluation grid, flattened for one vectorized pass
+            grid = base[lo:lo + chunk, None, :] + cloud[None, :, :]
+            flat = grid.reshape(-1, matrix.dim)
+            vals = (np.exp(2j * np.pi * (flat @ k.T)) @ c).reshape(grid.shape[0], -1)
+            out[lo:lo + chunk] = vals.mean(axis=1)
     return complex(out[0]) if single else out
 
 
@@ -292,13 +300,14 @@ def sup_norm_bracket(f):
     idx = np.unravel_index(flat_best, [n_pts] * f.dim)
     x = np.array([axes[i][idx[i]] for i in range(f.dim)])
     step = 1.0 / n_pts
+    k, c = f.freq_array()
     for _ in range(2):  # two coordinate sweeps are enough for a smooth peak
         for i in range(f.dim):
 
-            def along(t, i=i):
+            def along(t, i=i):  # |f(y)|, computed as TrigPolynomial.evaluate does
                 y = x.copy()
                 y[i] = t
-                return abs(f.evaluate(tuple(y)))
+                return abs(complex((np.exp(2j * np.pi * (y.reshape(1, -1) @ k.T)) @ c)[0]))
 
             x[i] = _golden_refine(along, x[i] - step, x[i] + step)
     lower = float(abs(f.evaluate(tuple(x))))
@@ -370,68 +379,188 @@ def _directions(dim, count):
     return np.array(dirs)
 
 
-def _pattern_search(objective, v0, delta, step0, dim, tol_factor=1e-14, iters=200):
-    """Coordinate pattern search inside the Euclidean ball |v| <= delta."""
+def _row_norms(v):
+    """Euclidean norm of each row of v, each summed as np.linalg.norm sums one vector."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _dot_last(a, b):
+    """sum_j a[..., j] * b[..., j] over a short last axis, added in index order."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = out + a[..., j] * b[..., j]
+    return out
+
+
+def _pattern_search(objective, v0, delta, step0, tol_factor, iters):
+    """Coordinate pattern searches inside the balls |v| <= delta, one per row of v0.
+
+    The searches run in lockstep, each with its own delta and step. A
+    sweep tries +step and -step along each axis in turn and takes every
+    move that raises the objective; a sweep without a move halves the
+    step. A search stops once its step is at most tol_factor * delta, or
+    after `iters` sweeps. `objective` maps (m, d) points to m values.
+    Returns the best values and their points.
+    """
     v = np.array(v0, dtype=float)
+    delta = np.asarray(delta, dtype=float)
+    step = np.array(step0, dtype=float)
     best = objective(v)
-    step = step0
-    it = 0
-    while step > delta * tol_factor and it < iters:
-        improved = False
-        for i in range(dim):
-            for s in (step, -step):
-                cand = v.copy()
-                cand[i] += s
-                nrm = np.linalg.norm(cand)
-                if nrm > delta:
-                    cand *= delta / nrm
+    for _ in range(iters):
+        rows = np.flatnonzero(step > delta * tol_factor)
+        if rows.size == 0:
+            break
+        x, val_x, h, rad = v[rows], best[rows], step[rows], delta[rows]
+        moved = np.zeros(rows.size, dtype=bool)
+        for i in range(v.shape[1]):
+            for s in (h, -h):
+                cand = x.copy()
+                cand[:, i] += s
+                nrm = _row_norms(cand)
+                out = nrm > rad
+                if out.any():
+                    cand[out] *= (rad[out] / nrm[out])[:, None]
                 val = objective(cand)
-                if val > best:
-                    best, v = val, cand
-                    improved = True
-        if not improved:
-            step *= 0.5
-        it += 1
+                up = val > val_x
+                if up.any():
+                    val_x = np.where(up, val, val_x)
+                    x[up] = cand[up]
+                    moved |= up
+        v[rows], best[rows] = x, val_x
+        step[rows[~moved]] *= 0.5
     return best, v
 
 
+def _l2_objective(k, w):
+    """F(v) = ||f(. + v) - f||_2^2 = 4 sum_k w_k sin^2(pi k.v), with w_k = |fhat(k)|^2.
+
+    The function maps (m, d) shifts to m values using only elementwise
+    products and sums over the last axis, so a row's value does not
+    depend on the other rows.
+    """
+    return lambda v: 4.0 * np.sum(w * np.sin(np.pi * _dot_last(v[:, None, :], k)) ** 2, axis=1)
+
+
+def _l2_slope(k, w, v):
+    """Gradient 4 pi sum w_k sin(2 pi k.v) k and Hessian 8 pi^2 sum w_k cos(2 pi k.v) k k^T."""
+    t = 2.0 * np.pi * _dot_last(v[:, None, :], k)
+    kt = np.ascontiguousarray(k.T)  # (d, n), so every sum below runs over a contiguous axis
+    kkt = (kt[:, None, :] * kt[None, :, :]).reshape(-1, len(k))
+    grad = np.sum((w * np.sin(t))[:, None, :] * kt, axis=2) * (4.0 * np.pi)
+    hess = np.sum((w * np.cos(t))[:, None, :] * kkt, axis=2) * (8.0 * np.pi**2)
+    return grad, hess.reshape(len(v), k.shape[1], k.shape[1])
+
+
+def _newton_ascent(k, w, objective, v, best, delta):
+    """Safeguarded Newton ascent of F from each row of v inside |v| <= delta.
+
+    An interior row takes a Levenberg-Marquardt-damped Newton step. A row
+    on the sphere whose gradient g points outward takes the tangent-space
+    step instead: P = I - u u^T, model Hessian P H P - (u.g / delta) P,
+    then the retraction v <- delta (v + p) / |v + p|. A step is kept only
+    if F rises; a kept step divides the damping by 10, a refused one
+    multiplies it by 10. A row stops after a refused step shorter than
+    1e-8 delta, or once its damping passes 1e6. Returns the best values.
+    """
+    m, d = v.shape
+    eye = np.eye(d)
+    damp = np.full(m, 1e-3)
+    live = np.ones(m, dtype=bool)
+    for _ in range(MODULUS_NEWTON_STEPS):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        x, rad = v[rows], delta[rows]
+        grad, hess = _l2_slope(k, w, x)
+        nrm = _row_norms(x)
+        u = x / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+        ug = _dot_last(u, grad)
+        rim = (nrm >= rad * (1.0 - 1e-12)) & (ug > 0.0)
+        uu = u[:, :, None] * u[:, None, :]
+        hu = _dot_last(hess, u[:, None, :])
+        tangent = (hess - u[:, :, None] * hu[:, None, :] - hu[:, :, None] * u[:, None, :]
+                   + _dot_last(u, hu)[:, None, None] * uu
+                   - (ug / rad)[:, None, None] * (eye - uu))
+        # minus the model Hessian; on the rim the normal direction gets
+        # curvature 1 and no gradient, so the step stays tangent
+        neg = np.where(rim[:, None, None], uu - tangent, -hess)
+        rhs = np.where(rim[:, None], grad - ug[:, None] * u, grad)
+        lam, q = np.linalg.eigh(neg)
+        scale = np.abs(lam).max(axis=1) + np.sqrt(_dot_last(grad, grad)) / rad
+        denom = lam + (np.maximum(0.0, -lam[:, 0]) + damp[rows] * scale)[:, None]
+        qtr = _dot_last(np.swapaxes(q, 1, 2), rhs[:, None, :])
+        coef = np.divide(qtr, denom, out=np.zeros_like(qtr), where=denom > 0.0)
+        p = _dot_last(q, coef[:, None, :])
+        plen = _row_norms(p)
+        p *= (rad / np.maximum(plen, rad))[:, None]  # no step longer than delta
+        trial = x + p
+        tn = _row_norms(trial)
+        out = rim | (tn > rad)
+        trial[out] *= (rad[out] / tn[out])[:, None]
+        val = objective(trial)
+        up = val > best[rows]
+        best[rows[up]] = val[up]
+        v[rows[up]] = trial[up]
+        damp[rows] = np.where(up, np.maximum(damp[rows] * 0.1, 1e-15), damp[rows] * 10.0)
+        live[rows] = up | ((plen > 1e-8 * rad) & (damp[rows] <= 1e6))
+    return best
+
+
+def _omega_l2(f, radii):
+    """Omega_{f,2} at each radius: sqrt of the max of F over the ball |v| <= delta.
+
+    Each radius starts at the best point of a fixed grid of shifts (the
+    segment (0, delta] for d = 1, MODULUS_DIRECTIONS directions times
+    MODULUS_RADII_STEPS radii for d >= 2). A lockstep pattern search runs
+    from there while its step exceeds MODULUS_EXPLORE_TOL * delta, for at
+    most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent` finishes.
+    Every phase keeps only points that raise F, so each value is F at a
+    feasible shift: a certified lower bound.
+    """
+    k, c = f.freq_array()
+    w = np.abs(c) ** 2
+    objective = _l2_objective(k, w)
+    d = f.dim
+    steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
+    dirs = _directions(d, MODULUS_DIRECTIONS)
+    fracs = np.arange(1, steps + 1) / steps
+    delta = np.array(radii, dtype=float)
+    v0 = np.empty((len(delta), d))
+    for i, rad in enumerate(delta):
+        pts = (dirs[:, None, :] * (rad * fracs)[None, :, None]).reshape(-1, d)
+        v0[i] = pts[int(np.argmax(objective(pts)))]
+    best, v = _pattern_search(objective, v0, delta, delta / steps, MODULUS_EXPLORE_TOL,
+                              MODULUS_EXPLORE_SWEEPS)
+    best = _newton_ascent(k, w, objective, v, best, delta)
+    return [math.sqrt(b) for b in best]
+
+
 def modulus_value(f, r, delta, saturate=False):
-    """One certified lower estimate of Omega_{f,r}(delta).
+    """Certified lower estimate of Omega_{f,r}(delta); a list for a sequence of radii.
 
     Shifts live on the torus, so for saturate=True the scan radius is
     capped at sqrt(d)/2, beyond which the ball of shifts already covers
-    every torus displacement and the modulus is constant.
+    every torus displacement and the modulus is constant. At r = 2 all
+    radii of one call are searched together; a value does not depend on
+    the other radii in the call.
     """
-    if delta <= 0:
+    many = np.ndim(delta) > 0
+    radii = list(np.ravel(delta)) if many else [delta]
+    if any(x <= 0 for x in radii):
         raise InputError("delta must be positive")
-    d = f.dim
     if not f.coeffs:
-        return 0.0
-    cap = math.sqrt(d) / 2.0
-    d_eff = min(delta, cap) if saturate else delta
-    if r == 2:
-        freqs, c = f.freq_array()
-        wsq = np.abs(c) ** 2
-        if d == 1:
-            grid = np.linspace(0.0, d_eff, MODULUS_LINE_STEPS + 1)[1:]
-            vals = 4.0 * (wsq @ np.sin(np.pi * freqs @ grid[None, :]) ** 2)
-            v0 = np.array([grid[int(np.argmax(vals))]])
-            obj = lambda v: float(
-                4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2)
-            )
-            best, _ = _pattern_search(obj, v0, d_eff, d_eff / MODULUS_LINE_STEPS, 1)
-            return math.sqrt(max(best, float(np.max(vals))))
-        dirs = _directions(d, MODULUS_DIRECTIONS)
-        rads = d_eff * (np.arange(1, MODULUS_RADII_STEPS + 1) / MODULUS_RADII_STEPS)
-        pts = (dirs[:, None, :] * rads[None, :, None]).reshape(-1, d)
-        vals = 4.0 * (wsq @ np.sin(np.pi * (freqs @ pts.T)) ** 2)
-        v0 = pts[int(np.argmax(vals))]
-        obj = lambda v: float(4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2))
-        best, _ = _pattern_search(obj, v0, d_eff, d_eff / MODULUS_RADII_STEPS, d)
-        return math.sqrt(max(best, float(np.max(vals))))
-    if r in (np.inf, float("inf"), "inf"):
-        return _omega_sup(f, d_eff)
-    raise InputError("only r in {2, inf} is supported")
+        values = [0.0] * len(radii)
+    else:
+        if saturate:
+            cap = math.sqrt(f.dim) / 2.0
+            radii = [min(x, cap) for x in radii]
+        if r == 2:
+            values = _omega_l2(f, radii)
+        elif r in (np.inf, float("inf"), "inf"):
+            values = [_omega_sup(f, x) for x in radii]
+        else:
+            raise InputError("only r in {2, inf} is supported")
+    return values if many else values[0]
 
 
 def _shift_diff_poly(f, v):
@@ -458,30 +587,31 @@ def _omega_sup(f, delta):
         val = sup_norm_bracket(_shift_diff_poly(f, v))[0]
         if val > best:
             best, best_v = val, v
-    obj = lambda v: sup_norm_bracket(_shift_diff_poly(f, v))[0]
-    best2, _ = _pattern_search(obj, best_v, delta, delta / 16.0, d, 1e-6, 60)
-    return max(best, best2)
+    obj = lambda pts: np.array([sup_norm_bracket(_shift_diff_poly(f, v))[0] for v in pts])
+    best2, _ = _pattern_search(obj, best_v[None, :], [delta], [delta / 16.0], 1e-6, 60)
+    return max(best, float(best2[0]))
 
 
 def modulus(f, r, radii):
     """Modulus-of-continuity curve over a list of radii in (0, 1/2].
 
     For r=2 the exact Parseval identity for the shifted difference is
-    maximized over the ball |v| <= delta by direction sampling plus
-    pattern-search refinement; for r=inf grid-sampled sup differences
-    are maximized. Values are certified lower bounds of the true sup.
+    maximized over the ball |v| <= delta by a grid of shifts, a pattern
+    search and a Newton finish; for r=inf grid-sampled sup differences
+    are maximized by a pattern search. Values are certified lower bounds
+    of the true sup.
     """
     radii = sorted({float(x) for x in radii}, reverse=True)
     if not radii:
         raise InputError("need at least one radius")
     if radii[0] > 0.5 or radii[-1] <= 0.0:
         raise InputError("radii must lie in (0, 1/2]")
-    values = [modulus_value(f, r, delta) for delta in radii]
+    values = modulus_value(f, r, radii)
     one_d = f.dim == 1
     return ModulusCurve(
         radii, values, r, 1 if one_d else MODULUS_DIRECTIONS,
         {"radial_steps": MODULUS_LINE_STEPS if one_d else MODULUS_RADII_STEPS,
-         "refinement": "pattern-search"},
+         "refinement": "pattern-search+newton" if r == 2 else "pattern-search"},
     )
 
 

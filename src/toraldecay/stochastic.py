@@ -88,10 +88,9 @@ def check_dini(f, matrix, n_scales):
     if n_scales < 0:
         raise InputError("scale count must be >= 0")
     lam = matrix.lambda_min
-    terms = [
-        spectral.modulus_value(f, 2, lam ** (-n), saturate=True)
-        for n in range(int(n_scales) + 1)
-    ]
+    terms = spectral.modulus_value(
+        f, 2, [lam ** (-n) for n in range(int(n_scales) + 1)], saturate=True
+    )
     partial = list(np.cumsum(terms))
     tail = [t for t in terms[-4:] if t > 0]
     if len(tail) >= 2 and tail[-1] < tail[0]:

@@ -355,6 +355,18 @@ def test_lacunary_families_and_design(capsys, tmp_path):
         assert float(row[2]) == pytest.approx(want, abs=1e-15)
 
 
+@pytest.mark.parametrize("matrix,h", [("2", "1"), ("1,-1;1,1", "1,0"), ("2,0,0;0,2,0;0,0,2", "1,1,0")])
+def test_lacunary_logpower_at_its_bound_stays_finite(capsys, matrix, h):
+    from toraldecay.lacunary import LOGPOWER_MAX
+
+    code, out = run(capsys, ["lacunary", "--matrix", matrix, "--h", h, "--family", "logpower",
+                             "--param", repr(LOGPOWER_MAX), "--nmax", "3"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
 def test_lacunary_requires_similarity_for_prop2(capsys):
     code, _ = run(
         capsys,
@@ -495,9 +507,11 @@ def test_exit_codes(capsys, f1_path):
         ["tile", "--matrix", "1,-1;1,1", "--level", "4", "--samples", "-5",
          "--points-out", "{points}"],
         ["lacunary", "--matrix", "2", "--h", "1", "--nmax", "-1"],
+        ["lacunary", "--matrix", "2", "--h", "1", "--family", "logpower", "--param", "1000",
+         "--nmax", "2"],
     ],
     ids=["entry-without-k", "entry-not-object", "design-missing", "h-not-int",
-         "param-not-float", "negative-samples", "negative-nmax"],
+         "param-not-float", "negative-samples", "negative-nmax", "logpower-beta-overflow"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv):
     (tmp_path / "no_k.json").write_text('[{"re": 1.0}]\n')

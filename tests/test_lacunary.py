@@ -49,6 +49,8 @@ def test_spec_validation():
         lacunary.LacunarySpec((1,), DOUBLE, "power", 2.0 * lacunary.POWER_MAX)
     with pytest.raises(InputError):
         lacunary.LacunarySpec((1,), DOUBLE, "logpower", 0.5)
+    with pytest.raises(InputError):  # a_1^2 = log(2)^-2 beta would leave float range
+        lacunary.LacunarySpec((1,), DOUBLE, "logpower", lacunary.LOGPOWER_MAX + 1.0)
     with pytest.raises(InputError):
         lacunary.LacunarySpec((1,), DOUBLE, "geometric", 0.4)  # below 1/lambda
     with pytest.raises(InputError):

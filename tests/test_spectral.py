@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toraldecay import lattice, spectral
 from toraldecay.errors import InputError, TooLarge
@@ -155,6 +157,25 @@ def test_spatial_guard():
         spectral.transfer_spatial_eval(f, DOUBLE, digits, 21, 0.3)
 
 
+def test_spatial_eval_chunks_match_one_shot(monkeypatch):
+    # the guard bounds points x q^n x (d + |support|); points are chunked under it
+    rng = np.random.default_rng(12)
+    for matrix, n in ((DOUBLE, 3), (TWIN, 4), (TRIPLE, 2)):
+        digits = lattice.digit_set(matrix)
+        f = random_poly(rng, matrix.dim, span=5, terms=4)
+        pts = rng.random((17, matrix.dim))
+        whole = spectral.transfer_spatial_eval(f, matrix, digits, n, pts)
+        row = matrix.det_abs**n * (matrix.dim + len(f.coeffs))
+        for per_chunk in (1, 3, 16):
+            monkeypatch.setattr(spectral, "SPATIAL_GUARD", per_chunk * row)
+            chunked = spectral.transfer_spatial_eval(f, matrix, digits, n, pts)
+            assert np.max(np.abs(chunked - whole)) <= 1e-15
+        monkeypatch.setattr(spectral, "SPATIAL_GUARD", row - 1)
+        with pytest.raises(TooLarge):  # one point's branches alone exceed the guard
+            spectral.transfer_spatial_eval(f, matrix, digits, n, pts[:1])
+        monkeypatch.undo()
+
+
 def test_l2_norm_parseval_vs_quadrature():
     # periodic trapezoid rule is exact for trig polys below the Nyquist limit
     rng = np.random.default_rng(5)
@@ -229,6 +250,144 @@ def test_modulus_saturation():
     assert abs(big - at_cap) < 1e-12
     with pytest.raises(InputError):
         spectral.modulus_value(f, 2, -0.1)
+
+
+def _reference_pattern_search(objective, v0, delta, step0, dim, tol_factor=1e-14, iters=200):
+    """The one-point coordinate search the r = 2 modulus used before its Newton finish."""
+    v = np.array(v0, dtype=float)
+    best = objective(v)
+    step = step0
+    it = 0
+    while step > delta * tol_factor and it < iters:
+        improved = False
+        for i in range(dim):
+            for s in (step, -step):
+                cand = v.copy()
+                cand[i] += s
+                nrm = np.linalg.norm(cand)
+                if nrm > delta:
+                    cand *= delta / nrm
+                val = objective(cand)
+                if val > best:
+                    best, v = val, cand
+                    improved = True
+        if not improved:
+            step *= 0.5
+        it += 1
+    return best, it
+
+
+def _reference_grid(f, delta):
+    """Start point, step and grid values of the earlier r = 2 search."""
+    d = f.dim
+    freqs, c = f.freq_array()
+    wsq = np.abs(c) ** 2
+    if d == 1:
+        grid = np.linspace(0.0, delta, 1025)[1:]
+        vals = 4.0 * (wsq @ np.sin(np.pi * freqs @ grid[None, :]) ** 2)
+        return np.array([grid[int(np.argmax(vals))]]), delta / 1024, vals
+    dirs = spectral._directions(d, 64)
+    rads = delta * (np.arange(1, 33) / 32)
+    pts = (dirs[:, None, :] * rads[None, :, None]).reshape(-1, d)
+    vals = 4.0 * (wsq @ np.sin(np.pi * (freqs @ pts.T)) ** 2)
+    return pts[int(np.argmax(vals))], delta / 32, vals
+
+
+def _reference_l2(f, delta):
+    """(value, sweeps) of the earlier r = 2 modulus: grid, then 200-sweep pattern search."""
+    freqs, c = f.freq_array()
+    wsq = np.abs(c) ** 2
+    obj = lambda v: float(4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2))
+    v0, step0, vals = _reference_grid(f, delta)
+    best, sweeps = _reference_pattern_search(obj, v0, delta, step0, f.dim)
+    return math.sqrt(max(best, float(np.max(vals)))), sweeps
+
+
+def _hermitian_poly(rng, d, pairs):
+    span = (12, 6, 3)[d - 1]
+    coeffs = {}
+    while len(coeffs) < 2 * pairs:
+        k = tuple(int(v) for v in rng.integers(-span, span + 1, size=d))
+        if any(k) and k not in coeffs:
+            c = complex(rng.normal(), rng.normal())
+            coeffs[k] = c
+            coeffs[tuple(-v for v in k)] = c.conjugate()
+    return TrigPolynomial(d, coeffs)
+
+
+def test_lockstep_pattern_search_matches_one_point_search():
+    # same move rule and norms as the one-point loop, row by row, bit for bit
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3):
+        freqs, c = _hermitian_poly(rng, d, 4).freq_array()
+        wsq = np.abs(c) ** 2
+        obj = lambda v: float(4.0 * (wsq @ np.sin(np.pi * (freqs @ v)) ** 2))
+        delta = np.array([0.3, 0.1, 0.04])
+        v0 = rng.uniform(-1.0, 1.0, size=(3, d)) * delta[:, None] / math.sqrt(d)
+        best, v = spectral._pattern_search(lambda pts: np.array([obj(p) for p in pts]), v0,
+                                           delta, delta / 32, 1e-14, 200)
+        for i in range(3):
+            want, _ = _reference_pattern_search(obj, v0[i], delta[i], delta[i] / 32, d)
+            assert best[i] == want
+
+
+def test_modulus_l2_never_below_reference_search():
+    rng = np.random.default_rng(77)
+    for d in (1, 2, 3):
+        for pairs in (2, 5, 12):
+            f = _hermitian_poly(rng, d, pairs)
+            radii = list(0.45 * np.cumprod(rng.uniform(0.35, 0.8, size=8)))
+            got = spectral.modulus_value(f, 2, radii)
+            for delta, value in zip(radii, got):
+                ref, _ = _reference_l2(f, delta)
+                assert value >= ref * (1.0 - 1e-13), (d, pairs, delta, value, ref)
+
+
+def test_modulus_l2_beats_a_search_stopped_at_its_cap():
+    # the earlier search ends at its 200-sweep cap here, below the local max
+    coeffs = {(0, 3, 1): -2.241 - 0.313j, (2, 1, 2): 1.444 - 0.394j,
+              (-3, 1, 3): -0.164 - 0.885j, (-1, 2, 2): 0.406 + 1.129j}
+    coeffs.update({tuple(-v for v in k): c.conjugate() for k, c in list(coeffs.items())})
+    f = TrigPolynomial(3, coeffs)
+    ref, sweeps = _reference_l2(f, 0.1)
+    assert sweeps == 200
+    assert spectral.modulus_value(f, 2, 0.1) > ref * (1.0 + 1e-5)
+
+
+@st.composite
+def hermitian_polys(draw):
+    d = draw(st.integers(1, 3))
+    span = (12, 6, 3)[d - 1]
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 6))):
+        k = tuple(draw(st.lists(st.integers(-span, span), min_size=d, max_size=d)))
+        # hundredths, so no |fhat(k)|^2 lands among the subnormals
+        c = complex(draw(st.integers(-300, 300)), draw(st.integers(-300, 300))) / 100.0
+        if any(k):
+            coeffs[k] = c
+            coeffs[tuple(-v for v in k)] = c.conjugate()
+    return TrigPolynomial(d, coeffs)
+
+
+RADII = st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_polys(), RADII)
+def test_modulus_l2_between_grid_max_and_twice_the_norm(f, radii):
+    values = spectral.modulus_value(f, 2, radii)
+    for delta, value in zip(radii, values):
+        grid_max = math.sqrt(float(np.max(_reference_grid(f, delta)[2]))) if f.coeffs else 0.0
+        assert value >= grid_max * (1.0 - 1e-14)
+        assert value <= 2.0 * spectral.norm(f, 2) * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_polys(), RADII, st.booleans())
+def test_modulus_l2_value_does_not_depend_on_other_radii(f, radii, saturate):
+    values = spectral.modulus_value(f, 2, radii, saturate=saturate)
+    assert values == [spectral.modulus_value(f, 2, x, saturate=saturate) for x in radii]
+    assert values[::-1] == spectral.modulus_value(f, 2, radii[::-1], saturate=saturate)
 
 
 def test_modulus_curve_invariants():
