@@ -7,6 +7,7 @@ they must never change results.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -336,6 +337,7 @@ def emit_plotdata(report, path):
     return path
 
 
+@functools.cache  # built once per process; handlers are held by name, not as functions
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="toraldecay",
@@ -356,12 +358,12 @@ def build_parser():
     p = sub.add_parser("matrix-info", help="spectrum, determinant, digit set")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_matrix_info)
+    p.set_defaults(handler="cmd_matrix_info")
 
     p = sub.add_parser("digits", help="coset representatives as JSON")
     p.add_argument("--matrix", required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_digits)
+    p.set_defaults(handler="cmd_digits")
 
     p = sub.add_parser("tile", help="self-affine tile cloud and coverage check")
     p.add_argument("--matrix", required=True)
@@ -371,7 +373,7 @@ def build_parser():
     p.add_argument("--coverage-out")
     p.add_argument("--self-affinity", action="store_true")
     add_common(p, seed=True, threads=True)
-    p.set_defaults(handler=cmd_tile)
+    p.set_defaults(handler="cmd_tile")
 
     p = sub.add_parser("transfer", help="iterate the transfer operator")
     p.add_argument("--matrix", required=True)
@@ -379,7 +381,7 @@ def build_parser():
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--emit", choices=["coeffs", "norms", "modulus"], default="norms")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_transfer)
+    p.set_defaults(handler="cmd_transfer")
 
     p = sub.add_parser("decay", help="correlation decay against the modulus bound")
     p.add_argument("--matrix", required=True)
@@ -392,7 +394,7 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--plot-out")
     add_common(p, seed=True, threads=True)
-    p.set_defaults(handler=cmd_decay)
+    p.set_defaults(handler="cmd_decay")
 
     p = sub.add_parser("lacunary", help="lacunary tails, bounds, measured norms")
     p.add_argument("--matrix", required=True)
@@ -405,7 +407,7 @@ def build_parser():
     p.add_argument("--design", help="CSV of target tail values")
     p.add_argument("--design-norm", choices=["sup", "l2"], default="sup")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_lacunary)
+    p.set_defaults(handler="cmd_lacunary")
 
     p = sub.add_parser("clt", help="Birkhoff-sum CLT experiment")
     p.add_argument("--matrix", required=True)
@@ -415,7 +417,7 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--samples-out")
     add_common(p, seed=True, threads=True)
-    p.set_defaults(handler=cmd_clt)
+    p.set_defaults(handler="cmd_clt")
 
     p = sub.add_parser("ulam", help="tent/Ulam-von Neumann experiments")
     p.add_argument("--op", choices=["decay", "modulus", "lyapunov"], required=True)
@@ -425,16 +427,16 @@ def build_parser():
     p.add_argument("--samples", type=int, default=5000)
     p.add_argument("--out")
     add_common(p, seed=True, threads=True)
-    p.set_defaults(handler=cmd_ulam)
+    p.set_defaults(handler="cmd_ulam")
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up at call time, so a replaced cmd_* function is the one that runs
+        return globals()[args.handler](args)
     except ToralDecayError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code

@@ -16,8 +16,9 @@ from .errors import DegenerateBound, InputError, TooLarge
 
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
-GRID_WORK_GUARD = 10**8  # max grid points x frequencies for sup scans
-GOLDEN_ITERS = 48  # golden-section steps per coordinate of a sup-norm peak
+GRID_WORK_GUARD = 10**8  # max grid points x frequencies per row of a sup scan
+GRID_CHUNK = 2**20  # max grid values one sup-norm grid call holds
+SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
 MODULUS_RADII_STEPS = 32  # d >= 2: radii per shift direction
@@ -26,6 +27,7 @@ MODULUS_EXPLORE_SWEEPS = 30  # ... or after this many sweeps
 MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 search
 SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
 INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
+_TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
 
 def _freq_key(k, dim):
@@ -234,8 +236,8 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
 def norm(f, r):
     """L^r(mu) norm, r in {2, inf}.
 
-    r=2 is exact by Parseval. r=inf returns the certified grid lower
-    bound; call sup_norm_bracket for the (lower, upper) pair.
+    r=2 is exact by Parseval. r=inf returns the certified lower bound;
+    call sup_norm_bracket for the (lower, upper) pair.
     """
     if r == 2:
         return math.sqrt(sum(abs(c) ** 2 for c in f.coeffs.values()))
@@ -244,74 +246,172 @@ def norm(f, r):
     raise InputError("only r in {2, inf} is supported")
 
 
-def _grid_values(f, n_pts):
-    """|f| on the uniform n_pts^d grid, returned as (flat values, axes)."""
-    d = f.dim
-    k, c = f.freq_array()
-    axes = [np.arange(n_pts) / n_pts for _ in range(d)]
-    if len(c) * n_pts**d > GRID_WORK_GUARD:
-        raise TooLarge("sup-norm grid would need %d evaluations" % (len(c) * n_pts**d))
-    if d == 1:
-        vals = np.exp(2j * np.pi * np.outer(axes[0], k[:, 0])) @ c
-        return np.abs(vals), axes
-    if d == 2:
-        e1 = np.exp(2j * np.pi * np.outer(k[:, 0], axes[0]))
-        e2 = np.exp(2j * np.pi * np.outer(k[:, 1], axes[1]))
-        vals = np.einsum("fm,fn->mn", c[:, None] * e1, e2)
-        return np.abs(vals), axes
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    vals = np.exp(2j * np.pi * (mesh @ k.T)) @ c
-    return np.abs(vals), axes
+def _cos_sin_rows(k, c):
+    """The rows of c as real rows P, Q with f = sum over pairs {k, -k} of P cos + Q sin.
+
+    With a at k and b at -k (0 if absent), P = a + b and Q = i (a - b),
+    and Q = 0 at k = 0. The real parts of all rows come first, then the
+    imaginary parts of the rows that have any (the mask `cplx`), so a
+    hermitian row costs one real row whatever else its batch holds.
+    Returns (pair frequencies, P, Q, cplx).
+    """
+    keys = [tuple(v) for v in k.tolist()]
+    index = {key: j for j, key in enumerate(keys)}
+    pos, neg = [], []
+    for j, key in enumerate(keys):
+        minus = tuple(-v for v in key)
+        if key >= minus or minus not in index:  # each pair once
+            pos.append(j)
+            neg.append(index.get(minus, len(keys)) if any(key) else len(keys))
+    padded = np.concatenate([c, np.zeros((len(c), 1))], axis=1)
+    lead, rear = padded[:, pos], padded[:, neg]
+    big_p = lead + rear
+    big_q = 1j * (lead - rear) * np.array([any(keys[j]) for j in pos])
+    cplx = np.any(big_p.imag != 0.0, axis=1) | np.any(big_q.imag != 0.0, axis=1)
+    return (k[pos], np.concatenate([big_p.real, big_p.imag[cplx]]),
+            np.concatenate([big_q.real, big_q.imag[cplx]]), cplx)
 
 
-def _golden_refine(fun, lo, hi):
-    """Golden-section maximization of a scalar unimodal-ish function."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(GOLDEN_ITERS):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = fun(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = fun(x1)
-    return (a + b) / 2.0
+def _grid_values(k, c, n_pts):
+    """|f| of each row of c on the uniform n_pts^d grid, and each row's argmax.
+
+    k is the (m, d) int64 frequency set of the (rows, m) coefficients c.
+    The phase k_a i mod n_pts of grid coordinate i / n_pts is an exact
+    integer into one table of n_pts-th roots of unity. The axes are
+    contracted one at a time through U = P cos + Q sin and V = Q cos -
+    P sin (see `_cos_sin_rows`), and the pairs are added in order by
+    elementwise multiply-adds, so a row's values do not depend on the
+    other rows. Returns ((rows, n_pts^d) values, flat argmax of each row).
+    """
+    kp, big_u, big_v, cplx = _cos_sin_rows(k, c)
+    i = np.arange(n_pts)
+    roots = np.exp(2j * np.pi * (np.where(2 * i > n_pts, i - n_pts, i) / n_pts))
+    rows, (pairs, d) = len(big_u), kp.shape
+    tables = [roots[(kp[:, a, None] % n_pts) * i % n_pts] for a in range(d)]  # (pairs, n)
+    big_u, big_v = big_u[:, :, None], big_v[:, :, None]
+    for tab in tables[:-1]:
+        cos, sin = tab.real[None, :, None, :], tab.imag[None, :, None, :]
+        big_u, big_v = ((big_u[..., None] * cos + big_v[..., None] * sin).reshape(rows, pairs, -1),
+                        (big_v[..., None] * cos - big_u[..., None] * sin).reshape(rows, pairs, -1))
+    cos, sin = tables[-1].real, tables[-1].imag
+    out = big_u[:, 0, :, None] * cos[0] + big_v[:, 0, :, None] * sin[0]
+    tmp = np.empty_like(out)
+    for j in range(1, pairs):
+        out += np.multiply(big_u[:, j, :, None], cos[j], out=tmp)
+        out += np.multiply(big_v[:, j, :, None], sin[j], out=tmp)
+    out = out.reshape(rows, -1)
+    vals = np.abs(out[:len(cplx)])
+    vals[cplx] = np.hypot(out[:len(cplx)][cplx], out[len(cplx):])
+    return vals, np.argmax(vals, axis=1)
+
+
+def _peak_slope(kw, kt, kkt, c, x):
+    """|f|, and the gradient and Hessian of |f|^2, at the point x of each row of c.
+
+    x and kw are uint64 words (x in units of 2^-64 turns), so the phase
+    <k, x> mod 1 is an exact wrapping sum. With f' = 2 pi i sum c_k e(k.x) k
+    and f'' = -4 pi^2 sum c_k e(k.x) k k^T, the gradient is 2 Re(conj(f) f')
+    and the Hessian 2 Re(conj(f') f'^T + conj(f) f''). Sums run along each
+    row's own last axis, so rows stay independent.
+    """
+    phase = x[:, None, 0] * kw[None, :, 0]
+    for a in range(1, x.shape[1]):
+        phase += x[:, None, a] * kw[None, :, a]
+    ce = c * np.exp(1j * (phase.view(np.int64) * _TURN))
+    f = np.sum(ce, axis=1)
+    df = (2j * np.pi) * np.sum(ce[:, None, :] * kt, axis=2)
+    d2f = (-4.0 * np.pi**2) * np.sum(ce[:, None, :] * kkt, axis=2).reshape(df.shape + df.shape[1:])
+    cf = np.conj(f)
+    grad = 2.0 * (cf[:, None] * df).real
+    hess = 2.0 * (np.conj(df)[:, :, None] * df[:, None, :] + cf[:, None, None] * d2f).real
+    return np.abs(f), grad, hess
+
+
+def _polish(k, c, x, cap):
+    """Lockstep damped Newton ascent of |f|^2 from the point x of each row of c.
+
+    Each step is Levenberg-Marquardt damped, at most `cap` long, and kept
+    only if |f| rises; a kept step divides the damping by 10, a refused
+    one multiplies it by 10. A row stops once the model predicts a rise
+    below rounding, once its damping passes 1e6, or after SUP_NEWTON_STEPS
+    steps. Returns |f| at each row's best point.
+    """
+    kw = k.view(np.uint64)
+    kt = np.ascontiguousarray(k.T, dtype=float)  # (d, m): each sum runs over a contiguous axis
+    kkt = (kt[:, None, :] * kt[None, :, :]).reshape(-1, k.shape[0])
+    val, grad, hess = _peak_slope(kw, kt, kkt, c, x)
+    damp = np.full(len(c), 1e-3)
+    live = np.ones(len(c), dtype=bool)
+    for _ in range(SUP_NEWTON_STEPS):
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
+            break
+        g = grad[rows]
+        lam, q = np.linalg.eigh(-hess[rows])
+        scale = np.abs(lam).max(axis=1) + np.sqrt(_dot_last(g, g)) / cap
+        denom = lam + (np.maximum(0.0, -lam[:, 0]) + damp[rows] * scale)[:, None]
+        qtg = _dot_last(np.swapaxes(q, 1, 2), g[:, None, :])
+        coef = np.divide(qtg, denom, out=np.zeros_like(qtg), where=denom > 0.0)
+        p = _dot_last(q, coef[:, None, :])
+        p *= (cap / np.maximum(_row_norms(p), cap))[:, None]
+        worth = 0.5 * _dot_last(g, p) > 1e-15 * val[rows] ** 2  # the model's rise of |f|^2
+        live[rows[~worth]] = False
+        rows, p = rows[worth], p[worth]
+        if rows.size == 0:
+            break
+        trial = x[rows] + np.rint(p * 2.0**64).astype(np.int64).view(np.uint64)
+        t_val, t_grad, t_hess = _peak_slope(kw, kt, kkt, c[rows], trial)
+        up = t_val > val[rows]
+        kept = rows[up]
+        x[kept], val[kept], grad[kept], hess[kept] = trial[up], t_val[up], t_grad[up], t_hess[up]
+        damp[rows] = np.where(up, np.maximum(damp[rows] * 0.1, 1e-15), damp[rows] * 10.0)
+        live[rows] = damp[rows] <= 1e6
+    return val
+
+
+def _sup_lower(k, c):
+    """Certified lower bound of sup |f| for each row of c, on the frequencies k of `freq_array`.
+
+    A row's bound is the larger of its best value on the grid of
+    n = max(16, 8 max|k| + 1) points per axis (`_grid_values`) and |f|
+    where `_polish` ends from that point, each |f| at a point evaluated
+    to rounding. Rows go to `_grid_values` in chunks of at most GRID_CHUNK
+    grid values and GRID_WORK_GUARD grid values x frequencies; TooLarge
+    means one row alone exceeds the guard. A row's value does not depend
+    on the other rows.
+    """
+    m, d = k.shape
+    n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
+    row = m * n_pts**d
+    if row > GRID_WORK_GUARD:
+        raise TooLarge("sup-norm grid would need %d evaluations" % row)
+    k = k.astype(np.int64)
+    chunk = max(1, min(GRID_WORK_GUARD // row, GRID_CHUNK // n_pts**d))
+    best = np.empty(len(c))
+    start = np.empty((len(c), d), dtype=np.int64)
+    for lo in range(0, len(c), chunk):
+        vals, idx = _grid_values(k, c[lo:lo + chunk], n_pts)
+        best[lo:lo + chunk] = vals[np.arange(len(idx)), idx]
+        start[lo:lo + chunk] = np.stack(np.unravel_index(idx, (n_pts,) * d), axis=1)
+    # grid index i as a 64-bit turn word, from i / n_pts in [-1/2, 1/2)
+    start = np.where(2 * start >= n_pts, start - n_pts, start)
+    x = np.rint(start / n_pts * 2.0**64).astype(np.int64).view(np.uint64)
+    return np.maximum(best, _polish(k, c, x, 1.0 / n_pts))
 
 
 def sup_norm_bracket(f):
     """(certified lower, l1 upper) bracket for the sup norm.
 
-    The lower bound is a dense grid scan (at least 8 points per unit
-    frequency per dimension) followed by golden-section refinement of
-    each coordinate around the best grid point. The upper bound is the
-    coefficient l1 norm. The true sup norm lies in between.
+    The lower bound is the one-row case of `_sup_lower`: a grid scan with
+    at least 8 points per unit frequency per axis, polished by a damped
+    Newton ascent. The upper bound is the coefficient l1 norm. The true
+    sup norm lies in between.
     """
     if not f.coeffs:
         return 0.0, 0.0
     upper = float(sum(abs(c) for c in f.coeffs.values()))
-    n_pts = max(16, 8 * int(f.max_abs_freq()) + 1)
-    vals, axes = _grid_values(f, n_pts)
-    flat_best = int(np.argmax(vals))
-    idx = np.unravel_index(flat_best, [n_pts] * f.dim)
-    x = np.array([axes[i][idx[i]] for i in range(f.dim)])
-    step = 1.0 / n_pts
     k, c = f.freq_array()
-    for _ in range(2):  # two coordinate sweeps are enough for a smooth peak
-        for i in range(f.dim):
-
-            def along(t, i=i):  # |f(y)|, computed as TrigPolynomial.evaluate does
-                y = x.copy()
-                y[i] = t
-                return abs(complex((np.exp(2j * np.pi * (y.reshape(1, -1) @ k.T)) @ c)[0]))
-
-            x[i] = _golden_refine(along, x[i] - step, x[i] + step)
-    lower = float(abs(f.evaluate(tuple(x))))
-    lower = max(lower, float(vals.flat[flat_best]))
+    lower = float(_sup_lower(k, c[None, :])[0])
     return min(lower, upper), upper
 
 
@@ -511,9 +611,11 @@ def _omega_l2(f, radii):
 
     Each radius starts at the best point of a fixed grid of shifts (the
     segment (0, delta] for d = 1, MODULUS_DIRECTIONS directions times
-    MODULUS_RADII_STEPS radii for d >= 2). A lockstep pattern search runs
-    from there while its step exceeds MODULUS_EXPLORE_TOL * delta, for at
-    most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent` finishes.
+    MODULUS_RADII_STEPS radii for d >= 2; F is even, so in d = 2 only the
+    directions with angle in [0, pi) are scanned). A lockstep pattern
+    search runs from there while its step exceeds MODULUS_EXPLORE_TOL *
+    delta, for at most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent`
+    finishes.
     Every phase keeps only points that raise F, so each value is F at a
     feasible shift: a certified lower bound.
     """
@@ -523,6 +625,8 @@ def _omega_l2(f, radii):
     d = f.dim
     steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
     dirs = _directions(d, MODULUS_DIRECTIONS)
+    if d == 2:  # F(-v) = F(v), and the directions come in antipodal pairs
+        dirs = dirs[:MODULUS_DIRECTIONS // 2]
     fracs = np.arange(1, steps + 1) / steps
     delta = np.array(radii, dtype=float)
     v0 = np.empty((len(delta), d))
@@ -540,9 +644,9 @@ def modulus_value(f, r, delta, saturate=False):
 
     Shifts live on the torus, so for saturate=True the scan radius is
     capped at sqrt(d)/2, beyond which the ball of shifts already covers
-    every torus displacement and the modulus is constant. At r = 2 all
-    radii of one call are searched together; a value does not depend on
-    the other radii in the call.
+    every torus displacement and the modulus is constant. All radii of
+    one call are searched together; a value does not depend on the other
+    radii in the call.
     """
     many = np.ndim(delta) > 0
     radii = list(np.ravel(delta)) if many else [delta]
@@ -557,39 +661,41 @@ def modulus_value(f, r, delta, saturate=False):
         if r == 2:
             values = _omega_l2(f, radii)
         elif r in (np.inf, float("inf"), "inf"):
-            values = [_omega_sup(f, x) for x in radii]
+            values = _omega_sup(f, radii)
         else:
             raise InputError("only r in {2, inf} is supported")
     return values if many else values[0]
 
 
-def _shift_diff_poly(f, v):
-    """Coefficients of f(. + v) - f: c_k (exp(2 pi i <k,v>) - 1)."""
-    out = {}
-    for k, c in f.coeffs.items():
-        factor = np.exp(2j * np.pi * float(np.dot(k, v))) - 1.0
-        out[k] = c * factor
-    return TrigPolynomial(f.dim, out)
+def _omega_sup(f, radii):
+    """Omega_{f,inf} at each radius: grid-sampled sup-norm differences over the shift ball.
 
-
-def _omega_sup(f, delta):
-    """Grid-sampled sup-norm differences, maximized over the shift ball."""
+    Each radius scans 48 shifts on (0, delta] (d = 1) or 16 directions
+    times 8 radii (d >= 2), then a lockstep `_pattern_search` runs from its
+    best shift with step delta / 16, to 1e-6 delta or 60 sweeps. The value
+    at a shift v is `_sup_lower` of the row c_k (e(k.v) - 1), the
+    coefficients of f(. + v) - f, so a batch of shifts is one kernel call
+    and a value does not depend on the other radii.
+    """
+    k, c = f.freq_array()
     d = f.dim
+    delta = np.array(radii, dtype=float)
     if d == 1:
-        shifts = np.linspace(0.0, delta, SUP_SHIFT_SCAN + 1)[1:, None]
+        unit = (np.arange(1, SUP_SHIFT_SCAN + 1) / SUP_SHIFT_SCAN)[:, None]
     else:
-        dirs = _directions(d, 16)
-        rads = delta * (np.arange(1, 9) / 8.0)
-        shifts = (dirs[:, None, :] * rads[None, :, None]).reshape(-1, d)
-    best = 0.0
-    best_v = shifts[-1]
-    for v in shifts:
-        val = sup_norm_bracket(_shift_diff_poly(f, v))[0]
-        if val > best:
-            best, best_v = val, v
-    obj = lambda pts: np.array([sup_norm_bracket(_shift_diff_poly(f, v))[0] for v in pts])
-    best2, _ = _pattern_search(obj, best_v[None, :], [delta], [delta / 16.0], 1e-6, 60)
-    return max(best, float(best2[0]))
+        unit = (_directions(d, 16)[:, None, :] * (np.arange(1, 9) / 8.0)[None, :, None])
+        unit = unit.reshape(-1, d)
+
+    def objective(v):
+        t = np.pi * _dot_last(v[:, None, :], k)
+        return _sup_lower(k, c * (2j * np.sin(t) * np.exp(1j * t)))  # e(k.v) - 1, no cancellation
+
+    shifts = delta[:, None, None] * unit[None, :, :]
+    vals = objective(shifts.reshape(-1, d)).reshape(len(delta), -1)
+    start = shifts[np.arange(len(delta)), np.argmax(vals, axis=1)]
+    # the search re-evaluates its start, so its values already include the scan's best
+    best, _ = _pattern_search(objective, start, delta, delta / 16.0, 1e-6, 60)
+    return [float(v) for v in best]
 
 
 def modulus(f, r, radii):

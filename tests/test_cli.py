@@ -89,6 +89,20 @@ def test_digits(capsys):
     assert json.loads(out) == [[0], [1], [-1]]
 
 
+def test_parser_built_once_dispatches_by_name(capsys, monkeypatch):
+    # the parser is cached, but each call looks its handler up by name
+    first = run(capsys, ["matrix-info", "--matrix", "2"])
+    assert json.loads(first[1])["digits"] == [[0], [1]]
+    code, out = run(capsys, ["digits", "--matrix", "3"])
+    assert code == 0 and json.loads(out) == [[0], [1], [-1]]
+    assert run(capsys, ["matrix-info", "--matrix", "2"]) == first
+    seen = []
+    monkeypatch.setattr(cli, "cmd_matrix_info", lambda args: seen.append(args.matrix) or 7)
+    assert run(capsys, ["matrix-info", "--matrix", "5"]) == (7, "")
+    assert seen == ["5"]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_transfer_norms(capsys, rich_path):
     code, out = run(
         capsys,

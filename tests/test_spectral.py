@@ -203,7 +203,8 @@ def test_sup_norm_bracket():
 
 
 def test_sup_norm_bracket_three_dimensional():
-    # d >= 3 scans a flat grid; cos 2pi x + 0.5 cos 2pi(y + z) peaks at 0
+    # the d = 3 grid takes the same axis-by-axis route as d = 1 and 2;
+    # cos 2pi x + 0.5 cos 2pi(y + z) peaks at 0
     f = TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 1): 0.25,
                            (0, -1, -1): 0.25})
     lo, hi = spectral.sup_norm_bracket(f)
@@ -213,6 +214,83 @@ def test_sup_norm_bracket_three_dimensional():
     lo, hi = spectral.sup_norm_bracket(g)
     assert abs(lo - 2.0) < 1e-9
     assert lo <= hi == 2.0
+
+
+def _reference_bracket(f):
+    """The earlier sup bracket: float-phase grid, then two golden-section sweeps per axis."""
+    k, c = f.freq_array()
+    d = f.dim
+    upper = float(sum(abs(v) for v in f.coeffs.values()))
+    n_pts = max(16, 8 * int(f.max_abs_freq()) + 1)
+    axes = [np.arange(n_pts) / n_pts for _ in range(d)]
+    if d == 1:
+        vals = np.abs(np.exp(2j * np.pi * np.outer(axes[0], k[:, 0])) @ c)
+    elif d == 2:
+        e1 = np.exp(2j * np.pi * np.outer(k[:, 0], axes[0]))
+        e2 = np.exp(2j * np.pi * np.outer(k[:, 1], axes[1]))
+        vals = np.abs(np.einsum("fm,fn->mn", c[:, None] * e1, e2))
+    else:
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+        vals = np.abs(np.exp(2j * np.pi * (mesh @ k.T)) @ c)
+    flat_best = int(np.argmax(vals))
+    idx = np.unravel_index(flat_best, [n_pts] * d)
+    x = np.array([axes[i][idx[i]] for i in range(d)])
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(2):
+        for i in range(d):
+
+            def along(t, i=i):
+                y = x.copy()
+                y[i] = t
+                return abs(complex((np.exp(2j * np.pi * (y.reshape(1, -1) @ k.T)) @ c)[0]))
+
+            a, b = x[i] - 1.0 / n_pts, x[i] + 1.0 / n_pts
+            x1, x2 = b - phi * (b - a), a + phi * (b - a)
+            f1, f2 = along(x1), along(x2)
+            for _ in range(48):
+                if f1 < f2:
+                    a, x1, f1 = x1, x2, f2
+                    x2 = a + phi * (b - a)
+                    f2 = along(x2)
+                else:
+                    b, x2, f2 = x2, x1, f1
+                    x1 = b - phi * (b - a)
+                    f1 = along(x1)
+            x[i] = (a + b) / 2.0
+    lower = max(float(abs(f.evaluate(tuple(x)))), float(vals.flat[flat_best]))
+    return min(lower, upper), upper
+
+
+def test_sup_bracket_never_below_reference():
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3):
+        for span in (3, 12, 60)[: 2 if d == 3 else 3]:  # a d = 3 span-60 grid passes the guard
+            for pairs in range(1, min(6, ((2 * span + 1) ** d + 1) // 2)):
+                f = _span_poly(rng, d, span, pairs)
+                lower, upper = spectral.sup_norm_bracket(f)
+                ref_lower, ref_upper = _reference_bracket(f)
+                assert upper == ref_upper
+                assert lower >= ref_lower - 1e-13 * upper, (d, span, pairs, lower, ref_lower)
+
+
+def test_grid_phases_exact_on_lacunary_series():
+    # sum_j (j+1)^-2 cos(2 pi 2^j x), j = 0..12, on its N = 32769 grid; the
+    # float phase x * k of the earlier grid was up to 4e-14 off here
+    mp = pytest.importorskip("mpmath")
+    coeffs = {}
+    for j in range(13):
+        coeffs[(2**j,)] = coeffs[(-(2**j),)] = 0.5 / (j + 1) ** 2
+    f = TrigPolynomial(1, coeffs)
+    k, c = f.freq_array()
+    n_pts = 8 * 2**12 + 1
+    vals, _ = spectral._grid_values(k.astype(np.int64), c[None, :], n_pts)
+    l1 = sum(abs(v) for v in coeffs.values())
+    with mp.workdps(40):
+        for i in range(0, n_pts, 61):
+            # exact reduction of the phase 2^j i mod N, then 40 digits
+            want = abs(sum(mp.cos(2 * mp.pi * ((2**j * i) % n_pts) / n_pts) / (j + 1) ** 2
+                           for j in range(13)))
+            assert abs(vals[0, i] - float(want)) <= 1e-15 * l1, i
 
 
 def test_modulus_value_exact_cosine_1d():
@@ -315,6 +393,21 @@ def _hermitian_poly(rng, d, pairs):
     return TrigPolynomial(d, coeffs)
 
 
+def _span_poly(rng, d, span, pairs):
+    """pairs hermitian pairs with frequencies in [-span, span]^d, one of them at span."""
+    coeffs = {}
+    while len(coeffs) < 2 * pairs:
+        k = [int(v) for v in rng.integers(-span, span + 1, size=d)]
+        if not coeffs:
+            k[0] = span
+        k = tuple(k)
+        if any(k) and k not in coeffs:
+            c = complex(rng.normal(), rng.normal())
+            coeffs[k] = c
+            coeffs[tuple(-v for v in k)] = c.conjugate()
+    return TrigPolynomial(d, coeffs)
+
+
 def test_lockstep_pattern_search_matches_one_point_search():
     # same move rule and norms as the one-point loop, row by row, bit for bit
     rng = np.random.default_rng(31)
@@ -388,6 +481,57 @@ def test_modulus_l2_value_does_not_depend_on_other_radii(f, radii, saturate):
     values = spectral.modulus_value(f, 2, radii, saturate=saturate)
     assert values == [spectral.modulus_value(f, 2, x, saturate=saturate) for x in radii]
     assert values[::-1] == spectral.modulus_value(f, 2, radii[::-1], saturate=saturate)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_polys())
+def test_sup_bracket_between_l2_norm_and_l1_norm(f):
+    # the grid has more than 2 max|k| points per axis, so its mean of |f|^2 is ||f||_2^2
+    lower, upper = spectral.sup_norm_bracket(f)
+    assert lower >= spectral.norm(f, 2) * (1.0 - 1e-12)
+    assert lower <= upper
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_polys(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sup_kernel_row_does_not_depend_on_its_batch(f, rows, seed):
+    # hermitian rows, complex rows and a zero row, alone and in a batch
+    if not f.coeffs:
+        return
+    k, c = f.freq_array()
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(rows, len(c))) + 1j * rng.normal(size=(rows, len(c)))
+    batch = np.concatenate([c[None, :], noise, np.zeros((1, len(c))), 2.5 * c[None, :]])
+    values = spectral._sup_lower(k, batch)
+    for i, row in enumerate(batch):
+        assert values[i] == spectral._sup_lower(k, row[None, :])[0]
+
+
+def test_sup_kernel_chunks_match_one_shot(monkeypatch):
+    # rows are chunked under GRID_CHUNK values and GRID_WORK_GUARD values x frequencies
+    rng = np.random.default_rng(17)
+    for d in (1, 2, 3):
+        k, c = _hermitian_poly(rng, d, 3).freq_array()
+        rows = c * rng.normal(size=(7, 1))
+        whole = spectral._sup_lower(k, rows)
+        grid = max(16, 8 * int(np.abs(k).max()) + 1) ** d
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(spectral, "GRID_CHUNK", per_chunk * grid)
+            assert np.array_equal(spectral._sup_lower(k, rows), whole)
+        monkeypatch.undo()
+        monkeypatch.setattr(spectral, "GRID_WORK_GUARD", 2 * len(c) * grid)
+        assert np.array_equal(spectral._sup_lower(k, rows), whole)
+        monkeypatch.setattr(spectral, "GRID_WORK_GUARD", len(c) * grid - 1)
+        with pytest.raises(TooLarge):  # one row alone exceeds the guard
+            spectral._sup_lower(k, rows[:1])
+        monkeypatch.undo()
+
+
+@settings(max_examples=10, deadline=None)
+@given(hermitian_polys(), st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3))
+def test_modulus_sup_value_does_not_depend_on_other_radii(f, radii):
+    values = spectral.modulus_value(f, "inf", radii)
+    assert values == [spectral.modulus_value(f, "inf", x) for x in radii]
 
 
 def test_modulus_curve_invariants():
