@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, rng, stochastic, tails
 from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
 from .spectral import ModulusCurve
-from .stochastic import ORBIT_GUARD, REFRESH_PERIOD
+from .stochastic import ORBIT_GUARD
 
 DEFAULT_TRUNCATION = 10**5
 SERIES_TOL = 1e-12
@@ -254,34 +254,50 @@ def uvn_modulus_sqrt_delta(deltas):
     return SqrtModulusResult(curve, float(slope))
 
 
-def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
-    """Variance series of the pulled-back Lyapunov observable, term by term.
+def _lyapunov_terms(k, tol):
+    """Terms j = 0, 1, ... of the Lyapunov variance series, as arrays.
 
-    Each term pairs L_T^j applied to the truncated series against the series
-    itself, plus an exact trigamma completion of the alternating tail, so
-    every term matches the infinite series. Terms are -2^-j pi^2/24, the sum
-    telescopes to zero: the observable is an L^2 coboundary, and the report
-    treats any |sigma^2| below 1e-10 as exactly degenerate.
+    <L_T^j g, g> for the pullback g = -sum_{i<=k} cos(pi i x)/i keeps the
+    indices i <= k >> j, each with (-1)^i / (2^j i^2) (the sign flips of
+    `tent_transfer` multiply to (-1)^i; its sines are orthogonal to g), so
+    term_0 = (1/2) sum i^-2 + (1/2) psi'(k+1) and, for j >= 1,
+    term_j = 2^-j/2 [sum_{i <= k>>j} (-1)^i / i^2 + alternating tail],
+    which is -2^-j pi^2/24. Returns the terms through the first j > 0
+    with |term_j| < tol.
     """
-    k = int(truncation)
-    g = uvn_pullback_log(k)
-    current = g
-    total = 0.0
+    i = np.arange(k, 0, -1, dtype=float)  # small terms first
+    inv_sq = 1.0 / (i * i)
+    alternating = np.where(i % 2, -inv_sq, inv_sq)
+    terms = [0.5 * (float(np.sum(inv_sq)) + _trigamma(k + 1))]
     j = 0
-    while True:
-        stored = current.inner(g)
-        surviving = k >> j
-        if j == 0:
-            term = stored + 0.5 * _trigamma(k + 1)
-        else:
-            term = stored + 0.5 * 2.0**-j * _alternating_tail(surviving)
-        total += term if j == 0 else 2.0 * term
-        if j > 0 and abs(term) < tol:
-            break
-        current = tent_transfer(current, 1)
+    while j == 0 or abs(terms[-1]) >= tol:
         j += 1
         if j > 256:
             raise InternalError("Lyapunov variance series did not settle")
+        surviving = k >> j
+        head = float(np.sum(alternating[k - surviving:]))
+        terms.append(0.5 * 2.0**-j * (head + _alternating_tail(surviving)))
+    return terms
+
+
+def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
+    """Variance series of the pulled-back Lyapunov observable, term by term.
+
+    Each term pairs L_T^j applied to the series truncated at `truncation`
+    against the series itself, plus an exact trigamma completion of the
+    alternating tail, so every term matches the infinite series; the
+    terms are summed as arrays (`_lyapunov_terms`). Terms are
+    -2^-j pi^2/24, the sum telescopes to zero: the observable is an L^2
+    coboundary, and the report treats any |sigma^2| below 1e-10 as
+    exactly degenerate.
+    """
+    k = int(truncation)
+    if k < 1:
+        raise InputError("truncation must be >= 1")
+    first, *rest = _lyapunov_terms(k, tol)
+    total = first
+    for term in rest:
+        total += 2.0 * term
     if total < -ZERO_VARIANCE_TOL:
         raise InternalError("Lyapunov variance series summed to %g < 0" % total)
     return 0.0 if abs(total) < ZERO_VARIANCE_TOL else total
@@ -303,12 +319,16 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
 
     Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
     U in double precision with the same low-bit refresh policy as the toral
-    sampler, and a worker advances its run of blocks as one array.
+    sampler, and a worker advances its run of blocks as one array through
+    the shared window loop (`stochastic._window_sums`).
     log|U'(y)| = log(4|y|) is clamped away from the y = 0
     singularity (measure-zero, log-integrable). An explicit observable
-    replaces the Lyapunov summand, with no mean subtraction. The limit
-    variance of the default observable is zero (coboundary), so the KS
-    column is skipped exactly as in the degenerate toral case.
+    replaces the Lyapunov summand, with no mean subtraction; it must act
+    elementwise, since it is called on a (steps, samples) block of orbit
+    points at once, and its result must broadcast to that block's shape
+    (a scalar does), else InputError. The limit variance of the default
+    observable is zero (coboundary), so the KS column is skipped exactly
+    as in the degenerate toral case.
     """
     horizon = int(horizon)
     count = int(samples)
@@ -320,28 +340,44 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
         )
     if observable is None:
         sigma2 = lyapunov_sigma2()
-        step_value = lambda y: np.log(4.0 * np.maximum(np.abs(y), LOG_FLOOR))
         shift = horizon * math.log(2.0)
     else:
         sigma2 = None
-        step_value = observable
         shift = 0.0
     scale = 1.0 / math.sqrt(horizon)
 
     def worker(run):
-        blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
-
-        def draw():  # the run's blocks stacked, each from its own substream
-            return np.concatenate([gen.random(count) for gen, count in blocks])
-
+        draw = stochastic._run_draw(seed, run, lambda gen, count: gen.random(count))
         y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
-        acc = np.zeros(len(y))
-        for step in range(horizon):
-            acc += step_value(y)
-            y = 1.0 - 2.0 * y * y
-            if (step + 1) % REFRESH_PERIOD == 0 and step + 1 < horizon:
-                y = np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0)
-        return acc
+        rows = stochastic._window_rows(len(y))
+        logs = np.empty((rows, len(y))) if observable is None else None
+
+        def step(y, _, out):  # out = 1 - 2 y y
+            np.multiply(y, 2.0, out=out)
+            np.multiply(out, y, out=out)
+            np.subtract(1.0, out, out=out)
+
+        def refresh(y, _):
+            return np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0), None
+
+        def add_window(points, acc):
+            if observable is None:  # log(4 max(|y|, LOG_FLOOR))
+                values = np.abs(points, out=logs[:len(points)])
+                np.maximum(values, LOG_FLOOR, out=values)
+                np.multiply(values, 4.0, out=values)
+                np.log(values, out=values)
+            else:
+                try:
+                    values = np.broadcast_to(observable(points), points.shape)
+                except ValueError:
+                    raise InputError(
+                        "observable must act elementwise: its value on a %s block "
+                        "does not broadcast to that shape" % (points.shape,)
+                    ) from None
+            for row in values:
+                acc += row
+
+        return stochastic._window_sums(horizon, y, None, rows, step, refresh, add_window)
 
     parts = rng.map_blocks(count, worker, threads)
     sums = np.concatenate(parts) if parts else np.zeros(0)

@@ -56,11 +56,15 @@ def uniform64(gen, size):
 
 
 def resolve_threads(threads=None):
-    """Thread count: explicit argument, else TORAL_DECAY_THREADS, else cores."""
+    """Thread count: explicit argument, else TORAL_DECAY_THREADS, else the
+    CPUs this process may run on (its affinity set where the OS reports
+    one, which reflects pinning and cpuset limits; else the host's count)."""
     if threads is None:
         env = os.environ.get(THREADS_ENV)
         if env is not None:
             threads = env
+        elif hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         else:
             return max(1, os.cpu_count() or 1)
     try:

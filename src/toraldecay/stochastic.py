@@ -22,6 +22,9 @@ ORBIT_GUARD = 10**9
 SERIES_CAP = 512
 NEGATIVE_TOL = 1e-10
 REFRESH_PERIOD = 40
+# Most values one window buffer of an orbit sampler holds (1 MB of
+# float64); it bounds a worker's memory, and results do not depend on it.
+WINDOW_BUDGET = 2**17
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK24 = np.uint64(0xFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -130,44 +133,63 @@ class CltExperiment(SampleMoments):
     ks_stat: float = None
 
 
-def _scale(hi, lo, a):
+def _scale(hi, lo, a, out=None):
     """(hi, lo) * a mod 2^128 for 1 <= a < 2^31, as cheaply as `a` allows.
 
-    1 is free, a power of two is a shift, anything else is a wrapping
-    product on each word plus the high half of lo * a as the carry.
+    1 is free (the input words come back), a power of two is a shift,
+    anything else is a wrapping product on each word plus the high half
+    of lo * a as the carry. `out` is an optional pair of word arrays that
+    share no memory with hi and lo.
     """
     if a == 1:
         return hi, lo
+    out_hi, out_lo = (None, None) if out is None else out
     shift = a.bit_length() - 1
     if a == 1 << shift:
-        return (hi << shift) | (lo >> (64 - shift)), lo << shift
+        spill = lo >> (64 - shift)
+        out_hi = np.left_shift(hi, shift, out=out_hi)
+        return np.bitwise_or(out_hi, spill, out=out_hi), np.left_shift(lo, shift, out=out_lo)
     m = np.uint64(a)
     carry = (((lo & _MASK32) * m >> _SHIFT32) + (lo >> _SHIFT32) * m) >> _SHIFT32
-    return hi * m + carry, lo * m
+    out_hi = np.multiply(hi, m, out=out_hi)
+    return np.add(out_hi, carry, out=out_hi), np.multiply(lo, m, out=out_lo)
 
 
-def _accumulate(acc, term, subtract):
-    """acc + term, or acc - term, mod 2^128 on (hi, lo) word pairs."""
+def _accumulate(acc, term, subtract, out=None):
+    """acc + term, or acc - term, mod 2^128 on (hi, lo) word pairs.
+
+    `out` is an optional pair of word arrays; it may be `acc` itself but
+    must share no memory with `term`.
+    """
     (acc_hi, acc_lo), (hi, lo) = acc, term
+    out_hi, out_lo = (None, None) if out is None else out
     if subtract:
-        return acc_hi - hi - (acc_lo < lo), acc_lo - lo
-    new_lo = acc_lo + lo
-    return acc_hi + hi + (new_lo < lo), new_lo
+        borrow = np.less(acc_lo, lo)
+        out_lo = np.subtract(acc_lo, lo, out=out_lo)
+        out_hi = np.subtract(acc_hi, hi, out=out_hi)
+        return np.subtract(out_hi, borrow, out=out_hi), out_lo
+    out_lo = np.add(acc_lo, lo, out=out_lo)
+    out_hi = np.add(acc_hi, hi, out=out_hi)
+    return np.add(out_hi, np.less(out_lo, lo), out=out_hi), out_lo
 
 
-def _orbit_step(hi, lo, entries):
-    """x -> Ax mod 1 on 128-bit fixed-point coordinates, exactly. Shapes (d, m)."""
-    new_hi = np.empty_like(hi)
-    new_lo = np.empty_like(lo)
+def _orbit_step(hi, lo, entries, out=None):
+    """x -> Ax mod 1 on 128-bit fixed-point coordinates, exactly. Shapes (d, m).
+
+    `out` is an optional pair of (d, m) word arrays that share no memory
+    with hi and lo; each row is computed in place there.
+    """
+    new_hi, new_lo = (np.empty_like(hi), np.empty_like(lo)) if out is None else out
     for i, row in enumerate(entries):
+        dest = new_hi[i], new_lo[i]
         acc = None  # positive terms sort first, so a row rarely starts from zero
         for negative, a, j in sorted((a < 0, abs(a), j) for j, a in enumerate(row) if a):
-            term = _scale(hi[j], lo[j], a)
             if acc is None and not negative:
-                acc = term
+                acc = _scale(hi[j], lo[j], a, out=dest)
             else:
-                acc = _accumulate(acc or (0, 0), term, negative)
-        new_hi[i], new_lo[i] = acc or (0, 0)
+                acc = _accumulate(acc or (0, 0), _scale(hi[j], lo[j], a), negative, out=dest)
+        if acc is None or acc[0] is not dest[0]:  # a zero row, or one input row as it is
+            dest[0][...], dest[1][...] = acc or (0, 0)
     return new_hi, new_lo
 
 
@@ -191,23 +213,77 @@ def _phase_terms(f):
     return terms
 
 
-def _phase(hi, k):
+def _phase(hi, k, out=None, scratch=None):
     """<k, x> mod 1 in units of 2^-64 turns: sum_j k_j hi_j, wrapping uint64.
 
-    k must be nonzero. The low words are left out, which moves the phase
-    by less than ||k||_1 2^-64 turns.
+    hi has shape (d, ...) and k must be nonzero. The low words are left
+    out, which moves the phase by less than ||k||_1 2^-64 turns. `out`
+    and `scratch` are optional uint64 buffers of shape hi.shape[1:].
     """
-    phase = None
-    for j, kj in enumerate(k):
-        if kj:
-            term = hi[j] if kj == 1 else hi[j] * np.uint64(kj % 2**64)
-            phase = term if phase is None else phase + term
-    return phase
+    out = np.empty(hi.shape[1:], np.uint64) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
+    (j, kj), *rest = [(j, kj) for j, kj in enumerate(k) if kj]
+    if kj == 1:
+        np.copyto(out, hi[j])
+    else:
+        np.multiply(hi[j], np.uint64(kj % 2**64), out=out)
+    for j, kj in rest:
+        term = hi[j] if kj == 1 else np.multiply(hi[j], np.uint64(kj % 2**64), out=scratch)
+        np.add(out, term, out=out)
+    return out
 
 
-def _phase_angles(hi, k):
-    """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word."""
-    return _phase(hi, k).view(np.int64) * _TURN
+def _phase_angles(hi, k, out=None, phase=None):
+    """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word.
+
+    `out` (float64) and `phase` (uint64) are optional buffers of shape
+    hi.shape[1:]; `out` doubles as the phase's scratch space.
+    """
+    out = np.empty(hi.shape[1:]) if out is None else out
+    phase = _phase(hi, k, out=phase, scratch=out.view(np.uint64))
+    return np.multiply(phase.view(np.int64), _TURN, out=out)
+
+
+def _run_draw(seed, run, draw_block):
+    """draw() for a run: its blocks stacked, each drawn by
+    draw_block(gen, count) from its own substream, as a one-block run would."""
+    blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
+    return lambda: np.concatenate([draw_block(gen, count) for gen, count in blocks])
+
+
+def _window_rows(values_per_step):
+    """Steps in one window: REFRESH_PERIOD, fewer if a step records many values."""
+    return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
+
+
+def _window_sums(horizon, head, tail, rows, step, refresh, add_window):
+    """Birkhoff sums over `horizon` steps of a run of orbits, a window at a time.
+
+    An orbit state is a pair: `head` (shape (..., m), what the observable
+    reads) and `tail` (the rest). Row w of the window holds the head of
+    the window's step w: `step(head, tail, out)` writes the next head to
+    `out` (the next row) and returns the next tail. `add_window(heads,
+    acc)` adds the observable on a window's heads to the m sums in
+    `acc`, step after step, and `refresh(head, tail)` redraws low bits
+    after every REFRESH_PERIOD steps but the last. A window holds at most
+    `rows` steps and never spans a refresh, so the orbit, the draws and
+    the order of the additions are those of a step-by-step loop, bit for
+    bit.
+    """
+    window = np.empty((rows + 1,) + head.shape, head.dtype)
+    acc = np.zeros(head.shape[-1])
+    done = 0
+    while done < horizon:
+        n = min(rows, horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
+        window[0] = head
+        for w in range(n):
+            tail = step(window[w], tail, window[w + 1])
+        add_window(window[:n], acc)
+        done += n
+        head = window[n]
+        if done % REFRESH_PERIOD == 0 and done < horizon:
+            head, tail = refresh(head, tail)
+    return acc
 
 
 def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
@@ -241,28 +317,47 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     terms = _phase_terms(f)  # sigma_squared has checked that f has mean zero
     scale = 1.0 / math.sqrt(horizon)
 
+    pieces = [(k, w, fn) for k, a, b in terms for w, fn in ((a, np.cos), (b, np.sin)) if w]
+
     def worker(run):
-        blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
+        draw_words = _run_draw(seed, run, lambda gen, count: rng.uniform64(gen, (count, d)))
 
         def draw():  # (d, m) words; each block draws (count, d) as it always has
-            words = [rng.uniform64(gen, (count, d)) for gen, count in blocks]
-            return np.ascontiguousarray(np.concatenate(words).T)
+            return np.ascontiguousarray(draw_words().T)
 
         hi = draw()
         lo = draw()
-        acc = np.zeros(hi.shape[1])
-        for step in range(horizon):
-            for k, a, b in terms:
-                angle = _phase_angles(hi, k)
-                if a:
-                    acc += a * np.cos(angle)
-                if b:
-                    acc += b * np.sin(angle)
-            hi, lo = _orbit_step(hi, lo, entries)
-            if (step + 1) % REFRESH_PERIOD == 0 and step + 1 < horizon:
-                hi = (hi & ~_MASK24) | (draw() >> _SHIFT40)
-                lo = draw()
-        return acc * scale
+        m = hi.shape[1]
+        rows = _window_rows(m * max(d, len(pieces)))
+        # a window of one step may split its pieces; a longer one holds them all
+        chunk = len(pieces) if rows > 1 else max(1, min(len(pieces), WINDOW_BUDGET // m))
+        spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
+        phase = np.empty((rows, m), np.uint64)
+        angle = np.empty((rows, m))
+        weighted = np.empty((rows, chunk, m))
+
+        def step(hi, lo, out):
+            new_lo = spare_lo[0] if lo is not spare_lo[0] else spare_lo[1]
+            return _orbit_step(hi, lo, entries, out=(out, new_lo))[1]
+
+        def refresh(hi, lo):
+            return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
+
+        def add_window(heads, acc):  # heads: (n, d, m) high words
+            n = len(heads)
+            words = heads.transpose(1, 0, 2)
+            for first in range(0, len(pieces), chunk):
+                group = pieces[first:first + chunk]
+                for p, (k, weight, fn) in enumerate(group):
+                    if p == 0 or k is not group[p - 1][0]:
+                        _phase_angles(words, k, out=angle[:n], phase=phase[:n])
+                    fn(angle[:n], out=weighted[:n, p])
+                    np.multiply(weighted[:n, p], weight, out=weighted[:n, p])
+                for step_values in weighted[:n, :len(group)]:
+                    for row in step_values:
+                        acc += row
+
+        return _window_sums(horizon, hi, lo, rows, step, refresh, add_window) * scale
 
     parts = rng.map_blocks(samples, worker, threads)
     values = np.concatenate(parts) if parts else np.zeros(0)

@@ -1,6 +1,7 @@
 """Tent/Ulam-von Neumann calculus: symbolic transfer, decay, Lyapunov."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,67 @@ def test_lyapunov_sigma2_is_degenerate():
     assert interval.lyapunov_sigma2(truncation=10**4) == 0.0
 
 
+def _symbolic_lyapunov_terms(k, count):
+    """<L_T^j g, g> + trigamma completion for j < count, from `tent_transfer`;
+    each pairing is the sum `CosineSeries.inner` forms, exactly rounded."""
+    g = interval.uvn_pullback_log(k)
+    current = g
+    terms = []
+    for j in range(count):
+        stored = math.fsum(0.5 * c * g.coeffs[i] for i, c in current.coeffs.items()
+                           if i and i in g.coeffs)
+        if j == 0:
+            terms.append(stored + 0.5 * interval._trigamma(k + 1))
+        else:
+            terms.append(stored + 0.5 * 2.0**-j * interval._alternating_tail(k >> j))
+        current = interval.tent_transfer(current, 1)
+    return terms
+
+
+def _symbolic_lyapunov_total(k, tol=interval.SERIES_TOL):
+    """The unclamped total the term-by-term `CosineSeries` loop summed."""
+    g = interval.uvn_pullback_log(k)
+    current, total, j = g, 0.0, 0
+    while True:
+        stored = current.inner(g)
+        if j == 0:
+            term = stored + 0.5 * interval._trigamma(k + 1)
+        else:
+            term = stored + 0.5 * 2.0**-j * interval._alternating_tail(k >> j)
+        total += term if j == 0 else 2.0 * term
+        if j > 0 and abs(term) < tol:
+            return total, j + 1
+        current = interval.tent_transfer(current, 1)
+        j += 1
+
+
+def test_lyapunov_sigma2_array_series_matches_symbolic_transfer():
+    for k in (10**3, 10**4):
+        terms = interval._lyapunov_terms(k, interval.SERIES_TOL)
+        want = _symbolic_lyapunov_terms(k, len(terms))
+        assert max(abs(a - b) for a, b in zip(terms, want)) <= 1e-15
+        total = terms[0] + sum(2.0 * t for t in terms[1:])
+        symbolic_total, symbolic_count = _symbolic_lyapunov_total(k)
+        assert len(terms) == symbolic_count
+        assert abs(total - symbolic_total) <= 1e-13
+        # the closed form: term_j = -2^-j pi^2/24 for j >= 1
+        for j, term in enumerate(terms[1:], 1):
+            assert term == pytest.approx(-(2.0**-j) * math.pi**2 / 24, abs=1e-15)
+
+
+def test_lyapunov_sigma2_validation_and_memory():
+    with pytest.raises(InputError):
+        interval.lyapunov_sigma2(truncation=0)
+    interval.lyapunov_sigma2()  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        interval.lyapunov_sigma2()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_lyapunov_clt_recovers_log2():
     report = interval.lyapunov_clt(1000, 800, seed=2)
     assert report.sigma2 == 0.0
@@ -244,6 +306,56 @@ def test_lyapunov_clt_recovers_log2():
         many = interval.lyapunov_clt(45, count, seed=3, threads=threads)
         assert np.array_equal(one.samples, many.samples)
         assert one.mean_log_derivative == many.mean_log_derivative
+
+
+def _frozen_lyapunov_sums(horizon, samples, seed, threads, step_value):
+    """Orbit sums of step_value from the per-step loop lyapunov_clt ran
+    before the window loop; low bits are perturbed every 40 steps."""
+    def worker(run):
+        blocks = [(rng.substream(seed, b), stop - start) for b, start, stop in run]
+
+        def draw():
+            return np.concatenate([gen.random(count) for gen, count in blocks])
+
+        y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
+        acc = np.zeros(len(y))
+        for step in range(horizon):
+            acc += step_value(y)
+            y = 1.0 - 2.0 * y * y
+            if (step + 1) % 40 == 0 and step + 1 < horizon:
+                y = np.clip(y + (draw() - 0.5) * 2.0**-40, -1.0, 1.0)
+        return acc
+
+    return np.concatenate(rng.map_blocks(samples, worker, threads))
+
+
+def _log_derivative(y):
+    return np.log(4.0 * np.maximum(np.abs(y), 1e-300))
+
+
+def test_lyapunov_window_loop_matches_per_step_loop_bit_for_bit():
+    wide = (3 * rng.RUN_BLOCKS + 1) * rng.BLOCK + 7  # more blocks than RUN_BLOCKS * threads
+    cases = [(h, 1100) for h in (1, 39, 40, 41, 97)] + [(41, wide)]
+    for horizon, count in cases:
+        scale = 1.0 / math.sqrt(horizon)
+        for threads in (1, 3):
+            for observable in (None, lambda y: y):
+                step_value = _log_derivative if observable is None else observable
+                sums = _frozen_lyapunov_sums(horizon, count, 5, threads, step_value)
+                shift = horizon * math.log(2.0) if observable is None else 0.0
+                got = interval.lyapunov_clt(horizon, count, 5, observable=observable,
+                                            threads=threads)
+                assert np.array_equal(got.samples, (sums - shift) * scale)
+                assert got.mean_log_derivative == float(np.mean(sums)) / horizon
+
+
+def test_lyapunov_clt_observable_broadcasts_or_raises():
+    # a scalar-valued observable adds its value at every step, as before
+    got = interval.lyapunov_clt(97, 1100, 6, observable=lambda y: 1.0)
+    sums = _frozen_lyapunov_sums(97, 1100, 6, 1, lambda y: 1.0)
+    assert np.array_equal(got.samples, sums * (1.0 / math.sqrt(97)))
+    with pytest.raises(InputError):
+        interval.lyapunov_clt(10, 100, 6, observable=lambda y: np.zeros((1, 2)))
 
 
 def test_lyapunov_clt_custom_observable():

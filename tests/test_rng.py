@@ -1,6 +1,7 @@
 """Counter-based substreams and deterministic block mapping."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -76,3 +77,13 @@ def test_resolve_threads(monkeypatch):
         rng.resolve_threads(0)
     with pytest.raises(InputError):
         rng.resolve_threads("many")
+
+
+def test_resolve_threads_counts_only_usable_cpus(monkeypatch):
+    # a process pinned to one CPU gets one worker, however many the host has
+    monkeypatch.delenv(rng.THREADS_ENV, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert rng.resolve_threads() == 1
+    monkeypatch.setenv(rng.THREADS_ENV, "3")
+    assert rng.resolve_threads() == 3

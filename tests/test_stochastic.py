@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from toraldecay import lattice, stochastic
@@ -128,20 +130,25 @@ def _reference_samples(f, matrix, horizon, samples, seed, picks):
     return np.array(out)
 
 
+# near-hermitian complex coefficients (cosine and sine weights both nonzero)
+# and one partnerless tiny term, on d = 1, 2, 3 with negative and
+# non-power-of-two entries
+EPS = 3e-13
+SAMPLER_CASES = (
+    (lattice.validate_expanding([[3]]),
+     {(1,): 0.4 + 0.3j, (-1,): 0.4 - 0.3j + EPS, (2,): -0.2j, (-2,): 0.2j, (5,): EPS}),
+    (lattice.validate_expanding([[2, 1], [-1, 3]]),
+     {(1, 0): 0.5 + 0.1j, (-1, 0): 0.5 - 0.1j, (2, -1): 0.3j, (-2, 1): -0.3j + EPS}),
+    (lattice.validate_expanding([[2, -1, 0], [0, 2, 1], [1, 0, -3]]),
+     {(1, 0, 0): 0.3 - 0.2j, (-1, 0, 0): 0.3 + 0.2j,
+      (1, -2, 3): 0.1 + 0.1j, (-1, 2, -3): 0.1 - 0.1j + EPS, (0, 0, 4): EPS}),
+)
+
+
 def test_birkhoff_matches_slow_reference():
-    # near-hermitian complex coefficients, one partnerless tiny term, two refreshes
-    eps = 3e-13
-    cases = (
-        (lattice.validate_expanding([[3]]),
-         {(1,): 0.4 + 0.3j, (-1,): 0.4 - 0.3j + eps, (2,): -0.2j, (-2,): 0.2j, (5,): eps}),
-        (lattice.validate_expanding([[2, 1], [-1, 3]]),
-         {(1, 0): 0.5 + 0.1j, (-1, 0): 0.5 - 0.1j, (2, -1): 0.3j, (-2, 1): -0.3j + eps}),
-        (lattice.validate_expanding([[2, -1, 0], [0, 2, 1], [1, 0, -3]]),
-         {(1, 0, 0): 0.3 - 0.2j, (-1, 0, 0): 0.3 + 0.2j,
-          (1, -2, 3): 0.1 + 0.1j, (-1, 2, -3): 0.1 - 0.1j + eps, (0, 0, 4): eps}),
-    )
+    # two refreshes
     picks = [0, 1, 2, 1021, 1022, 1023, 1024, 1025, 1099]
-    for matrix, coeffs in cases:
+    for matrix, coeffs in SAMPLER_CASES:
         f = TrigPolynomial(matrix.dim, coeffs)
         assert f.real_valued
         # the folded +-k pairs give Re f exactly, tiny asymmetries included
@@ -153,6 +160,113 @@ def test_birkhoff_matches_slow_reference():
         for threads in (1, 2):
             got = stochastic.birkhoff_samples(f, matrix, 90, 1100, seed=6, threads=threads)
             assert np.max(np.abs(got.samples[picks] - want)) <= 1e-12
+
+
+def _frozen_phase_angles(hi, k):
+    """2 pi <k, x> from the high words, as the per-step sampler formed it."""
+    phase = None
+    for j, kj in enumerate(k):
+        if kj:
+            term = hi[j] if kj == 1 else hi[j] * np.uint64(kj % 2**64)
+            phase = term if phase is None else phase + term
+    return phase.view(np.int64) * (2.0 * math.pi * 2.0**-64)
+
+
+def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads):
+    """birkhoff_samples' values from the per-step loop it ran before the
+    window loop: each step evaluates every term on the current high words,
+    then advances the orbit; low bits are redrawn every 40 steps."""
+    d = matrix.dim
+    terms = stochastic._phase_terms(f)
+
+    def worker(run):
+        blocks = [(rng_module.substream(seed, b), stop - start) for b, start, stop in run]
+
+        def draw():
+            words = [rng_module.uniform64(gen, (count, d)) for gen, count in blocks]
+            return np.ascontiguousarray(np.concatenate(words).T)
+
+        hi = draw()
+        lo = draw()
+        acc = np.zeros(hi.shape[1])
+        for step in range(horizon):
+            for k, a, b in terms:
+                angle = _frozen_phase_angles(hi, k)
+                if a:
+                    acc += a * np.cos(angle)
+                if b:
+                    acc += b * np.sin(angle)
+            hi, lo = stochastic._orbit_step(hi, lo, matrix.entries)
+            if (step + 1) % 40 == 0 and step + 1 < horizon:
+                hi = (hi & ~np.uint64(0xFFFFFF)) | (draw() >> np.uint64(40))
+                lo = draw()
+        return acc * (1.0 / math.sqrt(horizon))
+
+    return np.concatenate(rng_module.map_blocks(samples, worker, threads))
+
+
+def test_birkhoff_window_loop_matches_per_step_loop_bit_for_bit():
+    # horizons around the refresh period; runs split across threads
+    for matrix, coeffs in SAMPLER_CASES:
+        f = TrigPolynomial(matrix.dim, coeffs)
+        for horizon in (1, 39, 40, 41, 97):
+            for threads in (1, 3):
+                want = _frozen_birkhoff(f, matrix, horizon, 1100, 9, threads)
+                got = stochastic.birkhoff_samples(f, matrix, horizon, 1100, 9, threads=threads)
+                assert np.array_equal(got.samples, want)
+    # more blocks than RUN_BLOCKS * threads, so runs of full width
+    count = (3 * rng_module.RUN_BLOCKS + 1) * rng_module.BLOCK + 7
+    matrix, coeffs = SAMPLER_CASES[1]
+    f = TrigPolynomial(2, coeffs)
+    want = _frozen_birkhoff(f, matrix, 41, count, 10, 1)
+    for threads in (1, 3):
+        got = stochastic.birkhoff_samples(f, matrix, 41, count, 10, threads=threads)
+        assert np.array_equal(got.samples, want)
+
+
+def test_birkhoff_window_splits_many_terms_bit_for_bit():
+    # 24 weighted terms on runs of 16 blocks exceed WINDOW_BUDGET in one
+    # step, so a window is one step and its terms are added in groups
+    coeffs = {}
+    for q in range(1, 13):
+        c = complex(0.1 * q, 0.05 * (q % 3 + 1))
+        coeffs[(q,)], coeffs[(-q,)] = c, c.conjugate()
+    f = TrigPolynomial(1, coeffs)
+    matrix = lattice.validate_expanding([[-3]])
+    count = 2 * rng_module.RUN_BLOCKS * rng_module.BLOCK
+    assert count // 2 * 24 > stochastic.WINDOW_BUDGET
+    got = stochastic.birkhoff_samples(f, matrix, 42, count, 11, threads=1)
+    assert np.array_equal(got.samples, _frozen_birkhoff(f, matrix, 42, count, 11, 1))
+
+
+@st.composite
+def expanding_samplers(draw):
+    """A small expanding matrix (diagonal at least d + 2 in modulus, the
+    rest in [-1, 1], so every eigenvalue exceeds 1) and a real f."""
+    d = draw(st.integers(1, 3))
+    entries = [[draw(st.integers(-1, 1)) for _ in range(d)] for _ in range(d)]
+    for i in range(d):
+        entries[i][i] = draw(st.sampled_from([-1, 1])) * draw(st.integers(d + 1, 7))
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 3))):
+        k = tuple(draw(st.integers(-3, 3)) for _ in range(d))
+        neg = tuple(-v for v in k)
+        if any(k) and k not in coeffs and neg not in coeffs:
+            c = complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+            coeffs[k], coeffs[neg] = c, c.conjugate()
+    return lattice.validate_expanding(entries), coeffs
+
+
+@settings(max_examples=25, deadline=None)
+@given(expanding_samplers(), st.integers(1, 90), st.integers(1, 2100),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_birkhoff_window_loop_property(case, horizon, samples, threads, seed):
+    matrix, coeffs = case
+    f = TrigPolynomial(matrix.dim, coeffs)
+    if not f.support():
+        return
+    got = stochastic.birkhoff_samples(f, matrix, horizon, samples, seed, threads=threads)
+    assert np.array_equal(got.samples, _frozen_birkhoff(f, matrix, horizon, samples, seed, 1))
 
 
 def test_sigma_squared_known_values():
