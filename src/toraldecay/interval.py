@@ -367,8 +367,9 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
                 np.multiply(values, 4.0, out=values)
                 np.log(values, out=values)
             else:
+                values = observable(points)
                 try:
-                    values = np.broadcast_to(observable(points), points.shape)
+                    values = np.broadcast_to(values, points.shape)
                 except ValueError:
                     raise InputError(
                         "observable must act elementwise: its value on a %s block "

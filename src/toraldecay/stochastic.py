@@ -133,64 +133,65 @@ class CltExperiment(SampleMoments):
     ks_stat: float = None
 
 
-def _scale(hi, lo, a, out=None):
-    """(hi, lo) * a mod 2^128 for 1 <= a < 2^31, as cheaply as `a` allows.
+def _scale(hi, lo, a, out):
+    """out = (hi, lo) * a mod 2^128 for 1 <= a < 2^31, as cheaply as `a` allows.
 
-    1 is free (the input words come back), a power of two is a shift,
-    anything else is a wrapping product on each word plus the high half
-    of lo * a as the carry. `out` is an optional pair of word arrays that
-    share no memory with hi and lo.
+    A power of two is a shift (1 a copy: numpy shifts a word by 64 bits
+    to 0), anything else is a wrapping product on each word plus the high
+    half of lo * a as the carry. `out` is a pair of word arrays that
+    share no memory with hi and lo; it is returned.
     """
-    if a == 1:
-        return hi, lo
-    out_hi, out_lo = (None, None) if out is None else out
+    out_hi, out_lo = out
     shift = a.bit_length() - 1
     if a == 1 << shift:
-        spill = lo >> (64 - shift)
-        out_hi = np.left_shift(hi, shift, out=out_hi)
-        return np.bitwise_or(out_hi, spill, out=out_hi), np.left_shift(lo, shift, out=out_lo)
+        np.left_shift(hi, shift, out=out_hi)
+        np.bitwise_or(out_hi, lo >> (64 - shift), out=out_hi)
+        np.left_shift(lo, shift, out=out_lo)
+        return out
     m = np.uint64(a)
     carry = (((lo & _MASK32) * m >> _SHIFT32) + (lo >> _SHIFT32) * m) >> _SHIFT32
-    out_hi = np.multiply(hi, m, out=out_hi)
-    return np.add(out_hi, carry, out=out_hi), np.multiply(lo, m, out=out_lo)
+    np.multiply(hi, m, out=out_hi)
+    np.add(out_hi, carry, out=out_hi)
+    np.multiply(lo, m, out=out_lo)
+    return out
 
 
-def _accumulate(acc, term, subtract, out=None):
-    """acc + term, or acc - term, mod 2^128 on (hi, lo) word pairs.
+def _accumulate(acc, term, subtract, out):
+    """out = acc + term, or acc - term, mod 2^128 on (hi, lo) word pairs.
 
-    `out` is an optional pair of word arrays; it may be `acc` itself but
-    must share no memory with `term`.
+    `out` is a pair of word arrays; it may be `acc` itself but shares no
+    memory with `term`. Returns out.
     """
-    (acc_hi, acc_lo), (hi, lo) = acc, term
-    out_hi, out_lo = (None, None) if out is None else out
+    (acc_hi, acc_lo), (hi, lo), (out_hi, out_lo) = acc, term, out
     if subtract:
         borrow = np.less(acc_lo, lo)
-        out_lo = np.subtract(acc_lo, lo, out=out_lo)
-        out_hi = np.subtract(acc_hi, hi, out=out_hi)
-        return np.subtract(out_hi, borrow, out=out_hi), out_lo
-    out_lo = np.add(acc_lo, lo, out=out_lo)
-    out_hi = np.add(acc_hi, hi, out=out_hi)
-    return np.add(out_hi, np.less(out_lo, lo), out=out_hi), out_lo
+        np.subtract(acc_lo, lo, out=out_lo)
+        np.subtract(acc_hi, hi, out=out_hi)
+        np.subtract(out_hi, borrow, out=out_hi)
+    else:
+        np.add(acc_lo, lo, out=out_lo)
+        np.add(acc_hi, hi, out=out_hi)
+        np.add(out_hi, np.less(out_lo, lo), out=out_hi)  # the carry
+    return out
 
 
-def _orbit_step(hi, lo, entries, out=None):
-    """x -> Ax mod 1 on 128-bit fixed-point coordinates, exactly. Shapes (d, m).
+def _orbit_step(hi, lo, entries, out, term):
+    """out = Ax mod 1 on 128-bit fixed-point coordinates, exactly.
 
-    `out` is an optional pair of (d, m) word arrays that share no memory
-    with hi and lo; each row is computed in place there.
+    hi, lo and the pair `out` have shape (d, m), and `term` is a pair of
+    (m,) word arrays for scaled inputs; neither shares memory with hi
+    and lo. Returns out.
     """
-    new_hi, new_lo = (np.empty_like(hi), np.empty_like(lo)) if out is None else out
     for i, row in enumerate(entries):
-        dest = new_hi[i], new_lo[i]
+        dest = out[0][i], out[1][i]
         acc = None  # positive terms sort first, so a row rarely starts from zero
         for negative, a, j in sorted((a < 0, abs(a), j) for j, a in enumerate(row) if a):
-            if acc is None and not negative:
-                acc = _scale(hi[j], lo[j], a, out=dest)
-            else:
-                acc = _accumulate(acc or (0, 0), _scale(hi[j], lo[j], a), negative, out=dest)
-        if acc is None or acc[0] is not dest[0]:  # a zero row, or one input row as it is
+            first = acc is None and not negative
+            scaled = (hi[j], lo[j]) if a == 1 else _scale(hi[j], lo[j], a, dest if first else term)
+            acc = scaled if first else _accumulate(acc or (0, 0), scaled, negative, dest)
+        if acc is not dest:  # a zero row, or one input row as it is
             dest[0][...], dest[1][...] = acc or (0, 0)
-    return new_hi, new_lo
+    return out
 
 
 def _phase_terms(f):
@@ -213,15 +214,14 @@ def _phase_terms(f):
     return terms
 
 
-def _phase(hi, k, out=None, scratch=None):
+def _phase(hi, k, out, scratch):
     """<k, x> mod 1 in units of 2^-64 turns: sum_j k_j hi_j, wrapping uint64.
 
     hi has shape (d, ...) and k must be nonzero. The low words are left
-    out, which moves the phase by less than ||k||_1 2^-64 turns. `out`
-    and `scratch` are optional uint64 buffers of shape hi.shape[1:].
+    out, which moves the phase by less than ||k||_1 2^-64 turns. The
+    phase is written to `out`, a uint64 array of shape hi.shape[1:], and
+    returned; `scratch` is another such array.
     """
-    out = np.empty(hi.shape[1:], np.uint64) if out is None else out
-    scratch = np.empty_like(out) if scratch is None else scratch
     (j, kj), *rest = [(j, kj) for j, kj in enumerate(k) if kj]
     if kj == 1:
         np.copyto(out, hi[j])
@@ -233,14 +233,14 @@ def _phase(hi, k, out=None, scratch=None):
     return out
 
 
-def _phase_angles(hi, k, out=None, phase=None):
+def _phase_angles(hi, k, out, phase):
     """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word.
 
-    `out` (float64) and `phase` (uint64) are optional buffers of shape
-    hi.shape[1:]; `out` doubles as the phase's scratch space.
+    The angles are written to `out` (float64, shape hi.shape[1:]) and
+    returned; the phase words go to `phase` (uint64, same shape), and
+    `out` doubles as the phase's scratch space.
     """
-    out = np.empty(hi.shape[1:]) if out is None else out
-    phase = _phase(hi, k, out=phase, scratch=out.view(np.uint64))
+    _phase(hi, k, phase, out.view(np.uint64))
     return np.multiply(phase.view(np.int64), _TURN, out=out)
 
 
@@ -330,15 +330,18 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         m = hi.shape[1]
         rows = _window_rows(m * max(d, len(pieces)))
         # a window of one step may split its pieces; a longer one holds them all
-        chunk = len(pieces) if rows > 1 else max(1, min(len(pieces), WINDOW_BUDGET // m))
-        spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
+        # (a zero f has none, and its sums stay 0)
+        chunk = max(1, len(pieces) if rows > 1 else min(len(pieces), WINDOW_BUDGET // m))
         phase = np.empty((rows, m), np.uint64)
         angle = np.empty((rows, m))
         weighted = np.empty((rows, chunk, m))
 
+        spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
+        term = np.empty((2, m), np.uint64)
+
         def step(hi, lo, out):
             new_lo = spare_lo[0] if lo is not spare_lo[0] else spare_lo[1]
-            return _orbit_step(hi, lo, entries, out=(out, new_lo))[1]
+            return _orbit_step(hi, lo, entries, (out, new_lo), term)[1]
 
         def refresh(hi, lo):
             return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
@@ -350,7 +353,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
                 group = pieces[first:first + chunk]
                 for p, (k, weight, fn) in enumerate(group):
                     if p == 0 or k is not group[p - 1][0]:
-                        _phase_angles(words, k, out=angle[:n], phase=phase[:n])
+                        _phase_angles(words, k, angle[:n], phase[:n])
                     fn(angle[:n], out=weighted[:n, p])
                     np.multiply(weighted[:n, p], weight, out=weighted[:n, p])
                 for step_values in weighted[:n, :len(group)]:

@@ -357,6 +357,13 @@ def test_lyapunov_clt_observable_broadcasts_or_raises():
     with pytest.raises(InputError):
         interval.lyapunov_clt(10, 100, 6, observable=lambda y: np.zeros((1, 2)))
 
+    def failing(y):
+        raise ValueError("observable failed on its own")
+
+    # the observable's own error passes through unchanged
+    with pytest.raises(ValueError, match="on its own"):
+        interval.lyapunov_clt(10, 100, 6, observable=failing)
+
 
 def test_lyapunov_clt_custom_observable():
     report = interval.lyapunov_clt(300, 500, seed=4, observable=lambda y: y)

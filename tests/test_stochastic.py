@@ -32,7 +32,9 @@ def test_mul_small_matches_python_ints():
     lo[:4] = 0
     lo[4:8] = np.uint64(2**64 - 1)  # largest carries out of the low word
     for mult in (1, 2, 3, 7, 2**30, 2**31 - 1):
-        rh, rl = stochastic._scale(hi, lo, mult)
+        out = np.empty((2, 200), np.uint64)
+        rh, rl = stochastic._scale(hi, lo, mult, out)
+        assert rh.base is out and rl.base is out
         for i in range(200):
             want = (to_int128(hi[i], lo[i]) * mult) & MASK128
             assert to_int128(rh[i], rl[i]) == want
@@ -46,8 +48,8 @@ def test_neg128_matches_python_ints():
     l2[5:8] = np.uint64(2**64 - 1)
     h1[8:11] = 0
     # subtracting from zero is negation
-    nh, nl = stochastic._accumulate((0, 0), (h2, l2), True)
-    rh, rl = stochastic._accumulate((h1, l1), (h2, l2), True)
+    nh, nl = stochastic._accumulate((0, 0), (h2, l2), True, np.empty((2, 100), np.uint64))
+    rh, rl = stochastic._accumulate((h1, l1), (h2, l2), True, np.empty((2, 100), np.uint64))
     for i in range(100):
         assert to_int128(nh[i], nl[i]) == (-to_int128(h2[i], l2[i])) & MASK128
         want = (to_int128(h1[i], l1[i]) - to_int128(h2[i], l2[i])) & MASK128
@@ -60,7 +62,8 @@ def test_add128_matches_python_ints():
     h2, l2 = rand_u64(rng, 100), rand_u64(rng, 100)
     l1[:4] = np.uint64(2**64 - 1)  # force carries
     h1[4:8] = np.uint64(2**64 - 1)  # and wrap-around of the high word
-    rh, rl = stochastic._accumulate((h1, l1), (h2, l2), False)
+    out = (h1.copy(), l1.copy())  # in place
+    rh, rl = stochastic._accumulate(out, (h2, l2), False, out)
     for i in range(100):
         want = (to_int128(h1[i], l1[i]) + to_int128(h2[i], l2[i])) & MASK128
         assert to_int128(rh[i], rl[i]) == want
@@ -77,8 +80,9 @@ def test_orbit_step_exact():
         lo[:, :3] = 0  # borrows and carries across the word boundary
         lo[:, 3:6] = np.uint64(2**64 - 1)
         hi[:, 6:8] = 0
-        nh, nl = stochastic._orbit_step(hi, lo, entries)
-        assert nh.shape == nl.shape == (d, 12)
+        out = np.full((2, d, 12), 99, np.uint64)  # stale words must not leak through
+        nh, nl = stochastic._orbit_step(hi, lo, entries, out, np.empty((2, 12), np.uint64))
+        assert nh.base is out and nl.base is out
         for s in range(12):
             for i in range(d):
                 want = sum(
@@ -91,8 +95,8 @@ def test_orbit_phases_exact():
     rng = np.random.default_rng(34)
     hi = rand_u64(rng, (3, 50))
     for k in ((1, 0, 0), (0, -1, 0), (2, -3, 5), (-7, 1, 2**40)):
-        phase = stochastic._phase(hi, k)
-        angles = stochastic._phase_angles(hi, k)
+        phase = stochastic._phase(hi, k, np.empty(50, np.uint64), np.empty(50, np.uint64))
+        angles = stochastic._phase_angles(hi, k, np.empty(50), np.empty(50, np.uint64))
         assert np.all(angles >= -math.pi) and np.all(angles < math.pi)
         for s in range(50):
             word = sum(kj * int(hi[j, s]) for j, kj in enumerate(k)) % 2**64
@@ -172,6 +176,42 @@ def _frozen_phase_angles(hi, k):
     return phase.view(np.int64) * (2.0 * math.pi * 2.0**-64)
 
 
+def _frozen_orbit_step(hi, lo, entries):
+    """x -> Ax mod 2^128 on (d, m) word arrays, as the per-step sampler
+    computed it: each row sums its scaled inputs, positive entries first."""
+    mask32, shift32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+    def scale(hi, lo, a):
+        if a == 1:
+            return hi, lo
+        shift = a.bit_length() - 1
+        if a == 1 << shift:
+            return (hi << shift) | (lo >> (64 - shift)), lo << shift
+        m = np.uint64(a)
+        carry = (((lo & mask32) * m >> shift32) + (lo >> shift32) * m) >> shift32
+        return hi * m + carry, lo * m
+
+    def accumulate(acc, term, subtract):
+        (acc_hi, acc_lo), (hi, lo) = acc, term
+        if subtract:
+            return acc_hi - hi - (acc_lo < lo), acc_lo - lo
+        new_lo = acc_lo + lo
+        return acc_hi + hi + (new_lo < lo), new_lo
+
+    new_hi = np.empty_like(hi)
+    new_lo = np.empty_like(lo)
+    for i, row in enumerate(entries):
+        acc = None
+        for negative, a, j in sorted((a < 0, abs(a), j) for j, a in enumerate(row) if a):
+            term = scale(hi[j], lo[j], a)
+            if acc is None and not negative:
+                acc = term
+            else:
+                acc = accumulate(acc or (0, 0), term, negative)
+        new_hi[i], new_lo[i] = acc or (0, 0)
+    return new_hi, new_lo
+
+
 def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads):
     """birkhoff_samples' values from the per-step loop it ran before the
     window loop: each step evaluates every term on the current high words,
@@ -196,7 +236,7 @@ def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads):
                     acc += a * np.cos(angle)
                 if b:
                     acc += b * np.sin(angle)
-            hi, lo = stochastic._orbit_step(hi, lo, matrix.entries)
+            hi, lo = _frozen_orbit_step(hi, lo, matrix.entries)
             if (step + 1) % 40 == 0 and step + 1 < horizon:
                 hi = (hi & ~np.uint64(0xFFFFFF)) | (draw() >> np.uint64(40))
                 lo = draw()
@@ -262,11 +302,24 @@ def expanding_samplers(draw):
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_birkhoff_window_loop_property(case, horizon, samples, threads, seed):
     matrix, coeffs = case
-    f = TrigPolynomial(matrix.dim, coeffs)
-    if not f.support():
-        return
+    f = TrigPolynomial(matrix.dim, coeffs)  # a zero f when every k drawn was 0
     got = stochastic.birkhoff_samples(f, matrix, horizon, samples, seed, threads=threads)
     assert np.array_equal(got.samples, _frozen_birkhoff(f, matrix, horizon, samples, seed, 1))
+
+
+def test_birkhoff_zero_function_samples_zeros():
+    # no terms to evaluate: every sum stays 0, on windows of 40 steps and
+    # of one step alike (the 5-D orbit of a full run overfills a window of two)
+    wide = lattice.validate_expanding([[3 * (i == j) + (j == i + 1) for j in range(5)]
+                                       for i in range(5)])
+    count = rng_module.RUN_BLOCKS * rng_module.BLOCK
+    assert stochastic._window_rows(count * 5) == 1
+    for matrix, horizon, samples in ((DOUBLE, 45, 1100), (wide, 3, count)):
+        f = TrigPolynomial(matrix.dim, {})
+        for threads in (1, 3):
+            got = stochastic.birkhoff_samples(f, matrix, horizon, samples, 2, threads=threads)
+            want = _frozen_birkhoff(f, matrix, horizon, samples, 2, 1)
+            assert not want.any() and np.array_equal(got.samples, want)
 
 
 def test_sigma_squared_known_values():
