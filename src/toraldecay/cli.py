@@ -231,34 +231,38 @@ def cmd_lacunary(args):
     return 0
 
 
+def _sampler_config(args, **fields):
+    """The hashed configuration of a sampler run (`clt`, `ulam --op lyapunov`)."""
+    return dict(fields, horizon=args.horizon, samples=args.samples, seed=args.seed)
+
+
+def _sampler_payload(result, config, **extra):
+    """The JSON report of a sampler run, plus the `extra` fields."""
+    return {
+        "sigma2": result.sigma2,
+        "ks": result.ks_stat,
+        "sample_mean": result.sample_mean,
+        "sample_var": result.sample_var,
+        "config": serialize.config_hash(config),
+        "seed": result.seed,
+        "version": __version__,
+        **extra,
+    }
+
+
 def cmd_clt(args):
     matrix = _matrix(args)
     f = _load_function(args.f)
     experiment = stochastic.birkhoff_samples(
         f, matrix, args.horizon, args.samples, args.seed, threads=args.threads
     )
-    config = {
-        "subcommand": "clt",
-        "matrix": args.matrix,
-        "horizon": args.horizon,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    payload = {
-        "sigma2": experiment.sigma2,
-        "ks": experiment.ks_stat,
-        "sample_mean": experiment.sample_mean,
-        "sample_var": experiment.sample_var,
-        "config": serialize.config_hash(config),
-        "seed": args.seed,
-        "version": __version__,
-    }
+    config = _sampler_config(args, subcommand="clt", matrix=args.matrix)
     if args.samples_out:
         rows = [[i, float(v)] for i, v in enumerate(experiment.samples)]
         serialize.write_csv(
             args.samples_out, ["index", "value"], rows, config, seed=args.seed
         )
-    _emit_json(payload, args.out)
+    _emit_json(_sampler_payload(experiment, config), args.out)
     return 0
 
 
@@ -285,23 +289,8 @@ def cmd_ulam(args):
     report = interval.lyapunov_clt(
         args.horizon, args.samples, args.seed, threads=args.threads
     )
-    config = {
-        "subcommand": "ulam",
-        "op": "lyapunov",
-        "horizon": args.horizon,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
-    payload = {
-        "sigma2": report.sigma2,
-        "ks": report.ks_stat,
-        "mean_log_derivative": report.mean_log_derivative,
-        "sample_mean": report.sample_mean,
-        "sample_var": report.sample_var,
-        "config": serialize.config_hash(config),
-        "seed": args.seed,
-        "version": __version__,
-    }
+    config = _sampler_config(args, subcommand="ulam", op="lyapunov")
+    payload = _sampler_payload(report, config, mean_log_derivative=report.mean_log_derivative)
     _emit_json(payload, args.out)
     return 0
 

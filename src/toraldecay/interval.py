@@ -15,10 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, rng, stochastic, tails
-from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
+from . import analysis, stochastic, tails
+from .errors import InputError, InternalError, TruncationTooSmall
 from .spectral import ModulusCurve
-from .stochastic import ORBIT_GUARD
 
 DEFAULT_TRUNCATION = 10**5
 SERIES_TOL = 1e-12
@@ -73,22 +72,16 @@ class CosineSeries:
 
     def norm_l2(self):
         """Norm in L^2([-1,1], dx/2); the stored basis is orthogonal there."""
-        c0 = self.coeffs.get(0, 0.0)
-        total = c0 * c0
-        total += 0.5 * sum(c * c for k, c in self.coeffs.items() if k)
-        total += 0.5 * sum(s * s for s in self.sine_part.values())
-        return math.sqrt(total)
+        return math.sqrt(self.inner(self))
 
     def inner(self, other):
-        """L^2(dx/2) inner product, exactly from shared coefficients."""
-        total = self.coeffs.get(0, 0.0) * other.coeffs.get(0, 0.0)
-        for k, c in self.coeffs.items():
-            if k and k in other.coeffs:
-                total += 0.5 * c * other.coeffs[k]
-        for m, s in self.sine_part.items():
-            if m in other.sine_part:
-                total += 0.5 * s * other.sine_part[m]
-        return total
+        """L^2(dx/2) inner product from shared coefficients, the products summed with math.fsum."""
+        products = [self.coeffs.get(0, 0.0) * other.coeffs.get(0, 0.0)]
+        products += [0.5 * c * other.coeffs[k] for k, c in self.coeffs.items()
+                     if k and k in other.coeffs]
+        products += [0.5 * s * other.sine_part[m] for m, s in self.sine_part.items()
+                     if m in other.sine_part]
+        return math.fsum(products)
 
     def mean(self):
         return self.coeffs.get(0, 0.0)
@@ -186,6 +179,13 @@ def _alternating_tail(j):
     return even_tail - _odd_inverse_square_tail(odd_first)
 
 
+def _inverse_squares(k):
+    """1/i^2 for i = k, ..., 1, smallest first: the slice [k - j:] holds the
+    terms i <= j, and [k - j::2] those of them with the parity of j."""
+    i = np.arange(k, 0, -1, dtype=float)
+    return 1.0 / (i * i)
+
+
 def uvn_decay_norms(n_max, truncation=10**6):
     """||L_T^n (log|h| + log 2)||_2 for n = 0..n_max, with the 2^-n ratio.
 
@@ -203,20 +203,18 @@ def uvn_decay_norms(n_max, truncation=10**6):
         raise TruncationTooSmall(
             "need truncation >= 2^(n_max+4) = %d, got %d" % (2 ** (n_max + 4), k)
         )
+    inv_sq = _inverse_squares(k)
     rows = []
     for n in range(n_max + 1):
         if n == 0:
-            js = np.arange(1, k + 1, dtype=float)
-            value_sq = 0.5 * (float(np.sum(1.0 / js[::-1] ** 2)) + _trigamma(k + 1))
+            value_sq = 0.5 * (float(np.sum(inv_sq)) + _trigamma(k + 1))
         else:
             j_max = k >> n
-            js = np.arange(1, j_max + 1, dtype=float)
-            cos_sum = float(np.sum(1.0 / js[::-1] ** 2)) + _trigamma(j_max + 1)
+            cos_sum = float(np.sum(inv_sq[k - j_max:])) + _trigamma(j_max + 1)
             m_max = k >> (n - 1)
-            ms = np.arange(1, m_max + 1, 2, dtype=float)
-            odd_first = m_max + 1 if m_max % 2 == 0 else m_max + 2
-            odd_sum = float(np.sum(1.0 / ms[::-1] ** 2))
-            odd_sum += _odd_inverse_square_tail(odd_first)
+            odd_top = m_max - 1 + m_max % 2  # the largest odd m <= m_max
+            odd_sum = float(np.sum(inv_sq[k - odd_top::2]))
+            odd_sum += _odd_inverse_square_tail(odd_top + 2)
             value_sq = 0.5 * (0.25**n * cos_sum + 4.0 * 0.25**n * odd_sum)
         value = math.sqrt(value_sq)
         bound = 2.0**-n
@@ -265,9 +263,9 @@ def _lyapunov_terms(k, tol):
     which is -2^-j pi^2/24. Returns the terms through the first j > 0
     with |term_j| < tol.
     """
-    i = np.arange(k, 0, -1, dtype=float)  # small terms first
-    inv_sq = 1.0 / (i * i)
-    alternating = np.where(i % 2, -inv_sq, inv_sq)
+    inv_sq = _inverse_squares(k)
+    alternating = inv_sq.copy()
+    alternating[(k + 1) % 2::2] *= -1.0  # the odd i
     terms = [0.5 * (float(np.sum(inv_sq)) + _trigamma(k + 1))]
     j = 0
     while j == 0 or abs(terms[-1]) >= tol:
@@ -330,21 +328,13 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
     observable is zero (coboundary), so the KS column is skipped exactly
     as in the degenerate toral case.
     """
-    horizon = int(horizon)
-    count = int(samples)
-    if horizon < 1 or count < 1:
-        raise InputError("horizon and sample count must be >= 1")
-    if horizon * count > ORBIT_GUARD:
-        raise TooLarge(
-            "horizon * samples = %d exceeds %d" % (horizon * count, ORBIT_GUARD)
-        )
+    frame = stochastic._SamplerFrame(horizon, samples)
     if observable is None:
         sigma2 = lyapunov_sigma2()
-        shift = horizon * math.log(2.0)
+        shift = frame.horizon * math.log(2.0)
     else:
         sigma2 = None
         shift = 0.0
-    scale = 1.0 / math.sqrt(horizon)
 
     def worker(run):
         draw = stochastic._run_draw(seed, run, lambda gen, count: gen.random(count))
@@ -378,13 +368,12 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
             for row in values:
                 acc += row
 
-        return stochastic._window_sums(horizon, y, None, rows, step, refresh, add_window)
+        return stochastic._window_sums(frame.horizon, y, None, rows, step, refresh, add_window)
 
-    parts = rng.map_blocks(count, worker, threads)
-    sums = np.concatenate(parts) if parts else np.zeros(0)
-    fluct = (sums - shift) * scale
-    mean_log = float(np.mean(sums)) / horizon if len(sums) else 0.0
-    report = LyapunovReport(horizon, count, seed, sigma2, fluct, mean_log)
+    sums = frame.sums(worker, threads)
+    fluct = (sums - shift) * frame.scale
+    mean_log = float(np.mean(sums)) / frame.horizon if len(sums) else 0.0
+    report = LyapunovReport(frame.horizon, frame.samples, seed, sigma2, fluct, mean_log)
     if sigma2 is not None and sigma2 > 0:
         report.ks_stat = stochastic.ks_statistic(report)
     return report

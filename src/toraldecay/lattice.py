@@ -164,10 +164,10 @@ def validate_expanding(entries):
     return IntegerMatrix(a, det, lam, EIGEN_REL_TOL, coeffs, adj)
 
 
-def exact_solve_integral(a_entries, adj, det, target):
+def exact_solve_integral(adj, det, target):
     """Solve a x = target over the integers, or return None.
 
-    adj and det must belong to a_entries. The solution is
+    adj and det are the adjugate and determinant of a. The solution is
     adj @ target / det, integral iff det divides every component.
     """
     num = mat_vec(adj, target)
@@ -181,10 +181,7 @@ def same_coset(matrix, u, v):
     if len(u) != matrix.dim or len(v) != matrix.dim:
         raise InputError("vector dimension does not match the matrix")
     diff = tuple(int(u[i]) - int(v[i]) for i in range(matrix.dim))
-    return (
-        exact_solve_integral(matrix.entries, matrix.adjugate, matrix.det, diff)
-        is not None
-    )
+    return exact_solve_integral(matrix.adjugate, matrix.det, diff) is not None
 
 
 class DigitSet:

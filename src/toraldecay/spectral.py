@@ -26,6 +26,8 @@ MODULUS_EXPLORE_TOL = 1e-3  # r = 2 pattern search stops once its step is this *
 MODULUS_EXPLORE_SWEEPS = 30  # ... or after this many sweeps
 MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 search
 SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
+SUP_SHIFT_DIRECTIONS = 16  # d >= 2: shift directions of the sup-norm modulus scan
+SUP_SHIFT_RADII = 8  # d >= 2: radii per direction of that scan
 INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
 _TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
@@ -186,13 +188,12 @@ def transfer_fourier(f, matrix, n):
         raise InputError("function and matrix dimensions differ")
     if n == 0:
         return TrigPolynomial(f.dim, dict(f.coeffs), real_valued=f.real_valued)
-    star_n = lattice.mat_pow(matrix.star(), n)
     # adj(A*^n) = (adj(A)^n)^T and det(A*^n) = det(A)^n, exactly
     adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
     det = matrix.det**n
     out = {}
     for j, c in f.coeffs.items():
-        k = lattice.exact_solve_integral(star_n, adj, det, j)
+        k = lattice.exact_solve_integral(adj, det, j)
         if k is not None:
             out[k] = c
     return TrigPolynomial(f.dim, out)
@@ -221,16 +222,20 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
     base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
     cloud = lattice.branch_points(matrix, digits, n)
     out = np.zeros(pts.shape[0], dtype=complex)
-    if f.coeffs:
-        k, c = f.freq_array()
-        chunk = SPATIAL_GUARD // row
-        for lo in range(0, pts.shape[0], chunk):
-            # (chunk, q^n, d) evaluation grid, flattened for one vectorized pass
-            grid = base[lo:lo + chunk, None, :] + cloud[None, :, :]
-            flat = grid.reshape(-1, matrix.dim)
-            vals = (np.exp(2j * np.pi * (flat @ k.T)) @ c).reshape(grid.shape[0], -1)
-            out[lo:lo + chunk] = vals.mean(axis=1)
+    chunk = SPATIAL_GUARD // row
+    for lo in range(0, pts.shape[0], chunk):
+        # (chunk, q^n, d) evaluation grid, flattened for one vectorized pass
+        grid = base[lo:lo + chunk, None, :] + cloud[None, :, :]
+        vals = f.evaluate(grid.reshape(-1, matrix.dim)).reshape(len(grid), -1)
+        out[lo:lo + chunk] = vals.mean(axis=1)
     return complex(out[0]) if single else out
+
+
+def _is_l2(r):
+    """True for r = 2, False for r = inf (np.inf, float("inf") or "inf"), else InputError."""
+    if r not in (2, np.inf, float("inf"), "inf"):
+        raise InputError("only r in {2, inf} is supported")
+    return r == 2
 
 
 def norm(f, r):
@@ -239,11 +244,9 @@ def norm(f, r):
     r=2 is exact by Parseval. r=inf returns the certified lower bound;
     call sup_norm_bracket for the (lower, upper) pair.
     """
-    if r == 2:
+    if _is_l2(r):
         return math.sqrt(sum(abs(c) ** 2 for c in f.coeffs.values()))
-    if r in (np.inf, float("inf"), "inf"):
-        return sup_norm_bracket(f)[0]
-    raise InputError("only r in {2, inf} is supported")
+    return sup_norm_bracket(f)[0]
 
 
 def _cos_sin_rows(k, c):
@@ -327,18 +330,47 @@ def _peak_slope(kw, kt, kkt, c, x):
     return np.abs(f), grad, hess
 
 
+def _freq_products(k):
+    """k^T as a contiguous (d, m) float array, and the (d * d, m) products k_a k_b."""
+    kt = np.ascontiguousarray(k.T, dtype=float)  # each sum over frequencies runs along a row
+    return kt, (kt[:, None, :] * kt[None, :, :]).reshape(-1, k.shape[0])
+
+
+def _lm_step(neg, rhs, grad, damp, cap):
+    """Levenberg-Marquardt step p = (neg + mu I)^-1 rhs of each row, at most `cap` long.
+
+    neg is minus the model Hessian, mu = max(0, -min eig) + damp (max |eig| + |grad| / cap),
+    and an eigen-direction without a positive denominator gets no step. Returns p and its
+    length before the cap.
+    """
+    lam, q = np.linalg.eigh(neg)
+    scale = np.abs(lam).max(axis=1) + np.sqrt(_dot_last(grad, grad)) / cap
+    denom = lam + (np.maximum(0.0, -lam[:, 0]) + damp * scale)[:, None]
+    qtr = _dot_last(np.swapaxes(q, 1, 2), rhs[:, None, :])
+    coef = np.divide(qtr, denom, out=np.zeros_like(qtr), where=denom > 0.0)
+    p = _dot_last(q, coef[:, None, :])
+    length = _row_norms(p)
+    p *= (cap / np.maximum(length, cap))[:, None]
+    return p, length
+
+
+def _redamp(damp, rows, up):
+    """Divide the damping of `rows` by 10 (not below 1e-15) where their step was
+    kept (`up`), multiply it by 10 where it was refused; True where it stays <= 1e6."""
+    damp[rows] = np.where(up, np.maximum(damp[rows] * 0.1, 1e-15), damp[rows] * 10.0)
+    return damp[rows] <= 1e6
+
+
 def _polish(k, c, x, cap):
     """Lockstep damped Newton ascent of |f|^2 from the point x of each row of c.
 
-    Each step is Levenberg-Marquardt damped, at most `cap` long, and kept
-    only if |f| rises; a kept step divides the damping by 10, a refused
-    one multiplies it by 10. A row stops once the model predicts a rise
-    below rounding, once its damping passes 1e6, or after SUP_NEWTON_STEPS
-    steps. Returns |f| at each row's best point.
+    Each step is a `_lm_step` at most `cap` long, kept only if |f|
+    rises, with the damping updated by `_redamp`. A row stops once the
+    model predicts a rise below rounding, once its damping passes 1e6,
+    or after SUP_NEWTON_STEPS steps. Returns |f| at each row's best point.
     """
     kw = k.view(np.uint64)
-    kt = np.ascontiguousarray(k.T, dtype=float)  # (d, m): each sum runs over a contiguous axis
-    kkt = (kt[:, None, :] * kt[None, :, :]).reshape(-1, k.shape[0])
+    kt, kkt = _freq_products(k)
     val, grad, hess = _peak_slope(kw, kt, kkt, c, x)
     damp = np.full(len(c), 1e-3)
     live = np.ones(len(c), dtype=bool)
@@ -347,13 +379,7 @@ def _polish(k, c, x, cap):
         if rows.size == 0:
             break
         g = grad[rows]
-        lam, q = np.linalg.eigh(-hess[rows])
-        scale = np.abs(lam).max(axis=1) + np.sqrt(_dot_last(g, g)) / cap
-        denom = lam + (np.maximum(0.0, -lam[:, 0]) + damp[rows] * scale)[:, None]
-        qtg = _dot_last(np.swapaxes(q, 1, 2), g[:, None, :])
-        coef = np.divide(qtg, denom, out=np.zeros_like(qtg), where=denom > 0.0)
-        p = _dot_last(q, coef[:, None, :])
-        p *= (cap / np.maximum(_row_norms(p), cap))[:, None]
+        p, _ = _lm_step(-hess[rows], g, g, damp[rows], cap)
         worth = 0.5 * _dot_last(g, p) > 1e-15 * val[rows] ** 2  # the model's rise of |f|^2
         live[rows[~worth]] = False
         rows, p = rows[worth], p[worth]
@@ -364,8 +390,7 @@ def _polish(k, c, x, cap):
         up = t_val > val[rows]
         kept = rows[up]
         x[kept], val[kept], grad[kept], hess[kept] = trial[up], t_val[up], t_grad[up], t_hess[up]
-        damp[rows] = np.where(up, np.maximum(damp[rows] * 0.1, 1e-15), damp[rows] * 10.0)
-        live[rows] = damp[rows] <= 1e6
+        live[rows] = _redamp(damp, rows, up)
     return val
 
 
@@ -544,8 +569,7 @@ def _l2_objective(k, w):
 def _l2_slope(k, w, v):
     """Gradient 4 pi sum w_k sin(2 pi k.v) k and Hessian 8 pi^2 sum w_k cos(2 pi k.v) k k^T."""
     t = 2.0 * np.pi * _dot_last(v[:, None, :], k)
-    kt = np.ascontiguousarray(k.T)  # (d, n), so every sum below runs over a contiguous axis
-    kkt = (kt[:, None, :] * kt[None, :, :]).reshape(-1, len(k))
+    kt, kkt = _freq_products(k)
     grad = np.sum((w * np.sin(t))[:, None, :] * kt, axis=2) * (4.0 * np.pi)
     hess = np.sum((w * np.cos(t))[:, None, :] * kkt, axis=2) * (8.0 * np.pi**2)
     return grad, hess.reshape(len(v), k.shape[1], k.shape[1])
@@ -554,13 +578,14 @@ def _l2_slope(k, w, v):
 def _newton_ascent(k, w, objective, v, best, delta):
     """Safeguarded Newton ascent of F from each row of v inside |v| <= delta.
 
-    An interior row takes a Levenberg-Marquardt-damped Newton step. A row
-    on the sphere whose gradient g points outward takes the tangent-space
-    step instead: P = I - u u^T, model Hessian P H P - (u.g / delta) P,
-    then the retraction v <- delta (v + p) / |v + p|. A step is kept only
-    if F rises; a kept step divides the damping by 10, a refused one
-    multiplies it by 10. A row stops after a refused step shorter than
-    1e-8 delta, or once its damping passes 1e6. Returns the best values.
+    An interior row takes a Levenberg-Marquardt-damped Newton step
+    (`_lm_step`, at most delta long). A row on the sphere whose gradient g
+    points outward takes the tangent-space step instead: P = I - u u^T,
+    model Hessian P H P - (u.g / delta) P, then the retraction
+    v <- delta (v + p) / |v + p|. A step is kept only if F rises, with
+    the damping updated by `_redamp`. A row stops after a refused step
+    shorter than 1e-8 delta, or once its damping passes 1e6. Returns the
+    best values.
     """
     m, d = v.shape
     eye = np.eye(d)
@@ -585,14 +610,7 @@ def _newton_ascent(k, w, objective, v, best, delta):
         # curvature 1 and no gradient, so the step stays tangent
         neg = np.where(rim[:, None, None], uu - tangent, -hess)
         rhs = np.where(rim[:, None], grad - ug[:, None] * u, grad)
-        lam, q = np.linalg.eigh(neg)
-        scale = np.abs(lam).max(axis=1) + np.sqrt(_dot_last(grad, grad)) / rad
-        denom = lam + (np.maximum(0.0, -lam[:, 0]) + damp[rows] * scale)[:, None]
-        qtr = _dot_last(np.swapaxes(q, 1, 2), rhs[:, None, :])
-        coef = np.divide(qtr, denom, out=np.zeros_like(qtr), where=denom > 0.0)
-        p = _dot_last(q, coef[:, None, :])
-        plen = _row_norms(p)
-        p *= (rad / np.maximum(plen, rad))[:, None]  # no step longer than delta
+        p, plen = _lm_step(neg, rhs, grad, damp[rows], rad)
         trial = x + p
         tn = _row_norms(trial)
         out = rim | (tn > rad)
@@ -601,9 +619,17 @@ def _newton_ascent(k, w, objective, v, best, delta):
         up = val > best[rows]
         best[rows[up]] = val[up]
         v[rows[up]] = trial[up]
-        damp[rows] = np.where(up, np.maximum(damp[rows] * 0.1, 1e-15), damp[rows] * 10.0)
-        live[rows] = up | ((plen > 1e-8 * rad) & (damp[rows] <= 1e6))
+        live[rows] = up | ((plen > 1e-8 * rad) & _redamp(damp, rows, up))
     return best
+
+
+def _shift_grid(l2, d):
+    """Directions, and radii per direction, of the shift grid that starts a modulus search."""
+    if l2:
+        count, steps, line = MODULUS_DIRECTIONS, MODULUS_RADII_STEPS, MODULUS_LINE_STEPS
+    else:
+        count, steps, line = SUP_SHIFT_DIRECTIONS, SUP_SHIFT_RADII, SUP_SHIFT_SCAN
+    return _directions(d, count), line if d == 1 else steps
 
 
 def _omega_l2(f, radii):
@@ -623,10 +649,9 @@ def _omega_l2(f, radii):
     w = np.abs(c) ** 2
     objective = _l2_objective(k, w)
     d = f.dim
-    steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
-    dirs = _directions(d, MODULUS_DIRECTIONS)
+    dirs, steps = _shift_grid(True, d)
     if d == 2:  # F(-v) = F(v), and the directions come in antipodal pairs
-        dirs = dirs[:MODULUS_DIRECTIONS // 2]
+        dirs = dirs[:len(dirs) // 2]
     fracs = np.arange(1, steps + 1) / steps
     delta = np.array(radii, dtype=float)
     v0 = np.empty((len(delta), d))
@@ -658,33 +683,26 @@ def modulus_value(f, r, delta, saturate=False):
         if saturate:
             cap = math.sqrt(f.dim) / 2.0
             radii = [min(x, cap) for x in radii]
-        if r == 2:
-            values = _omega_l2(f, radii)
-        elif r in (np.inf, float("inf"), "inf"):
-            values = _omega_sup(f, radii)
-        else:
-            raise InputError("only r in {2, inf} is supported")
+        values = _omega_l2(f, radii) if _is_l2(r) else _omega_sup(f, radii)
     return values if many else values[0]
 
 
 def _omega_sup(f, radii):
     """Omega_{f,inf} at each radius: grid-sampled sup-norm differences over the shift ball.
 
-    Each radius scans 48 shifts on (0, delta] (d = 1) or 16 directions
-    times 8 radii (d >= 2), then a lockstep `_pattern_search` runs from its
-    best shift with step delta / 16, to 1e-6 delta or 60 sweeps. The value
-    at a shift v is `_sup_lower` of the row c_k (e(k.v) - 1), the
-    coefficients of f(. + v) - f, so a batch of shifts is one kernel call
-    and a value does not depend on the other radii.
+    Each radius scans SUP_SHIFT_SCAN shifts on (0, delta] (d = 1) or
+    SUP_SHIFT_DIRECTIONS directions times SUP_SHIFT_RADII radii (d >= 2),
+    then a lockstep `_pattern_search` runs from its best shift with step
+    delta / 16, to 1e-6 delta or 60 sweeps. The value at a shift v is
+    `_sup_lower` of the row c_k (e(k.v) - 1), the coefficients of
+    f(. + v) - f, so a batch of shifts is one kernel call and a value
+    does not depend on the other radii.
     """
     k, c = f.freq_array()
     d = f.dim
     delta = np.array(radii, dtype=float)
-    if d == 1:
-        unit = (np.arange(1, SUP_SHIFT_SCAN + 1) / SUP_SHIFT_SCAN)[:, None]
-    else:
-        unit = (_directions(d, 16)[:, None, :] * (np.arange(1, 9) / 8.0)[None, :, None])
-        unit = unit.reshape(-1, d)
+    dirs, steps = _shift_grid(False, d)
+    unit = (dirs[:, None, :] * (np.arange(1, steps + 1) / steps)[None, :, None]).reshape(-1, d)
 
     def objective(v):
         t = np.pi * _dot_last(v[:, None, :], k)
@@ -713,10 +731,10 @@ def modulus(f, r, radii):
     if radii[0] > 0.5 or radii[-1] <= 0.0:
         raise InputError("radii must lie in (0, 1/2]")
     values = modulus_value(f, r, radii)
-    one_d = f.dim == 1
+    dirs, steps = _shift_grid(r == 2, f.dim)
     return ModulusCurve(
-        radii, values, r, 1 if one_d else MODULUS_DIRECTIONS,
-        {"radial_steps": MODULUS_LINE_STEPS if one_d else MODULUS_RADII_STEPS,
+        radii, values, r, len(dirs),
+        {"radial_steps": steps,
          "refinement": "pattern-search+newton" if r == 2 else "pattern-search"},
     )
 

@@ -29,7 +29,6 @@ _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK24 = np.uint64(0xFFFFFF)
 _SHIFT32 = np.uint64(32)
 _SHIFT40 = np.uint64(40)
-_TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
 
 def sigma_squared(f, matrix):
@@ -241,7 +240,26 @@ def _phase_angles(hi, k, out, phase):
     `out` doubles as the phase's scratch space.
     """
     _phase(hi, k, phase, out.view(np.uint64))
-    return np.multiply(phase.view(np.int64), _TURN, out=out)
+    return np.multiply(phase.view(np.int64), spectral._TURN, out=out)
+
+
+class _SamplerFrame:
+    """What both orbit samplers share: the size checks, made first so their errors
+    come before a sampler's own, the scale 1/sqrt(horizon), and `sums`."""
+
+    def __init__(self, horizon, samples):
+        self.horizon, self.samples = int(horizon), int(samples)
+        if self.horizon < 1 or self.samples < 1:
+            raise InputError("horizon and sample count must be >= 1")
+        if self.horizon * self.samples > ORBIT_GUARD:
+            raise TooLarge("horizon * samples = %d exceeds %d"
+                           % (self.horizon * self.samples, ORBIT_GUARD))
+        self.scale = 1.0 / math.sqrt(self.horizon)
+
+    def sums(self, worker, threads):
+        """The per-sample sums of `worker` run on the sample blocks by `rng.map_blocks`."""
+        parts = rng.map_blocks(self.samples, worker, threads)
+        return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def _run_draw(seed, run, draw_block):
@@ -299,14 +317,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     onto short floating-point cycles. f is evaluated from exact integer
     phases of the high words (see `_phase`).
     """
-    horizon = int(horizon)
-    samples = int(samples)
-    if horizon < 1 or samples < 1:
-        raise InputError("horizon and sample count must be >= 1")
-    if horizon * samples > ORBIT_GUARD:
-        raise TooLarge(
-            "horizon * samples = %d exceeds %d" % (horizon * samples, ORBIT_GUARD)
-        )
+    frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:
         raise InputError("Birkhoff sampling requires a real-valued function")
     if any(abs(a) >= 2**31 for row in matrix.entries for a in row):
@@ -315,8 +326,6 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     d = matrix.dim
     entries = matrix.entries
     terms = _phase_terms(f)  # sigma_squared has checked that f has mean zero
-    scale = 1.0 / math.sqrt(horizon)
-
     pieces = [(k, w, fn) for k, a, b in terms for w, fn in ((a, np.cos), (b, np.sin)) if w]
 
     def worker(run):
@@ -360,11 +369,10 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
                     for row in step_values:
                         acc += row
 
-        return _window_sums(horizon, hi, lo, rows, step, refresh, add_window) * scale
+        return _window_sums(frame.horizon, hi, lo, rows, step, refresh, add_window)
 
-    parts = rng.map_blocks(samples, worker, threads)
-    values = np.concatenate(parts) if parts else np.zeros(0)
-    experiment = CltExperiment(f, matrix, horizon, samples, seed, sigma2, values)
+    values = frame.sums(worker, threads) * frame.scale
+    experiment = CltExperiment(f, matrix, frame.horizon, frame.samples, seed, sigma2, values)
     if sigma2 > 0:
         experiment.ks_stat = ks_statistic(experiment)
     return experiment

@@ -97,9 +97,7 @@ class CoverageStats:
 
     @property
     def fraction_one(self):
-        if self.samples == 0:
-            return 0.0
-        return self.histogram.get(1, 0) / self.samples
+        return self.fraction(1)
 
     def fraction(self, count):
         if self.samples == 0:

@@ -547,6 +547,41 @@ def test_missing_function_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["matrix-info", "--matrix", "1,-1;1,1"], "--out"),
+        (["digits", "--matrix", "3"], "--out"),
+        (["transfer", "--matrix", "2", "--function", "{rich}", "--steps", "3",
+          "--emit", "coeffs"], "--out"),
+        (["transfer", "--matrix", "2", "--function", "{rich}", "--steps", "3",
+          "--emit", "norms"], "--out"),
+        (["transfer", "--matrix", "2", "--function", "{rich}", "--steps", "3",
+          "--emit", "modulus"], "--out"),
+        (["decay", "--matrix", "2", "--f", "{rich}", "--g", "{f1}", "--nmax", "4"], "--out"),
+        (["lacunary", "--matrix", "2", "--h", "1", "--family", "power", "--param", "2.5",
+          "--nmax", "4"], "--out"),
+        (["clt", "--matrix", "2", "--f", "{rich}", "--horizon", "50", "--samples", "40",
+          "--seed", "3"], "--out"),
+        (["ulam", "--op", "decay", "--nmax", "4", "--truncation", "1024"], "--out"),
+        (["ulam", "--op", "modulus"], "--out"),
+        (["ulam", "--op", "lyapunov", "--horizon", "50", "--samples", "40", "--seed", "3"],
+         "--out"),
+        (["tile", "--matrix", "2", "--level", "3", "--samples", "200", "--seed", "3"],
+         "--coverage-out"),
+    ],
+    ids=["matrix-info", "digits", "transfer-coeffs", "transfer-norms", "transfer-modulus",
+         "decay", "lacunary", "clt", "ulam-decay", "ulam-modulus", "ulam-lyapunov", "tile"],
+)
+def test_output_file_holds_the_printed_bytes(capsys, tmp_path, f1_path, rich_path, argv, flag):
+    argv = [a.format(f1=f1_path, rich=rich_path) for a in argv]
+    path = tmp_path / "output"
+    code, printed = run(capsys, argv + [flag, str(path)])
+    assert code == 0
+    assert path.read_bytes() == printed.encode("utf-8")
+    assert run(capsys, argv) == (0, printed)  # the file changes nothing printed
+
+
 def test_emit_plotdata_modulus_curve(tmp_path):
     curve = spectral.ModulusCurve([0.5, 0.25], [1.0, 0.7], 2, 1, {})
     path = tmp_path / "curve.csv"

@@ -225,6 +225,32 @@ def test_sqrt_modulus_validation():
         interval.uvn_modulus_sqrt_delta([0.7])
 
 
+def _inner_at_40_digits(mp, a, b):
+    """The L^2(dx/2) inner product of two stored CosineSeries, at 40 digits."""
+    with mp.workdps(40):
+        products = [mp.mpf(a.coeffs.get(0, 0.0)) * b.coeffs.get(0, 0.0)]
+        products += [mp.mpf(c) * b.coeffs[i] / 2 for i, c in a.coeffs.items()
+                     if i and i in b.coeffs]
+        products += [mp.mpf(s) * b.sine_part[m] / 2 for m, s in a.sine_part.items()
+                     if m in b.sine_part]
+        return mp.fsum(products)
+
+
+@pytest.mark.parametrize("k", [10**3, 10**4])
+def test_cosine_series_inner_and_norm_vs_mpmath(k):
+    # summed largest first, g.inner(g) was 1.0e-15 (K = 10^3) and 3.3e-15
+    # (K = 10^4) relative off; math.fsum of the same products is within 2e-16
+    mp = pytest.importorskip("mpmath")
+    g = interval.uvn_pullback_log(k)
+    h = interval.tent_transfer(g, 1)  # half of it moves into the sine part
+    for series in (g, h):
+        exact = _inner_at_40_digits(mp, series, series)
+        assert abs(series.inner(series) - exact) <= 2e-16 * exact
+        with mp.workdps(40):
+            norm = mp.sqrt(exact)
+        assert abs(series.norm_l2() - norm) <= 2e-16 * norm
+
+
 def test_lyapunov_sigma2_is_degenerate():
     assert interval.lyapunov_sigma2() == 0.0
     assert interval.lyapunov_sigma2(truncation=10**4) == 0.0

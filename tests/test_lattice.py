@@ -131,9 +131,9 @@ def test_same_coset_examples():
 
 def test_exact_solve_integral():
     m = lattice.validate_expanding(TWIN)
-    sol = lattice.exact_solve_integral(m.entries, m.adjugate, m.det, (1, 1))
+    sol = lattice.exact_solve_integral(m.adjugate, m.det, (1, 1))
     assert sol == (1, 0)
-    assert lattice.exact_solve_integral(m.entries, m.adjugate, m.det, (1, 0)) is None
+    assert lattice.exact_solve_integral(m.adjugate, m.det, (1, 0)) is None
 
 
 def test_similarity_factor():

@@ -545,6 +545,23 @@ def test_modulus_curve_invariants():
     assert vals == sorted(vals)  # monotone in delta
 
 
+@pytest.mark.parametrize("r, k, directions, radial_steps, refinement", [
+    (2, 3, 1, 1024, "pattern-search+newton"),
+    (2, (3, 1), 64, 32, "pattern-search+newton"),
+    ("inf", 3, 1, 48, "pattern-search"),
+    ("inf", (3, 1), 16, 8, "pattern-search"),
+    # from d = 4 on, `_directions` gives the 2d + 2 axis and diagonal directions
+    (2, (1, 0, 0, 2), 10, 32, "pattern-search+newton"),
+    ("inf", (1, 0, 0, 2), 10, 8, "pattern-search"),
+])
+def test_modulus_metadata_describes_the_grid_that_ran(r, k, directions, radial_steps, refinement):
+    # the r = inf scan has SUP_SHIFT_SCAN = 48 shifts in d = 1 and 16 directions
+    # times 8 radii in d >= 2, not the 1024 or 64 x 32 points of the r = 2 grid
+    curve = spectral.modulus(TrigPolynomial.cosine(k), r, [0.1])
+    assert curve.direction_count == directions
+    assert curve.refinement == {"radial_steps": radial_steps, "refinement": refinement}
+
+
 def test_inv_norm_sup():
     assert spectral.inv_norm_sup(DOUBLE) == 1.0
     assert spectral.inv_norm_sup(TWIN) == 1.0
