@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import lattice
+from . import lattice, serialize
 from .errors import DegenerateBound, InputError, TooLarge
 
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
@@ -149,9 +149,7 @@ class TrigPolynomial:
         ]
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries(), fh, indent=1)
-            fh.write("\n")
+        serialize._write_text(path, json.dumps(self.entries(), indent=1) + "\n")
 
     @staticmethod
     def load(path, dim=None):
@@ -677,13 +675,14 @@ def modulus_value(f, r, delta, saturate=False):
     radii = list(np.ravel(delta)) if many else [delta]
     if any(x <= 0 for x in radii):
         raise InputError("delta must be positive")
+    l2 = _is_l2(r)
     if not f.coeffs:
         values = [0.0] * len(radii)
     else:
         if saturate:
             cap = math.sqrt(f.dim) / 2.0
             radii = [min(x, cap) for x in radii]
-        values = _omega_l2(f, radii) if _is_l2(r) else _omega_sup(f, radii)
+        values = _omega_l2(f, radii) if l2 else _omega_sup(f, radii)
     return values if many else values[0]
 
 

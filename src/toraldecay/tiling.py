@@ -6,16 +6,26 @@ digit strings gamma in D^n, together with a certified upper bound on the
 diameter of one level-n cell. Membership in T is always approximate
 (within cell_radius of some cloud point); the boundary fuzz that
 introduces is quantified by the coverage statistics instead of resolved.
+
+Each cloud point also carries its exact integer key A^n b_gamma. The
+keys form a complete residue system mod A^n Z^d, so cloud + Z^d is the
+lattice A^-n Z^d with every point counted once; the census and the
+self-affinity check find cloud points through that lattice instead of
+through a spatial search tree.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lattice, rng, spectral
-from .errors import DegenerateBound, InputError, TooLarge
+from .errors import DegenerateBound, InputError, InternalError, TooLarge
 
 LEVEL_GUARD = 10**7  # max q^n cloud points
+KEY_LIMIT = 2**62 // LEVEL_GUARD  # keys and A^n: exact in float64, residue products inside int64
+CENSUS_BUDGET = 2**15  # candidate points one census chunk holds; results do not depend on it
+OFFSET_GUARD = 2**20  # max lattice offsets the census scans around one sample
 NEUMANN_REL_TOL = 1e-12  # the tail sum stops at a term this small relative to the total
 NEUMANN_CAP = 2048  # terms summed before the tail is declared divergent
 
@@ -64,10 +74,31 @@ class TileApproximation:
     level: int
     points: np.ndarray
     cell_radius: float
+    keys: np.ndarray  # exact int64 A^n b_gamma, row for row with points
+
+
+def _cloud_keys(matrix, digits, level):
+    """Exact keys A^n b_gamma in the order of lattice.branch_points.
+
+    b' = A^-1 (b + g) gives A^(j+1) b' = A^j b + A^j g, so the keys grow
+    digit by digit in integers.
+    """
+    d = matrix.dim
+    keys = np.zeros((1, d), dtype=np.int64)
+    power = lattice.identity(d)
+    bound = 0
+    for _ in range(level):
+        shifts = [lattice.mat_vec(power, g) for g in digits]
+        bound += max(abs(v) for shift in shifts for v in shift)
+        power = lattice.mat_mul(matrix.entries, power)
+        if max(bound, max(sum(abs(v) for v in row) for row in power)) >= KEY_LIMIT:
+            raise TooLarge("A^n or the level-n keys exceed %d" % KEY_LIMIT)
+        keys = (np.array(shifts, dtype=np.int64)[:, None, :] + keys[None, :, :]).reshape(-1, d)
+    return keys
 
 
 def tile_points(matrix, digits, level):
-    """Level-n cloud b_gamma = S_gamma 0 for gamma in D^n.
+    """Level-n cloud b_gamma = S_gamma 0 for gamma in D^n, with its keys.
 
     cell_radius is ||A^-n||_2 times the attractor diameter bound, an
     upper bound for diam(A^-n T), so every point of T sits within
@@ -81,9 +112,10 @@ def tile_points(matrix, digits, level):
         raise TooLarge(
             "q^level = %d exceeds the cloud guard %d" % (q**level, LEVEL_GUARD)
         )
+    keys = _cloud_keys(matrix, digits, level)
     pts = lattice.branch_points(matrix, digits, level)
     radius = tile_diameter_bound(matrix, digits) / spectral.min_singular_power(matrix, level)
-    return TileApproximation(matrix, digits, level, pts, radius)
+    return TileApproximation(matrix, digits, level, pts, radius, keys)
 
 
 @dataclass
@@ -105,6 +137,105 @@ class CoverageStats:
         return self.histogram.get(count, 0) / self.samples
 
 
+def _hermite(entries):
+    """Lower-triangular basis H = B V of the lattice B Z^d, V unimodular.
+
+    Extended Euclid on each row by exact integer column operations; the
+    diagonal of H is positive, its product is |det B|, and each entry
+    left of the diagonal is reduced into [0, H_ii).
+    """
+    d = len(entries)
+    cols = [list(c) for c in zip(*entries)]
+    unimodular = [list(c) for c in lattice.identity(d)]
+
+    def subtract(i, j, t):  # column i -= t column j, in both matrices
+        for m in (cols, unimodular):
+            m[i] = [a - t * b for a, b in zip(m[i], m[j])]
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            while cols[j][i]:
+                subtract(i, j, cols[i][i] // cols[j][i])
+                for m in (cols, unimodular):
+                    m[i], m[j] = m[j], m[i]
+        if cols[i][i] < 0:
+            subtract(i, i, 2)  # negate column i
+        for j in range(i):
+            subtract(j, i, cols[j][i] // cols[i][i])
+    return lattice.transpose(cols), lattice.transpose(unimodular)
+
+
+class _Residues:
+    """Owner table of A^-n Z^d = cloud + Z^d over a lower-triangular basis.
+
+    Every integer m splits as m = H c + r with 0 <= r_i < H_ii (H the
+    Hermite basis of A^n Z^d, c its quotients), and the residue index of
+    r is one of q^n. Each key sits in its own residue, so owner[rho] is
+    the cloud index g with m = key_g + A^n k. The table also holds
+    shift[rho] = V c_g, so k = V c - shift[rho] follows from the
+    quotients in integers.
+    """
+
+    def __init__(self, tile):
+        self.hermite, self.unimodular = _hermite(tile.matrix.power(tile.level))
+        count = len(tile.keys)
+        self.owner = np.full(count, -1, dtype=np.intp)
+        self.shift = np.empty((tile.matrix.dim, count), dtype=np.int64)
+        for start in range(0, count, CENSUS_BUDGET):
+            stop = min(start + CENSUS_BUDGET, count)
+            rho, quotients = self.reduce(tile.keys[start:stop].T)
+            self.owner[rho] = np.arange(start, stop)
+            self.shift[:, rho] = self._apply(quotients)
+        if (self.owner < 0).any():
+            raise InternalError("cloud keys are not a complete residue system mod A^n Z^d")
+
+    def _apply(self, quotients):
+        """V c, one int64 array per coordinate."""
+        return [sum(v * c for v, c in zip(row, quotients) if v) for row in self.unimodular]
+
+    def reduce(self, m):
+        """Residue index and Hermite quotients of the integer points m (one array per axis)."""
+        h = self.hermite
+        m = list(m)
+        rho = 0
+        quotients = []
+        for i in range(len(h)):
+            c = m[i] // h[i][i]
+            quotients.append(c)
+            for j in range(i + 1, len(h)):
+                if h[j][i]:
+                    m[j] = m[j] - c * h[j][i]
+            rho = rho * h[i][i] + (m[i] - c * h[i][i])
+        return rho, quotients
+
+    def locate(self, m):
+        """Cloud index g and translate k (one array per axis) with m = key_g + A^n k."""
+        rho, quotients = self.reduce(m)
+        return self.owner[rho], [a - s[rho] for a, s in zip(self._apply(quotients), self.shift)]
+
+
+def _offsets(power, gram, radius):
+    """Every integer e with ||A^-n (e - f)||_2 <= radius for some f in [0, 1]^d.
+
+    Such an e lies within radius + rho of the box centre c in that norm,
+    rho being the largest ||A^-n (corner - c)||_2; the set returned is
+    that ellipsoid's integer points, a few more than needed.
+    """
+    corners = np.array(list(itertools.product((-0.5, 0.5), repeat=len(power))))
+    reach = radius + np.sqrt(np.einsum("ij,jk,ik->i", corners, gram, corners).max())
+    half = np.ceil(reach * np.sqrt((power**2).sum(axis=1)))
+    if np.prod(2.0 * half + 2.0) > OFFSET_GUARD:
+        raise TooLarge(
+            "the census would scan %.3g lattice offsets per sample, above the guard %d"
+            % (np.prod(2.0 * half + 2.0), OFFSET_GUARD)
+        )
+    grid = np.stack(
+        np.meshgrid(*[np.arange(-h, h + 2, dtype=np.int64) for h in half], indexing="ij"), axis=-1
+    ).reshape(-1, len(half))
+    z = grid - 0.5
+    return grid[np.einsum("ij,jk,ik->i", z, gram, z) <= reach**2]
+
+
 def check_tiling(tile, samples, seed, threads=None):
     """Monte Carlo check of the unit-translate tiling identity.
 
@@ -114,13 +245,16 @@ def check_tiling(tile, samples, seed, threads=None):
     is 1 away from the boundary, so fraction(count=1) must climb toward
     1 as the level grows. Deterministic for any thread count.
 
-    Only translates that can hit are queried. A point outside the
-    cloud's bounding box padded by margin = 2 cell_radius is more than
-    cell_radius from every cloud point, so per axis the candidates are
-    the integers k with x - k inside that box: ceil(x - hi) plus a fixed
-    local grid of floor(hi - lo) + 1 steps (at most the window's width),
-    masked to the box and to the window. The hit test is unchanged, so
-    the histogram equals the one from querying every window translate.
+    A cloud point b_g with x - k within cell_radius is a lattice point
+    m = A^n (b_g + k) of A^n Z^d within the ellipsoid A^n B(x, radius),
+    so the candidates are m = floor(A^n x) + e over a fixed offset set
+    that holds every e within the radius of some f in [0, 1]^d, the
+    radius widened by the measured float error of the cloud and of
+    A^n x. A prefilter in that norm drops the offsets far from this
+    sample's f = frac(A^n x); the residue table names each survivor's
+    cloud point and translate, and the hit test is the float test
+    ||b_g - (x - k)||_2 <= cell_radius, so the histogram equals the one
+    from querying every window translate.
     """
     samples = int(samples)
     if samples < 0:
@@ -130,38 +264,66 @@ def check_tiling(tile, samples, seed, threads=None):
     stats = CoverageStats(tile.level, samples, int(seed), tile.cell_radius, window)
     if samples == 0:
         return stats
-    margin = 2.0 * tile.cell_radius
-    lo = tile.points.min(axis=0) - margin
-    hi = tile.points.max(axis=0) + margin
-    side = np.minimum(np.floor(hi - lo).astype(np.int64) + 1, 2 * window + 1)
-    local = np.stack(
-        np.meshgrid(*[np.arange(s) for s in side], indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    from scipy.spatial import cKDTree  # imported here so only `tile` loads scipy
+    power = np.array(tile.matrix.power(tile.level), dtype=float)
+    inverse = np.linalg.inv(power)
+    gram = inverse.T @ inverse
+    # Widen the radius by every float error between the hit test and the
+    # exact distance ||A^-n (m - A^n x)||: the cloud's drift from its keys
+    # (measured, plus the error of measuring it), A^n x, and the test itself.
+    eps = np.finfo(float).eps
+    extent = np.abs(tile.points).max() + 1.0
+    measured = 0.0
+    for i in range(0, len(tile.keys), CENSUS_BUDGET):
+        rows = slice(i, i + CENSUS_BUDGET)
+        measured = max(measured, np.abs(tile.points[rows] - tile.keys[rows] @ inverse.T).max())
+    drift = measured + 4.0 * d * eps * np.linalg.cond(power) * extent
+    frac_error = 2.0 * d * eps * np.abs(power).sum(axis=1).max()
+    slack = np.sqrt(d) * (drift + frac_error * np.linalg.norm(inverse, 2))
+    slack += 64.0 * eps * (window + extent)
+    radius = (tile.cell_radius + slack) * (1.0 + 1e-6)
+    offsets = _offsets(power, gram, radius * (1.0 + 1e-9))  # covers the prefilter's rounding
+    offset_gram = offsets @ gram
+    offset_norm2 = (offset_gram * offsets).sum(axis=1)
+    residues = _Residues(tile)
+    side = 2 * window + 1
+    chunk = max(1, CENSUS_BUDGET // max(len(offsets), side**d))
 
-    tree = cKDTree(tile.points)
+    def count(x):
+        ax = x @ power.T
+        base = np.floor(ax)
+        frac = ax - base
+        # ||A^-n (e - frac)||^2, expanded so that one product covers every offset
+        near = offset_norm2 - 2.0 * (frac @ offset_gram.T)
+        near += ((frac @ gram) * frac).sum(axis=1)[:, None]
+        keep = near <= radius**2
+        per_sample = keep.sum(axis=1)
+        j = np.flatnonzero(keep) % len(offsets)
+        base = base.astype(np.int64)
+        g, k = residues.locate(
+            [np.repeat(base[:, i], per_sample) + offsets[:, i][j] for i in range(d)]
+        )
+        dist2 = 0.0
+        inside = True
+        code = np.repeat(np.arange(len(x)) * side**d, per_sample)
+        for i in range(d):
+            dist2 = dist2 + (tile.points[:, i][g] - (np.repeat(x[:, i], per_sample) - k[i])) ** 2
+            inside = inside & (np.abs(k[i]) <= window)
+            code += (k[i] + window) * side**i
+        hit = inside & (np.sqrt(dist2) <= tile.cell_radius)
+        seen = np.zeros(len(x) * side**d, dtype=bool)
+        seen[code[hit]] = True  # a translate hit by several cloud points counts once
+        return np.bincount(seen.reshape(len(x), -1).sum(axis=1), minlength=2)
 
     def worker(run):
-        counts = []
-        for block, start, stop in run:
-            count = stop - start
-            x = rng.substream(seed, block).random((count, d))
-            # clamping the first candidate to -window keeps the window
-            # covered when the padded box is wider than the window
-            first = np.maximum(np.ceil(x - hi), -window)
-            k = first[:, None, :] + local[None, :, :]
-            shifted = x[:, None, :] - k
-            keep = ((shifted >= lo) & (shifted <= hi) & (np.abs(k) <= window)).all(axis=2)
-            dist, _ = tree.query(shifted[keep], distance_upper_bound=margin)
-            hit = np.zeros(keep.shape, dtype=bool)
-            hit[keep] = dist <= tile.cell_radius
-            counts.append(np.bincount(hit.sum(axis=1), minlength=2))
-        return counts
+        x = np.concatenate(
+            [rng.substream(seed, block).random((stop - start, d)) for block, start, stop in run]
+        )
+        return [count(x[i : i + chunk]) for i in range(0, len(x), chunk)]
 
     parts = [p for counts in rng.map_blocks(samples, worker, threads) for p in counts]
     width = max(len(p) for p in parts)
     total = np.zeros(width, dtype=np.int64)
-    for p in parts:  # summed in block order; integer adds are order-exact anyway
+    for p in parts:  # integer adds are order-exact
         total[: len(p)] += p
     stats.histogram = {int(i): int(c) for i, c in enumerate(total) if c > 0}
     return stats
@@ -174,9 +336,11 @@ def check_self_affinity(tile):
     builds the level-n cloud from level n-1 by appending the deepest
     digit. A^-n = adj(A)^n / det(A)^n comes once from exact integers, so
     the last level is not built by the A^-1 step of lattice.branch_points
-    that tile.points came from. Each of these points is matched to its
-    nearest neighbour in tile.points in the max norm, with a 1e-12
-    tolerance; the fraction must be exactly 0.
+    that tile.points came from. Each of these points p is rounded to
+    m = rint(A^n p) and matched to the cloud point whose exact key is m
+    (translate k = 0 in the residue table); it counts as matched when it
+    lies within 1e-12 of that point in the max norm. The fraction must
+    be exactly 0.
     """
     if tile.level < 2:
         raise InputError("self-affinity check needs level >= 2")
@@ -187,7 +351,14 @@ def check_self_affinity(tile):
     prev = lattice.branch_points(tile.matrix, tile.digits, n - 1)
     deepest = tile.digits.as_array() @ inv_n.T
     independent = (prev[:, None, :] + deepest[None, :, :]).reshape(-1, tile.matrix.dim)
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(tile.points).query(independent, p=np.inf)
-    return int((dist > 1e-12).sum()) / len(independent)
+    power = np.array(tile.matrix.power(n), dtype=float)
+    residues = _Residues(tile)
+    unmatched = 0
+    for start in range(0, len(independent), CENSUS_BUDGET):
+        part = independent[start : start + CENSUS_BUDGET]
+        g, k = residues.locate(np.rint(part @ power.T).astype(np.int64).T)
+        matched = np.abs(tile.points[g] - part).max(axis=1) <= 1e-12
+        for k_i in k:
+            matched &= k_i == 0
+        unmatched += int((~matched).sum())
+    return unmatched / len(independent)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -580,6 +581,28 @@ def test_output_file_holds_the_printed_bytes(capsys, tmp_path, f1_path, rich_pat
     assert code == 0
     assert path.read_bytes() == printed.encode("utf-8")
     assert run(capsys, argv) == (0, printed)  # the file changes nothing printed
+    # a longer stale file is overwritten whole, with no old tail left behind
+    path.write_bytes(b"stale line\n" * (len(printed) // 4 + 100))
+    assert run(capsys, argv + [flag, str(path)]) == (0, printed)
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_output_is_bad_input(capsys, tmp_path, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    code = cli.main(["matrix-info", "--matrix", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cannot write output file" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(os.devnull != "/dev/null", reason="needs the /dev/null device")
+def test_output_to_a_device(capsys):
+    # a device is written but never truncated
+    code, printed = run(capsys, ["matrix-info", "--matrix", "2", "--out", os.devnull])
+    assert code == 0
+    assert json.loads(printed)["q"] == 2
 
 
 def test_emit_plotdata_modulus_curve(tmp_path):

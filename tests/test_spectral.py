@@ -330,6 +330,16 @@ def test_modulus_saturation():
         spectral.modulus_value(f, 2, -0.1)
 
 
+def test_modulus_rejects_other_r_for_an_empty_function():
+    empty = TrigPolynomial(1, {})
+    assert spectral.modulus_value(empty, 2, 0.1) == 0.0
+    assert spectral.modulus_value(empty, "inf", [0.1, 0.2]) == [0.0, 0.0]
+    with pytest.raises(InputError):
+        spectral.modulus_value(empty, 3, 0.1)
+    with pytest.raises(InputError):
+        spectral.modulus(empty, 1, [0.1])
+
+
 def _reference_pattern_search(objective, v0, delta, step0, dim, tol_factor=1e-14, iters=200):
     """The one-point coordinate search the r = 2 modulus used before its Newton finish."""
     v = np.array(v0, dtype=float)

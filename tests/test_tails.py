@@ -136,9 +136,17 @@ def test_euler_maclaurin_reports_a_short_head():
         tails.euler_maclaurin(0.0, 2.0**-39 / 39.0, tails.power_taylor(2.0, 40.0))
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     code = ("import sys, toraldecay, toraldecay.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+    # the tile census and the self-affinity check run with scipy blocked
+    blocked = ("import sys; sys.modules['scipy'] = None; from toraldecay import cli; "
+               "sys.exit(cli.main(sys.argv[1:]))")
+    argv = ["tile", "--matrix", "1,-1;1,1", "--level", "8", "--samples", "2000",
+            "--seed", "3", "--self-affinity", "--coverage-out", str(tmp_path / "cov.json"),
+            "--points-out", str(tmp_path / "points.csv")]
+    run = subprocess.run([sys.executable, "-c", blocked] + argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

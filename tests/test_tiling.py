@@ -1,11 +1,15 @@
 """Digit tiles: cloud generation, subdivision identity, coverage counts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from toraldecay import lattice, rng, tiling
-from toraldecay.errors import InputError, TooLarge
+from toraldecay.errors import InputError, NotExpanding, SingularMatrix, TooLarge
 
 TWIN = lattice.validate_expanding([[1, -1], [1, 1]])
 DOUBLE = lattice.validate_expanding([[2]])
@@ -36,6 +40,31 @@ def test_tile_points_dyadic_line():
     got = np.sort(tile.points.ravel())
     want = np.arange(32) / 32.0
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_tile_keys_are_the_scaled_cloud():
+    for entries, level in (([[-3]], 6), ([[1, -1], [1, 1]], 9), ([[2, 1], [0, 2]], 5),
+                           ([[1, 1, 0], [-1, 1, 0], [0, 0, 2]], 4)):
+        m = lattice.validate_expanding(entries)
+        tile = tiling.tile_points(m, lattice.digit_set(m), level)
+        assert tile.keys.dtype == np.int64 and tile.keys.shape == tile.points.shape
+        scaled = tile.points @ np.array(m.power(level), dtype=float).T
+        assert np.abs(scaled - tile.keys).max() < 1e-9
+        # distinct residues mod A^n Z^d: one owner per key
+        owner = tiling._Residues(tile).owner
+        assert np.array_equal(np.sort(owner), np.arange(len(tile.keys)))
+
+
+def test_census_guards():
+    # A^n past tiling.KEY_LIMIT, and an offset set too large to scan
+    wide = lattice.validate_expanding([[2, 10**15], [0, 2]])
+    with pytest.raises(TooLarge):
+        tiling.tile_points(wide, lattice.digit_set(wide), 4)
+    skew = lattice.validate_expanding([[2, 10**6], [0, 2]])
+    tile = tiling.tile_points(skew, lattice.digit_set(skew), 10)
+    with pytest.raises(TooLarge):
+        tiling.check_tiling(tile, 10, seed=1)
+    assert tiling.check_self_affinity(tile) == 0.0
 
 
 def test_tile_level_guard():
@@ -150,3 +179,32 @@ def test_check_tiling_matches_all_translates():
                 stats = tiling.check_tiling(tile, samples, seed=level, threads=threads)
                 assert stats.window == window
                 assert stats.histogram == want, (entries, level, threads)
+
+
+@st.composite
+def census_tiles(draw):
+    """An expanding matrix with entries in [-2, 2] (d = 1..3; a diagonal
+    of modulus 2d replaces one that is not expanding) and a level with
+    q^level <= 1024."""
+    d = draw(st.integers(1, 3))
+    entries = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+    try:
+        m = lattice.validate_expanding(entries)
+    except (NotExpanding, SingularMatrix):
+        for i in range(d):
+            entries[i][i] = draw(st.sampled_from([-1, 1])) * 2 * d
+        m = lattice.validate_expanding(entries)
+    deepest = max(1, int(math.log(1024) / math.log(m.det_abs)))
+    return tiling.tile_points(m, lattice.digit_set(m), draw(st.integers(1, deepest)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(census_tiles(), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_census_matches_all_translates_on_random_matrices(tile, samples, seed):
+    try:
+        stats = tiling.check_tiling(tile, samples, seed, threads=1)
+    except TooLarge:
+        reject()  # a cell radius far above the lattice spacing; see test_census_guards
+    window, want = all_translates_census(tile, samples, seed)
+    assert stats.window == window
+    assert stats.histogram == want
