@@ -10,8 +10,6 @@ import csv
 import hashlib
 import io
 import json
-import os
-import stat
 
 from ._version import __version__
 from .errors import InputError
@@ -57,7 +55,7 @@ def render_csv(columns, rows, config, seed=None, footer=None):
 
 
 def write_csv(path, columns, rows, config, seed=None, footer=None):
-    return _write_text(path, render_csv(columns, rows, config, seed=seed, footer=footer))
+    return write_text(path, render_csv(columns, rows, config, seed=seed, footer=footer))
 
 
 def render_json(obj):
@@ -73,28 +71,14 @@ def _json_default(obj):
 
 
 def write_json(path, obj):
-    return _write_text(path, render_json(obj))
+    return write_text(path, render_json(obj))
 
 
-def _write_text(path, text):
-    """Write text as UTF-8 to path, overwriting the file in place.
-
-    The file is opened without O_TRUNC and cut to the new length after
-    the write: truncating a non-empty file first can cost tens of
-    milliseconds on filesystems mounted with discard. Only a regular
-    file is cut, so a device such as /dev/null is a valid target.
-    """
-    data = memoryview(text.encode("utf-8"))
+def write_text(path, text):
+    """Write text to path as UTF-8; a path that cannot be written is bad input."""
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-        try:
-            written = 0
-            while written < len(data):
-                written += os.write(fd, data[written:])
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, len(data))
-        finally:
-            os.close(fd)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise InputError("cannot write output file %s: %s" % (path, exc)) from exc
     return path

@@ -149,7 +149,7 @@ class TrigPolynomial:
         ]
 
     def save(self, path):
-        serialize._write_text(path, json.dumps(self.entries(), indent=1) + "\n")
+        serialize.write_text(path, json.dumps(self.entries(), indent=1) + "\n")
 
     @staticmethod
     def load(path, dim=None):

@@ -599,7 +599,7 @@ def test_unwritable_output_is_bad_input(capsys, tmp_path, target):
 
 @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs the /dev/null device")
 def test_output_to_a_device(capsys):
-    # a device is written but never truncated
+    # a device such as /dev/null is a valid output target
     code, printed = run(capsys, ["matrix-info", "--matrix", "2", "--out", os.devnull])
     assert code == 0
     assert json.loads(printed)["q"] == 2

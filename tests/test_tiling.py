@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -56,15 +56,18 @@ def test_tile_keys_are_the_scaled_cloud():
 
 
 def test_census_guards():
-    # A^n past tiling.KEY_LIMIT, and an offset set too large to scan
+    # keys past tiling.KEY_LIMIT: the cloud and the self-affinity check need none
     wide = lattice.validate_expanding([[2, 10**15], [0, 2]])
+    tile = tiling.tile_points(wide, lattice.digit_set(wide), 4)
+    assert len(tile.points) == 256
     with pytest.raises(TooLarge):
-        tiling.tile_points(wide, lattice.digit_set(wide), 4)
-    skew = lattice.validate_expanding([[2, 10**6], [0, 2]])
-    tile = tiling.tile_points(skew, lattice.digit_set(skew), 10)
-    with pytest.raises(TooLarge):
-        tiling.check_tiling(tile, 10, seed=1)
+        tile.keys
     assert tiling.check_self_affinity(tile) == 0.0
+    # windows far too wide to list their translates
+    skew = lattice.validate_expanding([[2, 10**6], [0, 2]])
+    for tile in (tile, tiling.tile_points(skew, lattice.digit_set(skew), 10)):
+        with pytest.raises(TooLarge):
+            tiling.check_tiling(tile, 10, seed=1)
 
 
 def test_tile_level_guard():
@@ -181,16 +184,26 @@ def test_check_tiling_matches_all_translates():
                 assert stats.histogram == want, (entries, level, threads)
 
 
+def window_cells(matrix):
+    """Translates in the census window, (2 window + 1)^d."""
+    window = int(np.ceil(tiling.attractor_radius(matrix, lattice.digit_set(matrix)))) + 1
+    return (2 * window + 1) ** matrix.dim
+
+
 @st.composite
 def census_tiles(draw):
     """An expanding matrix with entries in [-2, 2] (d = 1..3; a diagonal
-    of modulus 2d replaces one that is not expanding) and a level with
-    q^level <= 1024."""
+    of modulus 2d replaces one that is not expanding, or whose window
+    holds more than 2^20 translates, beyond what the reference can
+    query) and a level with q^level <= 1024."""
     d = draw(st.integers(1, 3))
     entries = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     try:
         m = lattice.validate_expanding(entries)
+        usable = window_cells(m) <= 2**20
     except (NotExpanding, SingularMatrix):
+        usable = False
+    if not usable:
         for i in range(d):
             entries[i][i] = draw(st.sampled_from([-1, 1])) * 2 * d
         m = lattice.validate_expanding(entries)
@@ -201,10 +214,47 @@ def census_tiles(draw):
 @settings(max_examples=30, deadline=None)
 @given(census_tiles(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_census_matches_all_translates_on_random_matrices(tile, samples, seed):
-    try:
-        stats = tiling.check_tiling(tile, samples, seed, threads=1)
-    except TooLarge:
-        reject()  # a cell radius far above the lattice spacing; see test_census_guards
+    # at most 2^18 reference queries, and at least one sample
+    samples = max(1, min(samples, 2**18 // window_cells(tile.matrix)))
     window, want = all_translates_census(tile, samples, seed)
-    assert stats.window == window
-    assert stats.histogram == want
+    for stats in census_by_each_path(tile, samples, seed):
+        assert stats.window == window
+        assert stats.histogram == want
+
+
+def census_by_each_path(tile, samples, seed):
+    """check_tiling as it chooses, then with the lattice census where the
+    offset set allows it, then with the digit-tree census alone."""
+    runs = [tiling.check_tiling(tile, samples, seed, threads=1)]
+    for limit in (2**13, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tiling, "LATTICE_OFFSETS", limit)
+            runs.append(tiling.check_tiling(tile, samples, seed, threads=1))
+    return runs
+
+
+@pytest.mark.parametrize("entries, level", [
+    ([[0, 2, -1], [-1, 2, -2], [-2, -1, 1]], 1),  # cell radius 31.5: every window translate
+    ([[-2, 0, -1], [1, -1, 2], [1, -2, 2]], 4),  # cell radius 7.2: about 2,800 translates
+    ([[3, 1], [1, 2]], 5),  # 16,542 lattice offsets a sample
+    ([[1, -1], [1, 1]], 14),  # 32 lattice offsets a sample
+])
+def test_census_matches_all_translates_where_the_cell_is_wide(entries, level):
+    m = lattice.validate_expanding(entries)
+    tile = tiling.tile_points(m, lattice.digit_set(m), level)
+    samples = 40
+    window, want = all_translates_census(tile, samples, seed=7)
+    for stats in census_by_each_path(tile, samples, seed=7):
+        assert stats.window == window
+        assert stats.histogram == want
+
+
+def test_census_without_keys(monkeypatch):
+    # keys past KEY_LIMIT leave the census to the digit tree
+    tile = tiling.tile_points(TWIN, TWIN_DIGITS, 10)
+    want = tiling.check_tiling(tile, 500, seed=4).histogram
+    monkeypatch.setattr(tiling, "KEY_LIMIT", 8)
+    tile = tiling.tile_points(TWIN, TWIN_DIGITS, 10)
+    with pytest.raises(TooLarge):
+        tile.keys
+    assert tiling.check_tiling(tile, 500, seed=4).histogram == want
