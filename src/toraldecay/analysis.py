@@ -143,8 +143,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     lam = matrix.lambda_min
     g_norm = spectral.norm(g, 2) if mode == "correlation" else 1.0
     radii = [lam ** (-n) for n in range(1, int(n_max) + 1)]
-    omegas = spectral.modulus_value(fc, 2 if mode == "correlation" else r, radii,
-                                    saturate=True)
+    omegas = spectral.modulus_value(fc, 2 if mode == "correlation" else r, radii)
     rows = []
     for n, omega in enumerate(omegas, start=1):
         transferred = None
@@ -164,7 +163,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         ratio = value / bound if bound > 0 else 0.0
         rows.append(DecayRow(n, value, bound, ratio, transferred))
     report = DecayReport(rows, mode, r, rows[0].ratio if rows else 0.0, centered)
-    report.fit = fit_if_possible(report)
+    report.fit = fit_if_possible([(row.n, row.value) for row in rows])
     return report
 
 
@@ -177,33 +176,26 @@ def _linear_fit(x, y):
     return coeffs[0], coeffs[1], float(np.sqrt(np.mean(resid**2)))
 
 
-def _rows(report_or_rows):
-    if isinstance(report_or_rows, DecayReport):
-        return [(row.n, row.value) for row in report_or_rows.rows]
-    return [(int(n), float(v)) for n, v in report_or_rows]
-
-
-def fit_if_possible(report_or_rows):
+def fit_if_possible(rows):
     """fit_rate of the rows with n >= 1, or None when there are too few.
 
     None means no row has n >= 1, or 1 to MIN_FIT_ROWS - 1 of them are
     nonzero. Rows that are all zero give the "all-zero" result.
     """
-    rows = [(n, v) for n, v in _rows(report_or_rows) if n >= 1]
+    rows = [(n, v) for n, v in rows if n >= 1]
     nonzero = sum(1 for _, v in rows if v > 0)
     if not rows or 0 < nonzero < MIN_FIT_ROWS:
         return None
     return fit_rate(rows)
 
 
-def fit_rate(report_or_rows):
+def fit_rate(rows):
     """Fit power n^-p, log (log n)^-p, and exponential theta^n models.
 
     Least squares on transformed coordinates; the model with the
     smallest log-space residual wins. The log model only sees rows with
     n >= 10. All-zero inputs are reported, not fitted.
     """
-    rows = _rows(report_or_rows)
     if not rows:
         raise InputError("empty report")
     nonzero = [(n, v) for n, v in rows if v > 0 and n >= 1]

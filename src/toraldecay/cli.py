@@ -298,28 +298,14 @@ def cmd_ulam(args):
 def emit_plotdata(report, path):
     """Two-column plot data plus a JSON sidecar with the report's own fit.
 
-    DecayReport rows become (log_n, log_value) over positive entries;
-    a ModulusCurve becomes (delta, omega). Empty reports are an error
-    and no file is written.
+    A DecayReport's rows become (log_n, log_value) over positive entries.
+    A report with no such rows is an error and no file is written.
     """
-    if isinstance(report, analysis.DecayReport):
-        rows = [
-            [math.log(r.n), math.log(r.value)]
-            for r in report.rows
-            if r.n >= 1 and r.value > 0
-        ]
-        if not rows:
-            raise InputError("report has no positive rows to plot")
-        cols = ["log_n", "log_value"]
-        sidecar = _fit_fields(report.fit)
-    elif isinstance(report, spectral.ModulusCurve):
-        if not report.radii:
-            raise InputError("empty modulus curve")
-        rows = report.as_rows()
-        cols = ["delta", "omega"]
-        sidecar = {"norm_index": report.norm_index, "points": len(rows)}
-    else:
-        raise InputError("cannot plot %r" % type(report).__name__)
+    rows = [[math.log(r.n), math.log(r.value)] for r in report.rows if r.n >= 1 and r.value > 0]
+    if not rows:
+        raise InputError("report has no positive rows to plot")
+    cols = ["log_n", "log_value"]
+    sidecar = _fit_fields(report.fit)
     config = {"plotdata": cols}
     serialize.write_csv(path, cols, rows, config)
     serialize.write_json(str(path) + ".fit.json", sidecar)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, stochastic, tails
+from . import analysis, rng, stochastic, tails
 from .errors import InputError, InternalError, TruncationTooSmall
 from .spectral import ModulusCurve
 
@@ -220,7 +220,7 @@ def uvn_decay_norms(n_max, truncation=10**6):
         bound = 2.0**-n
         rows.append(analysis.DecayRow(n, value, bound, value / bound))
     report = analysis.DecayReport(rows, "uvn_decay", 2, rows[0].ratio, False)
-    report.fit = analysis.fit_if_possible(report)
+    report.fit = analysis.fit_if_possible([(row.n, row.value) for row in rows])
     return report
 
 
@@ -233,21 +233,17 @@ def uvn_modulus_sqrt_delta(deltas):
     """L^2 modulus of log|h| on the length-2 circle, with a power-law fit.
 
     Parseval gives Omega^2(u) = 2 sum sin^2(pi n u / 2)/n^2, which sums in
-    closed form to pi^2 u (2 - u) / 4 for u in [0, 2]; a scan over |u| <= delta
-    (the expression is increasing there) gives the modulus, of order
-    sqrt(delta) as delta -> 0.
+    closed form to pi^2 u (2 - u) / 4 for u in [0, 2]; that increases on
+    [0, 1], so the modulus is the square root of its value at u = delta,
+    of order sqrt(delta) as delta -> 0.
     """
     radii = [float(d) for d in deltas]
     if not radii:
         raise InputError("empty delta list")
     if any(not 0.0 < d <= 0.5 for d in radii):
         raise InputError("deltas must lie in (0, 1/2]")
-    values = []
-    for delta in radii:
-        grid = np.linspace(0.0, delta, 1025)[1:]
-        omega_sq = math.pi**2 * grid * (2.0 - grid) / 4.0
-        values.append(math.sqrt(float(np.max(omega_sq))))
-    curve = ModulusCurve(radii, values, 2, 1, {"method": "closed-form scan", "grid": 1024})
+    values = [math.sqrt(math.pi**2 * d * (2.0 - d) / 4.0) for d in radii]
+    curve = ModulusCurve(radii, values, 2, 1, {"method": "closed form"})
     _, slope, _ = analysis._linear_fit(np.log(radii), np.log(values))
     return SqrtModulusResult(curve, float(slope))
 
@@ -312,7 +308,7 @@ class LyapunovReport(stochastic.SampleMoments):
     ks_stat: float = None
 
 
-def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
+def lyapunov_clt(horizon, samples, seed, threads=None):
     """Sample (1/sqrt(n)) [log|(U^n)'(y)| - n log 2] from mu-distributed starts.
 
     Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
@@ -320,27 +316,19 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
     sampler, and a worker advances its run of blocks as one array through
     the shared window loop (`stochastic._window_sums`).
     log|U'(y)| = log(4|y|) is clamped away from the y = 0
-    singularity (measure-zero, log-integrable). An explicit observable
-    replaces the Lyapunov summand, with no mean subtraction; it must act
-    elementwise, since it is called on a (steps, samples) block of orbit
-    points at once, and its result must broadcast to that block's shape
-    (a scalar does), else InputError. The limit variance of the default
-    observable is zero (coboundary), so the KS column is skipped exactly
-    as in the degenerate toral case.
+    singularity (measure-zero, log-integrable). The limit variance is
+    zero (coboundary), so the KS column is skipped exactly as in the
+    degenerate toral case.
     """
     frame = stochastic._SamplerFrame(horizon, samples)
-    if observable is None:
-        sigma2 = lyapunov_sigma2()
-        shift = frame.horizon * math.log(2.0)
-    else:
-        sigma2 = None
-        shift = 0.0
+    sigma2 = lyapunov_sigma2()
+    shift = frame.horizon * math.log(2.0)
 
     def worker(run):
-        draw = stochastic._run_draw(seed, run, lambda gen, count: gen.random(count))
+        draw = rng.run_draw(seed, run, lambda gen, count: gen.random(count))
         y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
         rows = stochastic._window_rows(len(y))
-        logs = np.empty((rows, len(y))) if observable is None else None
+        logs = np.empty((rows, len(y)))
 
         def step(y, _, out):  # out = 1 - 2 y y
             np.multiply(y, 2.0, out=out)
@@ -350,21 +338,11 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
         def refresh(y, _):
             return np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0), None
 
-        def add_window(points, acc):
-            if observable is None:  # log(4 max(|y|, LOG_FLOOR))
-                values = np.abs(points, out=logs[:len(points)])
-                np.maximum(values, LOG_FLOOR, out=values)
-                np.multiply(values, 4.0, out=values)
-                np.log(values, out=values)
-            else:
-                values = observable(points)
-                try:
-                    values = np.broadcast_to(values, points.shape)
-                except ValueError:
-                    raise InputError(
-                        "observable must act elementwise: its value on a %s block "
-                        "does not broadcast to that shape" % (points.shape,)
-                    ) from None
+        def add_window(points, acc):  # log(4 max(|y|, LOG_FLOOR))
+            values = np.abs(points, out=logs[:len(points)])
+            np.maximum(values, LOG_FLOOR, out=values)
+            np.multiply(values, 4.0, out=values)
+            np.log(values, out=values)
             for row in values:
                 acc += row
 
@@ -374,7 +352,7 @@ def lyapunov_clt(horizon, samples, seed, observable=None, threads=None):
     fluct = (sums - shift) * frame.scale
     mean_log = float(np.mean(sums)) / frame.horizon if len(sums) else 0.0
     report = LyapunovReport(frame.horizon, frame.samples, seed, sigma2, fluct, mean_log)
-    if sigma2 is not None and sigma2 > 0:
+    if sigma2 > 0:
         report.ks_stat = stochastic.ks_statistic(report)
     return report
 

@@ -174,21 +174,18 @@ def tail_norms(spec, n):
 def _logpower_tail(p, b, n):
     """sum_{k>n} 1/(k^p log^b(k+1)) for p in {1,2}.
 
-    Terms below m = SUM_SPLIT (m = 2(n+1) once n >= SUM_SPLIT) are summed
-    directly, ascending; tails.euler_maclaurin adds the rest from m. With
-    L(t) = log(t+1), the integral is Gauss-Laguerre after t = m e^u; for
-    p = 1 the part int_m^inf dt/((t+1) L^b) = L(m)^(1-b)/(b-1) is split off
-    first, leaving int_m^inf dt/(t (t+1) L^b).
+    Terms below m = max(SUM_SPLIT, n + 1) are summed directly, ascending;
+    tails.euler_maclaurin adds the rest from m. With L(t) = log(t+1), the
+    integral is Gauss-Laguerre after t = m e^u; for p = 1 the part
+    int_m^inf dt/((t+1) L^b) = L(m)^(1-b)/(b-1) is split off first,
+    leaving int_m^inf dt/(t (t+1) L^b).
     """
-    m = SUM_SPLIT if n < SUM_SPLIT else 2 * (n + 1)
+    m = max(SUM_SPLIT, n + 1)
     ks = np.arange(m - 1, n, -1, dtype=float)  # descending k, ascending terms
     u, w = tails.gauss_laguerre()
     log_t1 = math.log(m) + u + np.log1p(np.exp(-u) / m)  # L(m e^u)
     with np.errstate(over="ignore"):  # a denominator past float range adds 0
-        terms = np.log(ks + 1.0)  # in place: from n = SUM_SPLIT on the head has n + 1 terms
-        terms **= b
-        terms *= ks**p
-        head = float(np.sum(np.reciprocal(terms, out=terms)))
+        head = float(np.sum(1.0 / (ks**p * np.log(ks + 1.0) ** b)))
         if p == 1:
             integral = math.log1p(m) ** (1.0 - b) / (b - 1.0)
             integral += float(np.sum(w / ((m + np.exp(-u)) * log_t1**b)))

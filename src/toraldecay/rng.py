@@ -55,6 +55,13 @@ def uniform64(gen, size):
     return (a << np.uint64(32)) | b
 
 
+def run_draw(seed, run, draw_block):
+    """draw() for a run: its blocks stacked, each drawn by
+    draw_block(gen, count) from its own substream, as a one-block run would."""
+    blocks = [(substream(seed, block), stop - start) for block, start, stop in run]
+    return lambda: np.concatenate([draw_block(gen, count) for gen, count in blocks])
+
+
 def resolve_threads(threads=None):
     """Thread count: explicit argument, else TORAL_DECAY_THREADS, else the
     CPUs this process may run on (its affinity set where the OS reports

@@ -26,8 +26,6 @@ def format_value(v):
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, complex):
-        return repr(v)
     return str(v)
 
 

@@ -65,7 +65,7 @@ class TrigPolynomial:
     modulus below PRUNE_TOL are dropped, so the stored support is exact.
     """
 
-    def __init__(self, dim, coeffs=None, real_valued=None):
+    def __init__(self, dim, coeffs=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
@@ -75,12 +75,7 @@ class TrigPolynomial:
             if abs(c) >= PRUNE_TOL:
                 store[_freq_key(k, self.dim)] = c
         self.coeffs = store
-        hermitian = self._hermitian()
-        if real_valued is None:
-            real_valued = hermitian
-        elif real_valued and not hermitian:
-            raise InputError("real_valued flag set but coefficients are not hermitian")
-        self.real_valued = bool(real_valued)
+        self.real_valued = self._hermitian()
 
     def _hermitian(self):
         for k, c in self.coeffs.items():
@@ -100,7 +95,7 @@ class TrigPolynomial:
         """Copy with the mean removed."""
         out = dict(self.coeffs)
         out.pop(self.zero_key, None)
-        return TrigPolynomial(self.dim, out, real_valued=self.real_valued)
+        return TrigPolynomial(self.dim, out)
 
     def support(self):
         return sorted(self.coeffs)
@@ -185,7 +180,7 @@ def transfer_fourier(f, matrix, n):
     if f.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
     if n == 0:
-        return TrigPolynomial(f.dim, dict(f.coeffs), real_valued=f.real_valued)
+        return TrigPolynomial(f.dim, dict(f.coeffs))
     # adj(A*^n) = (adj(A)^n)^T and det(A*^n) = det(A)^n, exactly
     adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
     det = matrix.det**n
@@ -662,14 +657,14 @@ def _omega_l2(f, radii):
     return [math.sqrt(b) for b in best]
 
 
-def modulus_value(f, r, delta, saturate=False):
+def modulus_value(f, r, delta):
     """Certified lower estimate of Omega_{f,r}(delta); a list for a sequence of radii.
 
-    Shifts live on the torus, so for saturate=True the scan radius is
-    capped at sqrt(d)/2, beyond which the ball of shifts already covers
-    every torus displacement and the modulus is constant. All radii of
-    one call are searched together; a value does not depend on the other
-    radii in the call.
+    Shifts live on the torus, so the scan radius is capped at sqrt(d)/2,
+    beyond which the ball of shifts already covers every torus
+    displacement and the modulus is constant. All radii of one call are
+    searched together; a value does not depend on the other radii in
+    the call.
     """
     many = np.ndim(delta) > 0
     radii = list(np.ravel(delta)) if many else [delta]
@@ -679,9 +674,8 @@ def modulus_value(f, r, delta, saturate=False):
     if not f.coeffs:
         values = [0.0] * len(radii)
     else:
-        if saturate:
-            cap = math.sqrt(f.dim) / 2.0
-            radii = [min(x, cap) for x in radii]
+        cap = math.sqrt(f.dim) / 2.0
+        radii = [min(x, cap) for x in radii]
         values = _omega_l2(f, radii) if l2 else _omega_sup(f, radii)
     return values if many else values[0]
 

@@ -90,9 +90,7 @@ def check_dini(f, matrix, n_scales):
     if n_scales < 0:
         raise InputError("scale count must be >= 0")
     lam = matrix.lambda_min
-    terms = spectral.modulus_value(
-        f, 2, [lam ** (-n) for n in range(int(n_scales) + 1)], saturate=True
-    )
+    terms = spectral.modulus_value(f, 2, [lam ** (-n) for n in range(int(n_scales) + 1)])
     partial = list(np.cumsum(terms))
     tail = [t for t in terms[-4:] if t > 0]
     if len(tail) >= 2 and tail[-1] < tail[0]:
@@ -262,13 +260,6 @@ class _SamplerFrame:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def _run_draw(seed, run, draw_block):
-    """draw() for a run: its blocks stacked, each drawn by
-    draw_block(gen, count) from its own substream, as a one-block run would."""
-    blocks = [(rng.substream(seed, block), stop - start) for block, start, stop in run]
-    return lambda: np.concatenate([draw_block(gen, count) for gen, count in blocks])
-
-
 def _window_rows(values_per_step):
     """Steps in one window: REFRESH_PERIOD, fewer if a step records many values."""
     return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
@@ -329,7 +320,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     pieces = [(k, w, fn) for k, a, b in terms for w, fn in ((a, np.cos), (b, np.sin)) if w]
 
     def worker(run):
-        draw_words = _run_draw(seed, run, lambda gen, count: rng.uniform64(gen, (count, d)))
+        draw_words = rng.run_draw(seed, run, lambda gen, count: rng.uniform64(gen, (count, d)))
 
         def draw():  # (d, m) words; each block draws (count, d) as it always has
             return np.ascontiguousarray(draw_words().T)

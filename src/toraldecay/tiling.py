@@ -445,9 +445,7 @@ def check_tiling(tile, samples, seed, threads=None):
     chunk, count = _lattice_census(tile, window) or _tree_census(tile, window)
 
     def worker(run):
-        x = np.concatenate(
-            [rng.substream(seed, block).random((stop - start, d)) for block, start, stop in run]
-        )
+        x = rng.run_draw(seed, run, lambda gen, count: gen.random((count, d)))()
         return [count(x[i : i + chunk]) for i in range(0, len(x), chunk)]
 
     parts = [p for counts in rng.map_blocks(samples, worker, threads) for p in counts]

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from toraldecay import analysis, cli, lattice, spectral
+from toraldecay import analysis, cli, lattice
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -603,23 +603,3 @@ def test_output_to_a_device(capsys):
     code, printed = run(capsys, ["matrix-info", "--matrix", "2", "--out", os.devnull])
     assert code == 0
     assert json.loads(printed)["q"] == 2
-
-
-def test_emit_plotdata_modulus_curve(tmp_path):
-    curve = spectral.ModulusCurve([0.5, 0.25], [1.0, 0.7], 2, 1, {})
-    path = tmp_path / "curve.csv"
-    cli.emit_plotdata(curve, str(path))
-    assert path.exists()
-    empty = spectral.ModulusCurve([], [], 2, 1, {})
-    from toraldecay.errors import InputError
-
-    with pytest.raises(InputError):
-        cli.emit_plotdata(empty, str(tmp_path / "empty.csv"))
-    assert not (tmp_path / "empty.csv").exists()
-
-
-def test_emit_plotdata_rejects_junk(tmp_path):
-    from toraldecay.errors import InputError
-
-    with pytest.raises(InputError):
-        cli.emit_plotdata({"not": "a report"}, str(tmp_path / "x.csv"))

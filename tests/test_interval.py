@@ -334,8 +334,8 @@ def test_lyapunov_clt_recovers_log2():
         assert one.mean_log_derivative == many.mean_log_derivative
 
 
-def _frozen_lyapunov_sums(horizon, samples, seed, threads, step_value):
-    """Orbit sums of step_value from the per-step loop lyapunov_clt ran
+def _frozen_lyapunov_sums(horizon, samples, seed, threads):
+    """Orbit sums of log|U'(y)| from the per-step loop lyapunov_clt ran
     before the window loop; low bits are perturbed every 40 steps."""
     def worker(run):
         blocks = [(rng.substream(seed, b), stop - start) for b, start, stop in run]
@@ -346,7 +346,7 @@ def _frozen_lyapunov_sums(horizon, samples, seed, threads, step_value):
         y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
         acc = np.zeros(len(y))
         for step in range(horizon):
-            acc += step_value(y)
+            acc += np.log(4.0 * np.maximum(np.abs(y), 1e-300))
             y = 1.0 - 2.0 * y * y
             if (step + 1) % 40 == 0 and step + 1 < horizon:
                 y = np.clip(y + (draw() - 0.5) * 2.0**-40, -1.0, 1.0)
@@ -355,48 +355,19 @@ def _frozen_lyapunov_sums(horizon, samples, seed, threads, step_value):
     return np.concatenate(rng.map_blocks(samples, worker, threads))
 
 
-def _log_derivative(y):
-    return np.log(4.0 * np.maximum(np.abs(y), 1e-300))
-
-
 def test_lyapunov_window_loop_matches_per_step_loop_bit_for_bit():
     wide = (3 * rng.RUN_BLOCKS + 1) * rng.BLOCK + 7  # more blocks than RUN_BLOCKS * threads
     cases = [(h, 1100) for h in (1, 39, 40, 41, 97)] + [(41, wide)]
     for horizon, count in cases:
         scale = 1.0 / math.sqrt(horizon)
         for threads in (1, 3):
-            for observable in (None, lambda y: y):
-                step_value = _log_derivative if observable is None else observable
-                sums = _frozen_lyapunov_sums(horizon, count, 5, threads, step_value)
-                shift = horizon * math.log(2.0) if observable is None else 0.0
-                got = interval.lyapunov_clt(horizon, count, 5, observable=observable,
-                                            threads=threads)
-                assert np.array_equal(got.samples, (sums - shift) * scale)
-                assert got.mean_log_derivative == float(np.mean(sums)) / horizon
+            sums = _frozen_lyapunov_sums(horizon, count, 5, threads)
+            got = interval.lyapunov_clt(horizon, count, 5, threads=threads)
+            assert np.array_equal(got.samples, (sums - horizon * math.log(2.0)) * scale)
+            assert got.mean_log_derivative == float(np.mean(sums)) / horizon
 
 
-def test_lyapunov_clt_observable_broadcasts_or_raises():
-    # a scalar-valued observable adds its value at every step, as before
-    got = interval.lyapunov_clt(97, 1100, 6, observable=lambda y: 1.0)
-    sums = _frozen_lyapunov_sums(97, 1100, 6, 1, lambda y: 1.0)
-    assert np.array_equal(got.samples, sums * (1.0 / math.sqrt(97)))
-    with pytest.raises(InputError):
-        interval.lyapunov_clt(10, 100, 6, observable=lambda y: np.zeros((1, 2)))
-
-    def failing(y):
-        raise ValueError("observable failed on its own")
-
-    # the observable's own error passes through unchanged
-    with pytest.raises(ValueError, match="on its own"):
-        interval.lyapunov_clt(10, 100, 6, observable=failing)
-
-
-def test_lyapunov_clt_custom_observable():
-    report = interval.lyapunov_clt(300, 500, seed=4, observable=lambda y: y)
-    assert report.sigma2 is None
-    assert report.ks_stat is None
-    # int y dmu = 0: the empirical mean of S_n/n stays small
-    assert abs(report.mean_log_derivative) < 0.05
+def test_lyapunov_clt_rejects_bad_sizes():
     with pytest.raises(TooLarge):
         interval.lyapunov_clt(10**6, 10**4, seed=0)
     with pytest.raises(InputError):

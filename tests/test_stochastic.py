@@ -331,6 +331,15 @@ def test_sigma_squared_known_values():
     assert stochastic.sigma_squared(empty, DOUBLE) == 0.0
 
 
+def test_centered_copy_derives_real_valued_from_its_coefficients():
+    # the mean 1j is the only non-hermitian coefficient; without it f is cos(2 pi x)
+    f = TrigPolynomial(1, {(0,): 1j, (1,): 0.5, (-1,): 0.5})
+    assert not f.real_valued
+    g = f.centered()
+    assert g.real_valued
+    assert stochastic.sigma_squared(g, DOUBLE) == 0.5
+
+
 def test_sigma_squared_keeps_term_at_threshold():
     # sigma_min(A^3) = 12 equals the stopping threshold 144/12 exactly, yet
     # A*^3 (12, 0) = (0, 144): rho(3) = 2, so sigma^2 = 4 + 2 * 2
