@@ -98,7 +98,6 @@ class FitResult:
 class DecayReport:
     rows: list
     mode: str
-    r: object
     c_fitted: float
     centered: bool
     fit: FitResult = None
@@ -162,7 +161,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
             )
         ratio = value / bound if bound > 0 else 0.0
         rows.append(DecayRow(n, value, bound, ratio, transferred))
-    report = DecayReport(rows, mode, r, rows[0].ratio if rows else 0.0, centered)
+    report = DecayReport(rows, mode, rows[0].ratio if rows else 0.0, centered)
     report.fit = fit_if_possible([(row.n, row.value) for row in rows])
     return report
 

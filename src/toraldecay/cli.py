@@ -268,7 +268,7 @@ def cmd_clt(args):
 
 def cmd_ulam(args):
     if args.op == "decay":
-        truncation = args.truncation if args.truncation else 10**6
+        truncation = args.truncation if args.truncation is not None else 10**6
         report = interval.uvn_decay_norms(args.nmax, truncation)
         config = {
             "subcommand": "ulam",

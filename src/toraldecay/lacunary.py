@@ -19,8 +19,6 @@ from .errors import InputError, InternalError, NotDecreasing, NotSimilarity
 from .spectral import TrigPolynomial
 
 FAMILIES = ("power", "logpower", "geometric", "explicit")
-TRUNCATION_CAP = 10**5
-TAIL_FRACTION = 1e-10
 POWER_MAX = 1e4  # k^-alpha underflows for every k >= 2 from alpha = 1075 on
 # a_1 = log(2)^-beta; 4 a_1^2 (the prop2 L2 bound) leaves float range near beta = 966
 LOGPOWER_MAX = 900.0
@@ -35,7 +33,8 @@ class LacunarySpec:
     param is the family parameter: alpha for power (alpha > 1), beta for
     logpower (beta > 1), theta for geometric (1/lambda < theta < 1), or the
     coefficient list itself for explicit. truncation=None means the ideal
-    infinite series; tails are then true infinite tails.
+    infinite series: tails are then true infinite tails, and
+    lacunary_build refuses it.
     """
 
     h: tuple
@@ -97,28 +96,15 @@ def coefficients(spec, kmax):
     return a
 
 
-def default_truncation(spec):
-    """Smallest K whose l1 tail drops below 1e-10 of the full sum, capped."""
-    if spec.family == "explicit":
-        return len(spec.param)
-    ideal = LacunarySpec(spec.h, spec.matrix, spec.family, spec.param)
-    full = tail_norms(ideal, 0).l1
-    target = TAIL_FRACTION * full
-    if tail_norms(ideal, TRUNCATION_CAP).l1 >= target:
-        return TRUNCATION_CAP
-    lo, hi = 1, TRUNCATION_CAP  # tail(hi) < target <= tail(lo-1)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_norms(ideal, mid).l1 < target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def lacunary_build(spec):
-    """Truncated series as a TrigPolynomial with exact integer frequencies."""
-    k = spec.truncation if spec.truncation is not None else default_truncation(spec)
+    """Truncated series as a TrigPolynomial with exact integer frequencies.
+
+    The spec must carry a finite truncation: the CLI builds max(64, nmax + 32)
+    terms of an untruncated family.
+    """
+    k = spec.truncation
+    if k is None:
+        raise InputError("lacunary_build needs a finite truncation")
     a = coefficients(spec, k) if k else np.array([])
     star = spec.matrix.star()
     freq = spec.h

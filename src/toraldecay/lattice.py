@@ -6,12 +6,13 @@ Floating point only enters for eigenvalue moduli, where the roots of the
 exact characteristic polynomial are located numerically.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import InputError, InternalError, NotExpanding, SingularMatrix
 
 EXPANDING_TOL = 1e-9  # strict margin on |eigenvalue| - 1
-EIGEN_REL_TOL = 1e-12  # root-finding accuracy on the exact char poly
 
 
 def _as_int_rows(entries):
@@ -91,12 +92,6 @@ def char_poly_and_adjugate(a):
     return coeffs, adj
 
 
-def determinant(a):
-    d = len(a)
-    coeffs, _ = char_poly_and_adjugate(a)
-    return coeffs[d] if d % 2 == 0 else -coeffs[d]
-
-
 class IntegerMatrix:
     """Exact d x d integer matrix with expanding-spectrum metadata.
 
@@ -104,14 +99,12 @@ class IntegerMatrix:
     not re-check the spectrum.
     """
 
-    def __init__(self, entries, det, lambda_min, lambda_tol, char_coeffs, adjugate):
+    def __init__(self, entries, det, lambda_min, adjugate):
         self.entries = entries
         self.dim = len(entries)
         self.det = det
         self.det_abs = abs(det)
         self.lambda_min = lambda_min
-        self.lambda_tol = lambda_tol
-        self.char_coeffs = char_coeffs
         self.adjugate = adjugate
 
     def as_array(self):
@@ -144,10 +137,9 @@ def validate_expanding(entries):
     """Accept a square integer matrix whose eigenvalues all exceed 1 in modulus.
 
     Returns an IntegerMatrix carrying exact q = |det A| and the minimum
-    eigenvalue modulus lambda computed from the exact characteristic
-    polynomial to EIGEN_REL_TOL relative accuracy. q >= 2 then holds
-    automatically: the determinant is a nonzero integer of modulus
-    prod |eigenvalue| > 1.
+    eigenvalue modulus lambda, from numpy.roots of the exact characteristic
+    polynomial. q >= 2 then holds automatically: the determinant is a
+    nonzero integer of modulus prod |eigenvalue| > 1.
     """
     a, d = _as_int_rows(entries)
     coeffs, adj = char_poly_and_adjugate(a)
@@ -161,7 +153,7 @@ def validate_expanding(entries):
             "matrix is not expanding: min |eigenvalue| = %.12g <= 1 + %g"
             % (lam, EXPANDING_TOL)
         )
-    return IntegerMatrix(a, det, lam, EIGEN_REL_TOL, coeffs, adj)
+    return IntegerMatrix(a, det, lam, adj)
 
 
 def exact_solve_integral(adj, det, target):
@@ -211,33 +203,19 @@ def _shell(d, r):
     outward and taking the lexicographically largest candidates first
     yields {0, 1, -1} for [[3]] and {(0,0), (1,0)} for [[1,-1],[1,1]].
     """
-    if r == 0:
-        return [tuple([0] * d)]
-    vals = list(range(r, -r - 1, -1))
-    out = []
-
-    def rec(prefix, hit):
-        if len(prefix) == d:
-            if hit:
-                out.append(tuple(prefix))
-            return
-        for v in vals:
-            rec(prefix + [v], hit or abs(v) == r)
-
-    rec([], False)
-    return out
+    return [v for v in itertools.product(range(r, -r - 1, -1), repeat=d)
+            if max(map(abs, v)) == r]
 
 
 def coset_search_bound(matrix):
-    """Provable sup-norm shell containing a representative of every coset.
+    """Sup-norm shell that holds a representative of every coset.
 
-    q * (max infinity-row-sum of A^-1) equals the max row abs-sum of the
-    adjugate, an exact integer.
+    A [-1/2, 1/2)^d is a fundamental domain of A Z^d, so it holds an
+    integer point of every coset, and such a point has sup-norm at most
+    half the largest row abs-sum of A. That sum is >= 2 for an
+    expanding A, since it bounds the spectral radius.
     """
-    d = matrix.dim
-    return max(
-        sum(abs(matrix.adjugate[i][j]) for j in range(d)) for i in range(d)
-    )
+    return max(sum(abs(v) for v in row) for row in matrix.entries) // 2
 
 
 def digit_set(matrix):
@@ -249,7 +227,7 @@ def digit_set(matrix):
     """
     q = matrix.det_abs
     digits = []
-    bound = max(coset_search_bound(matrix), 1)
+    bound = coset_search_bound(matrix)
     for r in range(0, bound + 1):
         for cand in _shell(matrix.dim, r):
             if all(not same_coset(matrix, cand, g) for g in digits):

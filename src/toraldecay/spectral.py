@@ -440,10 +440,9 @@ class ModulusCurve:
     ball; refinement metadata records the sampling density used.
     """
 
-    def __init__(self, radii, values, norm_index, direction_count, refinement):
+    def __init__(self, radii, values, direction_count, refinement):
         self.radii = tuple(float(r) for r in radii)
         self.values = tuple(float(v) for v in values)
-        self.norm_index = norm_index
         self.direction_count = int(direction_count)
         self.refinement = dict(refinement)
 
@@ -726,7 +725,7 @@ def modulus(f, r, radii):
     values = modulus_value(f, r, radii)
     dirs, steps = _shift_grid(r == 2, f.dim)
     return ModulusCurve(
-        radii, values, r, len(dirs),
+        radii, values, len(dirs),
         {"radial_steps": steps,
          "refinement": "pattern-search+newton" if r == 2 else "pattern-search"},
     )

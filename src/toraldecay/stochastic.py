@@ -120,10 +120,7 @@ class SampleMoments:
 
 @dataclass
 class CltExperiment(SampleMoments):
-    function: object
-    matrix: object
     horizon: int
-    sample_count: int
     seed: int
     sigma2: float
     samples: np.ndarray
@@ -363,7 +360,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         return _window_sums(frame.horizon, hi, lo, rows, step, refresh, add_window)
 
     values = frame.sums(worker, threads) * frame.scale
-    experiment = CltExperiment(f, matrix, frame.horizon, frame.samples, seed, sigma2, values)
+    experiment = CltExperiment(frame.horizon, seed, sigma2, values)
     if sigma2 > 0:
         experiment.ks_stat = ks_statistic(experiment)
     return experiment

@@ -1,5 +1,10 @@
 import sys
 
+from hypothesis import strategies as st
+
+from toraldecay import lattice
+from toraldecay.errors import NotExpanding, SingularMatrix
+
 CRITERION_LINES = []
 
 
@@ -14,3 +19,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
+
+
+def _expanding_or_none(entries):
+    try:
+        return lattice.validate_expanding(entries)
+    except (NotExpanding, SingularMatrix):
+        return None
+
+
+def _square(d):
+    # |a| up to 12 needs 1-D digits beyond sup-norm 1; |det A| <= 32 in d = 3
+    span = {1: 12, 2: 3, 3: 2}[d]
+    return st.lists(st.lists(st.integers(-span, span), min_size=d, max_size=d),
+                    min_size=d, max_size=d)
+
+
+def expanding_matrices():
+    """Random expanding integer matrices in d = 1..3 (about half the draws)."""
+    return st.integers(1, 3).flatmap(_square).map(_expanding_or_none).filter(
+        lambda m: m is not None
+    )
+

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import expanding_matrices
 from toraldecay import analysis, lattice, spectral
 from toraldecay.errors import InputError
 from toraldecay.spectral import TrigPolynomial
@@ -65,6 +68,18 @@ def test_correlation_vs_transfer_pairing():
                 - f.mean() * g.mean()
             )
             assert abs(direct - via_transfer) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(expanding_matrices(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_correlation_is_the_transferred_pairing(matrix, n, seed):
+    rng = np.random.default_rng(seed)
+    f = random_real_poly(rng, matrix.dim, span=9, terms=6)
+    g = random_real_poly(rng, matrix.dim, span=9, terms=6)
+    via_transfer = (
+        analysis.pairing(spectral.transfer_fourier(f, matrix, n), g) - f.mean() * g.mean()
+    )
+    assert abs(analysis.correlation(f, g, matrix, n) - via_transfer) < 1e-12
 
 
 def test_correlation_mc_agrees():

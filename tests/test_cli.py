@@ -511,6 +511,13 @@ def test_exit_codes(capsys, f1_path):
     capsys.readouterr()
 
 
+def test_ulam_decay_truncation_zero_is_too_small(capsys):
+    # 0 is a truncation like any other, not a request for the default
+    code, out = run(capsys, ["ulam", "--op", "decay", "--nmax", "4", "--truncation", "0"])
+    assert code == 2
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

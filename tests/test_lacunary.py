@@ -165,13 +165,9 @@ def test_tail_telescoping():
             assert sq == pytest.approx(a[n - 1] ** 2, rel=1e-7)
 
 
-def test_default_truncation():
-    geo = lacunary.LacunarySpec((1,), DOUBLE, "geometric", 0.7)
-    k = lacunary.default_truncation(geo)
-    # minimal K with theta^K < 1e-10
-    assert k == math.ceil(math.log(1e-10) / math.log(0.7))
-    slow = lacunary.LacunarySpec((1,), DOUBLE, "power", 2.0)
-    assert lacunary.default_truncation(slow) == lacunary.TRUNCATION_CAP
+def test_build_needs_a_finite_truncation():
+    with pytest.raises(InputError):
+        lacunary.lacunary_build(lacunary.LacunarySpec((1,), DOUBLE, "geometric", 0.7))
 
 
 def test_prop2_requires_similarity():

@@ -1,8 +1,12 @@
 """Exact integer linear algebra: char poly, adjugate, cosets, digits."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import expanding_matrices
 from toraldecay import lattice
 from toraldecay.errors import InputError, NotExpanding, SingularMatrix
 
@@ -30,7 +34,7 @@ def test_adjugate_identity():
         d = int(rng.integers(1, 5))
         a = tuple(map(tuple, random_int_matrix(rng, d)))
         coeffs, adj = lattice.char_poly_and_adjugate(a)
-        det = lattice.determinant(a)
+        det = (-1) ** d * coeffs[d]
         prod = lattice.mat_mul(adj, a)
         for i in range(d):
             for j in range(d):
@@ -42,7 +46,8 @@ def test_determinant_matches_numpy():
     for _ in range(50):
         d = int(rng.integers(1, 5))
         a = random_int_matrix(rng, d)
-        det = lattice.determinant(tuple(map(tuple, a)))
+        coeffs, _ = lattice.char_poly_and_adjugate(tuple(map(tuple, a)))
+        det = (-1) ** d * coeffs[d]  # p(0) = det(-A)
         assert det == round(float(np.linalg.det(np.array(a, dtype=float))))
 
 
@@ -110,14 +115,57 @@ def test_digit_sets_are_full_coset_systems():
             continue
         mats.append(a)
     for a in mats:
-        m = lattice.validate_expanding(a)
-        digits = lattice.digit_set(m)
-        assert len(digits) == m.det_abs
-        assert digits.digits[0] == (0,) * m.dim
-        reps = list(digits)
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                assert not lattice.same_coset(m, reps[i], reps[j])
+        assert_complete_residue_system(lattice.validate_expanding(a))
+
+
+def assert_complete_residue_system(m):
+    """digit_set(m) holds one point of each coset of A Z^d, zero first."""
+    reps = lattice.digit_set(m).digits
+    assert len(reps) == m.det_abs
+    assert reps[0] == (0,) * m.dim
+    for u, v in itertools.combinations(reps, 2):
+        assert not lattice.same_coset(m, u, v)
+
+
+def test_one_dimensional_digit_sets_reach_half_the_modulus():
+    # the cosets of Z / aZ need representatives up to |a| // 2
+    for a in range(2, 13):
+        for sign in (1, -1):
+            assert_complete_residue_system(lattice.validate_expanding([[sign * a]]))
+    four = lattice.digit_set(lattice.validate_expanding([[4]]))
+    assert four.digits == ((0,), (1,), (-1,), (2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expanding_matrices())
+def test_digit_set_is_a_complete_residue_system(m):
+    assert_complete_residue_system(m)
+
+
+def walker_shell(d, r):
+    """The recursive shell walker `_shell` replaced, kept as its reference."""
+    if r == 0:
+        return [tuple([0] * d)]
+    vals = list(range(r, -r - 1, -1))
+    out = []
+
+    def rec(prefix, hit):
+        if len(prefix) == d:
+            if hit:
+                out.append(tuple(prefix))
+            return
+        for v in vals:
+            rec(prefix + [v], hit or abs(v) == r)
+
+    rec([], False)
+    return out
+
+
+def test_shell_matches_the_recursive_walker():
+    # the shell order is the digit normalization contract
+    for d in range(1, 5):
+        for r in range(5):
+            assert lattice._shell(d, r) == walker_shell(d, r)
 
 
 def test_same_coset_examples():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import expanding_matrices
 from toraldecay import lattice, spectral
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
@@ -146,6 +147,36 @@ def test_transfer_fourier_vs_spatial():
             fourier_vals = g.evaluate(pts)
             spatial_vals = spectral.transfer_spatial_eval(f, matrix, digits, n, pts)
             assert np.max(np.abs(fourier_vals - spatial_vals)) < 1e-10
+
+
+def deepest_level(q, cap):
+    """The largest n with q^n <= cap."""
+    n = 0
+    while q ** (n + 1) <= cap:
+        n += 1
+    return n
+
+
+@settings(max_examples=30, deadline=None)
+@given(expanding_matrices(), st.data(), st.integers(0, 2**32 - 1))
+def test_transfer_fourier_vs_spatial_on_random_matrices(matrix, data, seed):
+    # the spatial form reads the digit set, so a short digit set shows here
+    n = data.draw(st.integers(0, deepest_level(matrix.det_abs, 256)))
+    rng = np.random.default_rng(seed)
+    f = random_poly(rng, matrix.dim, span=8, terms=4)
+    pts = rng.random((7, matrix.dim))
+    spatial = spectral.transfer_spatial_eval(f, matrix, lattice.digit_set(matrix), n, pts)
+    fourier = spectral.transfer_fourier(f, matrix, n).evaluate(pts)
+    assert np.max(np.abs(fourier - spatial)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(expanding_matrices(), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_transfer_fourier_is_a_semigroup(matrix, m, n, seed):
+    # L^m L^n = L^(m+n): coefficients move without arithmetic, so exactly
+    f = random_poly(np.random.default_rng(seed), matrix.dim, span=40, terms=8)
+    twice = spectral.transfer_fourier(spectral.transfer_fourier(f, matrix, n), matrix, m)
+    assert twice.coeffs == spectral.transfer_fourier(f, matrix, m + n).coeffs
 
 
 def test_spatial_guard():

@@ -142,6 +142,9 @@ def test_check_tiling_coverage_improves_with_level():
     assert hi.fraction(0) == 0.0
 
 
+REFERENCE_QUERY = 2**18  # translates the reference census queries at once
+
+
 def all_translates_census(tile, samples, seed):
     """Reference census: query every window translate, without pruning."""
     d = tile.matrix.dim
@@ -153,8 +156,16 @@ def all_translates_census(tile, samples, seed):
     histogram = {}
     for block, start, stop in rng.block_ranges(samples):
         x = rng.substream(seed, block).random((stop - start, d))
-        dist, _ = tree.query((x[:, None, :] - offsets[None, :, :]).reshape(-1, d))
-        for hits in (dist <= tile.cell_radius).reshape(stop - start, -1).sum(axis=1):
+        counts = np.zeros(len(x), dtype=int)
+        for lo in range(0, len(offsets), REFERENCE_QUERY):
+            part = offsets[lo:lo + REFERENCE_QUERY]
+            rows = REFERENCE_QUERY // len(part)
+            for first in range(0, len(x), rows):
+                dist, _ = tree.query((x[first:first + rows, None, :] - part).reshape(-1, d))
+                counts[first:first + rows] += (
+                    (dist <= tile.cell_radius).reshape(-1, len(part)).sum(axis=1)
+                )
+        for hits in counts:
             histogram[int(hits)] = histogram.get(int(hits), 0) + 1
     return window, histogram
 
