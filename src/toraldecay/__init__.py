@@ -55,7 +55,6 @@ from .lacunary import (
 from .stochastic import (
     CltExperiment,
     birkhoff_samples,
-    check_dini,
     ks_statistic,
     sigma_squared,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "modulus_bounds_prop2",
     "design_for_rate",
     "sigma_squared",
-    "check_dini",
     "CltExperiment",
     "birkhoff_samples",
     "ks_statistic",

@@ -16,6 +16,10 @@ from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
 MIN_FIT_ROWS = 8  # fewest nonzero rows any model is fitted to
+# Monte Carlo draws lie on a 2^-53 grid, so g(A^n x mod 1) is off in phase by about
+# 2 pi ||A^n||_inf |k|_1 2^-53: below 1e-3, under the sampling noise, while
+# ||A^n||_inf max |k|_1 < MC_PHASE_LIMIT (for A = [[2]], A^n x mod 1 = 0 from n = 53 on)
+MC_PHASE_LIMIT = 2**40
 
 
 def pairing(g, h):
@@ -34,7 +38,8 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
 
     Exact Fourier-side evaluation: sum over k != 0 of ghat(-k) fhat(A*^n k).
     Passing mc_samples switches to the Monte Carlo cross-check estimator,
-    which is sampling-noisy and intended only for validating the exact path.
+    which is sampling-noisy and intended only for validating the exact path;
+    it refuses n where ||A^n||_inf max |k|_1 over g reaches MC_PHASE_LIMIT.
     """
     if f.dim != matrix.dim or g.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
@@ -43,7 +48,13 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     if mc_samples is not None:
         if int(mc_samples) < 1:
             raise InputError("mc_samples must be >= 1")
-        return _correlation_mc(f, g, matrix, n, int(mc_samples), seed, threads)
+        a_n = lattice.mat_pow(matrix.entries, n)
+        reach = max(sum(map(abs, row)) for row in a_n)
+        reach *= max((sum(map(abs, k)) for k in g.coeffs), default=0)
+        if reach >= MC_PHASE_LIMIT:
+            raise InputError("||A^n||_inf max |k|_1 = %d at n=%d reaches the Monte Carlo"
+                             " precision limit %d" % (reach, n, MC_PHASE_LIMIT))
+        return _correlation_mc(f, g, np.array(a_n, dtype=float), int(mc_samples), seed, threads)
     star_n = lattice.mat_pow(matrix.star(), n)
     zero = (0,) * matrix.dim
     total = 0j
@@ -57,13 +68,12 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     return total
 
 
-def _correlation_mc(f, g, matrix, n, samples, seed, threads):
-    a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
-
+def _correlation_mc(f, g, a_n, samples, seed, threads):
+    """The Monte Carlo estimate of rho_{f,g}(n), with a_n = A^n in floats."""
     def worker(run):
         sums = []
         for block, start, stop in run:
-            x = rng.substream(seed, block).random((stop - start, matrix.dim))
+            x = rng.substream(seed, block).random((stop - start, len(a_n)))
             y = (x @ a_n.T) % 1.0
             sums.append(complex(np.sum(f.evaluate(x) * g.evaluate(y))))
         return sums
@@ -96,11 +106,17 @@ class FitResult:
 
 @dataclass
 class DecayReport:
+    """Decay rows; c_fitted is the first row's ratio (the n=1 constant of
+    decay_report), and fit is `fit_if_possible` of the rows."""
+
     rows: list
-    mode: str
-    c_fitted: float
     centered: bool
-    fit: FitResult = None
+    c_fitted: float = field(init=False)
+    fit: FitResult = field(init=False)
+
+    def __post_init__(self):
+        self.c_fitted = self.rows[0].ratio if self.rows else 0.0
+        self.fit = fit_if_possible([(row.n, row.value) for row in self.rows])
 
     @property
     def fitted_model(self):
@@ -127,9 +143,8 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     constant C is the n=1 ratio, so later rows make the bound
     falsifiable rather than tautological. mc_samples, seed and threads
     are passed to correlation; the Monte Carlo values are noisy, so only
-    exact values are checked against a vanishing bound. The report's
-    fit is `fit_if_possible` of its rows; in transfer_norm mode each row
-    also keeps the transferred function it measured.
+    exact values are checked against a vanishing bound. In transfer_norm
+    mode each row also keeps the transferred function it measured.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -161,9 +176,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
             )
         ratio = value / bound if bound > 0 else 0.0
         rows.append(DecayRow(n, value, bound, ratio, transferred))
-    report = DecayReport(rows, mode, rows[0].ratio if rows else 0.0, centered)
-    report.fit = fit_if_possible([(row.n, row.value) for row in rows])
-    return report
+    return DecayReport(rows, centered)
 
 
 def _linear_fit(x, y):

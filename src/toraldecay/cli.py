@@ -7,6 +7,7 @@ they must never change results.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -204,9 +205,7 @@ def cmd_lacunary(args):
         if spec.truncation is not None
         else max(64, args.nmax + 32)
     )
-    built = lacunary.lacunary_build(
-        lacunary.LacunarySpec(args.h, matrix, spec.family, spec.param, truncation=build_k)
-    )
+    built = lacunary.lacunary_build(dataclasses.replace(spec, truncation=build_k))
     config = {
         "subcommand": "lacunary",
         "matrix": args.matrix,
@@ -321,37 +320,39 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seed=False, threads=False):
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        if threads:
-            p.add_argument(
-                "--threads", type=int, default=None,
-                help="worker threads (default: TORAL_DECAY_THREADS or cpu count)",
-            )
+    def add_common(p):
+        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        p.add_argument(
+            "--threads", type=int, default=None,
+            help="worker threads (default: TORAL_DECAY_THREADS or cpu count)",
+        )
+
+    def add_matrix(p):  # argparse takes a bare -2,1;1,2 for an option, not a value
+        p.add_argument("--matrix", required=True, help='rows split by ";", entries by "," or'
+                       ' spaces; write -2,1;1,2 as --matrix="-2,1;1,2" or "-2, 1; 1, 2"')
 
     p = sub.add_parser("matrix-info", help="spectrum, determinant, digit set")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--out")
     p.set_defaults(handler="cmd_matrix_info")
 
     p = sub.add_parser("digits", help="coset representatives as JSON")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--out")
     p.set_defaults(handler="cmd_digits")
 
     p = sub.add_parser("tile", help="self-affine tile cloud and coverage check")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--samples", type=int, default=10**4)
     p.add_argument("--points-out")
     p.add_argument("--coverage-out")
     p.add_argument("--self-affinity", action="store_true")
-    add_common(p, seed=True, threads=True)
+    add_common(p)
     p.set_defaults(handler="cmd_tile")
 
     p = sub.add_parser("transfer", help="iterate the transfer operator")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--function", required=True, help="TrigPolynomial JSON file")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--emit", choices=["coeffs", "norms", "modulus"], default="norms")
@@ -359,7 +360,7 @@ def build_parser():
     p.set_defaults(handler="cmd_transfer")
 
     p = sub.add_parser("decay", help="correlation decay against the modulus bound")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--nmax", type=int, required=True)
@@ -368,11 +369,11 @@ def build_parser():
     p.add_argument("--mc-samples", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--plot-out")
-    add_common(p, seed=True, threads=True)
+    add_common(p)
     p.set_defaults(handler="cmd_decay")
 
     p = sub.add_parser("lacunary", help="lacunary tails, bounds, measured norms")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--h", type=int_list, required=True, help="base frequency, e.g. '1,0'")
     p.add_argument("--family", choices=list(lacunary.FAMILIES), default="power")
     p.add_argument("--param", type=float_list, default="2.0",
@@ -385,13 +386,13 @@ def build_parser():
     p.set_defaults(handler="cmd_lacunary")
 
     p = sub.add_parser("clt", help="Birkhoff-sum CLT experiment")
-    p.add_argument("--matrix", required=True)
+    add_matrix(p)
     p.add_argument("--f", required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--samples-out")
-    add_common(p, seed=True, threads=True)
+    add_common(p)
     p.set_defaults(handler="cmd_clt")
 
     p = sub.add_parser("ulam", help="tent/Ulam-von Neumann experiments")
@@ -401,7 +402,7 @@ def build_parser():
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--samples", type=int, default=5000)
     p.add_argument("--out")
-    add_common(p, seed=True, threads=True)
+    add_common(p)
     p.set_defaults(handler="cmd_ulam")
 
     return parser

@@ -219,9 +219,7 @@ def uvn_decay_norms(n_max, truncation=10**6):
         value = math.sqrt(value_sq)
         bound = 2.0**-n
         rows.append(analysis.DecayRow(n, value, bound, value / bound))
-    report = analysis.DecayReport(rows, "uvn_decay", rows[0].ratio, False)
-    report.fit = analysis.fit_if_possible([(row.n, row.value) for row in rows])
-    return report
+    return analysis.DecayReport(rows, False)
 
 
 class SqrtModulusResult(NamedTuple):
@@ -243,7 +241,7 @@ def uvn_modulus_sqrt_delta(deltas):
     if any(not 0.0 < d <= 0.5 for d in radii):
         raise InputError("deltas must lie in (0, 1/2]")
     values = [math.sqrt(math.pi**2 * d * (2.0 - d) / 4.0) for d in radii]
-    curve = ModulusCurve(radii, values, 1, {"method": "closed form"})
+    curve = ModulusCurve(radii, values)
     _, slope, _ = analysis._linear_fit(np.log(radii), np.log(values))
     return SqrtModulusResult(curve, float(slope))
 
@@ -304,7 +302,7 @@ class LyapunovReport(stochastic.SampleMoments):
     sigma2: float
     samples: np.ndarray  # normalized fluctuations (S_n - n log 2)/sqrt(n)
     mean_log_derivative: float  # average over samples of S_n / n
-    ks_stat: float = None
+    ks_stat: float = field(init=False)
 
 
 def lyapunov_clt(horizon, samples, seed, threads=None):
@@ -350,10 +348,7 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
     sums = frame.sums(worker, threads)
     fluct = (sums - shift) * frame.scale
     mean_log = float(np.mean(sums)) / frame.horizon if len(sums) else 0.0
-    report = LyapunovReport(frame.horizon, seed, sigma2, fluct, mean_log)
-    if sigma2 > 0:
-        report.ks_stat = stochastic.ks_statistic(report)
-    return report
+    return LyapunovReport(frame.horizon, seed, sigma2, fluct, mean_log)
 
 
 def log_abs_mean():

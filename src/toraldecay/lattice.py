@@ -179,8 +179,7 @@ def same_coset(matrix, u, v):
 class DigitSet:
     """q integer representatives of Z^d / A Z^d, zero always first."""
 
-    def __init__(self, matrix, digits):
-        self.matrix = matrix
+    def __init__(self, digits):
         self.digits = digits
 
     def as_array(self):
@@ -233,7 +232,7 @@ def digit_set(matrix):
             if all(not same_coset(matrix, cand, g) for g in digits):
                 digits.append(cand)
                 if len(digits) == q:
-                    return DigitSet(matrix, tuple(digits))
+                    return DigitSet(tuple(digits))
     raise InternalError(
         "found %d of %d cosets within sup-norm %d" % (len(digits), q, bound)
     )

@@ -434,17 +434,12 @@ def sup_norm_bracket(f):
 
 
 class ModulusCurve:
-    """Modulus-of-continuity estimates over a decreasing radius list.
+    """Modulus-of-continuity estimates over a decreasing radius list: certified
+    lower bounds of the true sup over the shift ball."""
 
-    Values are certified lower bounds of the true sup over the shift
-    ball; refinement metadata records the sampling density used.
-    """
-
-    def __init__(self, radii, values, direction_count, refinement):
+    def __init__(self, radii, values):
         self.radii = tuple(float(r) for r in radii)
         self.values = tuple(float(v) for v in values)
-        self.direction_count = int(direction_count)
-        self.refinement = dict(refinement)
 
     def as_rows(self):
         return list(zip(self.radii, self.values))
@@ -722,13 +717,7 @@ def modulus(f, r, radii):
         raise InputError("need at least one radius")
     if radii[0] > 0.5 or radii[-1] <= 0.0:
         raise InputError("radii must lie in (0, 1/2]")
-    values = modulus_value(f, r, radii)
-    dirs, steps = _shift_grid(r == 2, f.dim)
-    return ModulusCurve(
-        radii, values, len(dirs),
-        {"radial_steps": steps,
-         "refinement": "pattern-search+newton" if r == 2 else "pattern-search"},
-    )
+    return ModulusCurve(radii, modulus_value(f, r, radii))
 
 
 def inv_norm_sup(matrix):

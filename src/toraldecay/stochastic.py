@@ -1,4 +1,4 @@
-"""Variance series, summability check, and Birkhoff-sum CLT sampling.
+"""Variance series and Birkhoff-sum CLT sampling.
 
 The variance of normalized Birkhoff sums is an exactly summable series for
 trigonometric polynomials: autocorrelations vanish once the adjoint matrix
@@ -11,7 +11,7 @@ from float coordinates.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,46 +68,12 @@ def sigma_squared(f, matrix):
     return max(sigma2, 0.0)
 
 
-@dataclass
-class DiniReport:
-    terms: list  # Omega_{f,2}(lambda^-n) for n = 0..N
-    partial_sums: list
-    classification: str  # "convergent" or "inconclusive"
-    tail_estimate: float
-
-    @property
-    def total(self):
-        return self.partial_sums[-1] if self.partial_sums else 0.0
-
-
-def check_dini(f, matrix, n_scales):
-    """Partial sums of Omega_{f,2}(lambda^-n), n = 0..N, with a tail trend.
-
-    Convergent for every trig polynomial (the modulus is eventually linear in
-    delta, hence geometric in n); the report exercises the hypothesis pipeline
-    and estimates the tail from the empirical decay ratio of the last terms.
-    """
-    if n_scales < 0:
-        raise InputError("scale count must be >= 0")
-    lam = matrix.lambda_min
-    terms = spectral.modulus_value(f, 2, [lam ** (-n) for n in range(int(n_scales) + 1)])
-    partial = list(np.cumsum(terms))
-    tail = [t for t in terms[-4:] if t > 0]
-    if len(tail) >= 2 and tail[-1] < tail[0]:
-        ratio = (tail[-1] / tail[0]) ** (1.0 / (len(tail) - 1))
-        classification = "convergent"
-        tail_estimate = terms[-1] * ratio / (1.0 - ratio)
-    elif all(t == 0 for t in terms):
-        classification = "convergent"
-        tail_estimate = 0.0
-    else:
-        classification = "inconclusive"
-        tail_estimate = math.inf
-    return DiniReport(terms, partial, classification, tail_estimate)
-
-
 class SampleMoments:
-    """Mean and variance of a `samples` array, 0.0 when it is empty."""
+    """Mean and variance of a `samples` array, 0.0 when it is empty; a dataclass
+    mixing it in gets ks_stat, `ks_statistic` where sigma2 > 0, else None."""
+
+    def __post_init__(self):
+        self.ks_stat = ks_statistic(self) if self.sigma2 > 0 else None
 
     @property
     def sample_mean(self):
@@ -124,7 +90,7 @@ class CltExperiment(SampleMoments):
     seed: int
     sigma2: float
     samples: np.ndarray
-    ks_stat: float = None
+    ks_stat: float = field(init=False)
 
 
 def _scale(hi, lo, a, out):
@@ -360,10 +326,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         return _window_sums(frame.horizon, hi, lo, rows, step, refresh, add_window)
 
     values = frame.sums(worker, threads) * frame.scale
-    experiment = CltExperiment(frame.horizon, seed, sigma2, values)
-    if sigma2 > 0:
-        experiment.ks_stat = ks_statistic(experiment)
-    return experiment
+    return CltExperiment(frame.horizon, seed, sigma2, values)
 
 
 def ks_statistic(experiment):

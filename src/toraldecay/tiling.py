@@ -49,28 +49,6 @@ def neumann_tail(matrix):
     raise DegenerateBound("Neumann tail sum did not converge within %d terms" % NEUMANN_CAP)
 
 
-def digit_diameter(digits):
-    """Largest pairwise Euclidean distance inside the digit set."""
-    arr = digits.as_array()
-    diff = arr[:, None, :] - arr[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
-
-
-def digit_radius(digits):
-    arr = digits.as_array()
-    return float(np.sqrt((arr**2).sum(axis=1)).max())
-
-
-def attractor_radius(matrix, digits):
-    """All cloud points lie within this Euclidean distance of the origin."""
-    return neumann_tail(matrix) * digit_radius(digits)
-
-
-def tile_diameter_bound(matrix, digits):
-    """diam(T) <= sum ||A^-k|| * diam(D), from the difference-set expansion."""
-    return neumann_tail(matrix) * digit_diameter(digits)
-
-
 @dataclass
 class TileApproximation:
     matrix: object
@@ -78,6 +56,7 @@ class TileApproximation:
     level: int
     points: np.ndarray
     cell_radius: float
+    window: int
 
     @cached_property
     def keys(self):
@@ -117,9 +96,11 @@ def _cloud_keys(matrix, digits, level):
 def tile_points(matrix, digits, level):
     """Level-n cloud b_gamma = S_gamma 0 for gamma in D^n.
 
-    cell_radius is ||A^-n||_2 times the attractor diameter bound, an
-    upper bound for diam(A^-n T), so every point of T sits within
-    cell_radius of some cloud point.
+    With N = neumann_tail(A), T lies within N max|g| of the origin and
+    diam(T) <= N diam(D), from the difference-set expansion. cell_radius
+    is ||A^-n||_2 N diam(D), an upper bound for diam(A^-n T), so every
+    point of T sits within cell_radius of some cloud point; the census
+    counts translates k with |k|_inf <= window = ceil(N max|g|) + 1.
     """
     level = int(level)
     if level < 1:
@@ -130,8 +111,11 @@ def tile_points(matrix, digits, level):
             "q^level = %d exceeds the cloud guard %d" % (q**level, LEVEL_GUARD)
         )
     pts = lattice.branch_points(matrix, digits, level)
-    radius = tile_diameter_bound(matrix, digits) / spectral.min_singular_power(matrix, level)
-    return TileApproximation(matrix, digits, level, pts, radius)
+    tail, arr = neumann_tail(matrix), digits.as_array()
+    diameter = float(np.sqrt(((arr[:, None] - arr[None]) ** 2).sum(axis=2)).max())
+    radius = tail * diameter / spectral.min_singular_power(matrix, level)
+    window = int(np.ceil(tail * float(np.sqrt((arr**2).sum(axis=1)).max()))) + 1
+    return TileApproximation(matrix, digits, level, pts, radius, window)
 
 
 @dataclass
@@ -190,14 +174,16 @@ class _Residues:
     the cloud index g with m = key_g + A^n k. The table also holds
     shift[rho] = V c_g, so k = V c - shift[rho] follows from the
     quotients in integers. drift is the largest measured distance between
-    a cloud point and A^-n key, both in floats.
+    a cloud point and A^-n key, both in floats; power and inverse are
+    A^n and A^-n in floats.
     """
 
     def __init__(self, tile):
         power = tile.matrix.power(tile.level)
         self.hermite, self.unimodular = _hermite(power)
         keys = tile.keys
-        inverse_t = np.linalg.inv(np.array(power, dtype=float)).T
+        self.power = np.array(power, dtype=float)
+        self.inverse = np.linalg.inv(self.power)
         count = len(keys)
         self.owner = np.full(count, -1, dtype=np.intp)
         self.shift = np.empty((tile.matrix.dim, count), dtype=np.int64)
@@ -207,7 +193,7 @@ class _Residues:
             rho, quotients = self.reduce(keys[start:stop].T)
             self.owner[rho] = np.arange(start, stop)
             self.shift[:, rho] = self._apply(quotients)
-            gap = np.abs(tile.points[start:stop] - keys[start:stop] @ inverse_t).max()
+            gap = np.abs(tile.points[start:stop] - keys[start:stop] @ self.inverse.T).max()
             self.drift = max(self.drift, gap)
         if (self.owner < 0).any():
             raise InternalError("cloud keys are not a complete residue system mod A^n Z^d")
@@ -290,7 +276,7 @@ def _offsets(power, gram, radius):
     return offsets if len(offsets) <= LATTICE_OFFSETS else None
 
 
-def _lattice_census(tile, window):
+def _lattice_census(tile):
     """Chunk size and count function of the lattice census, or None where
     the keys pass KEY_LIMIT or the offset set passes LATTICE_OFFSETS.
 
@@ -307,9 +293,8 @@ def _lattice_census(tile, window):
         residues = tile._residues
     except TooLarge:
         return None
-    d = tile.matrix.dim
-    power = np.array(tile.matrix.power(tile.level), dtype=float)
-    inverse = np.linalg.inv(power)
+    d, window = tile.matrix.dim, tile.window
+    power, inverse = residues.power, residues.inverse
     gram = inverse.T @ inverse
     # Widen the radius by every float error between the hit test and the
     # exact distance ||A^-n (m - A^n x)||: the cloud's drift from its keys
@@ -354,7 +339,7 @@ def _lattice_census(tile, window):
     return max(1, CENSUS_BUDGET // len(offsets)), count
 
 
-def _tree_census(tile, window):
+def _tree_census(tile):
     """Chunk size and count function of the digit-tree census.
 
     It tests (sample, translate) pairs: the window translates k within
@@ -367,7 +352,7 @@ def _tree_census(tile, window):
     cloud point passes the test. The translates are listed in pieces of
     at most CENSUS_BUDGET pairs, so memory does not grow with the window.
     """
-    points, radius = tile.points, tile.cell_radius
+    points, radius, window = tile.points, tile.cell_radius, tile.window
     d, q, n = tile.matrix.dim, tile.matrix.det_abs, tile.level
     reach = tile._reach
     ball = (radius + reach[0]) * (1.0 + 1e-9)
@@ -421,10 +406,10 @@ def check_tiling(tile, samples, seed, threads=None):
     """Monte Carlo check of the unit-translate tiling identity.
 
     Draws uniform points x in [0,1)^d and counts lattice translates k
-    in the window |k|_inf <= ceil(attractor radius) + 1 with x - k
-    within cell_radius of some cloud point. For an exact tile the count
-    is 1 away from the boundary, so fraction(count=1) must climb toward
-    1 as the level grows. Deterministic for any thread count.
+    in the window |k|_inf <= tile.window with x - k within cell_radius
+    of some cloud point. For an exact tile the count is 1 away from the
+    boundary, so fraction(count=1) must climb toward 1 as the level
+    grows. Deterministic for any thread count.
 
     The lattice census (_lattice_census) finds the candidates through
     the residue table; where the cell radius is far above the lattice
@@ -438,11 +423,10 @@ def check_tiling(tile, samples, seed, threads=None):
     if samples < 0:
         raise InputError("samples must be >= 0")
     d = tile.matrix.dim
-    window = int(np.ceil(attractor_radius(tile.matrix, tile.digits))) + 1
-    stats = CoverageStats(tile.level, samples, int(seed), tile.cell_radius, window)
+    stats = CoverageStats(tile.level, samples, int(seed), tile.cell_radius, tile.window)
     if samples == 0:
         return stats
-    chunk, count = _lattice_census(tile, window) or _tree_census(tile, window)
+    chunk, count = _lattice_census(tile) or _tree_census(tile)
 
     def worker(run):
         x = rng.run_draw(seed, run, lambda gen, count: gen.random((count, d)))()

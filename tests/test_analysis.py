@@ -110,6 +110,19 @@ def test_correlation_input_checks():
             analysis.correlation(f, f, DOUBLE, 1, mc_samples=samples)
 
 
+def test_correlation_mc_refuses_powers_past_float_precision():
+    # from n = 53 on, A^n x mod 1 is 0 for every 53-bit draw x, and the
+    # estimate read 0.995 where the exact correlation is 0
+    f = TrigPolynomial(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
+    g = TrigPolynomial(1, {(0,): 1.0, (3,): 0.5, (-3,): 0.5})
+    assert analysis.correlation(f, g, DOUBLE, 53) == 0
+    # ||A^n||_inf max |k|_1 = 3 2^n passes MC_PHASE_LIMIT = 2^40 at n = 39
+    assert abs(analysis.correlation(f, g, DOUBLE, 38, mc_samples=20000, seed=1)) < 0.02
+    for n in (39, 53):
+        with pytest.raises(InputError):
+            analysis.correlation(f, g, DOUBLE, n, mc_samples=20000, seed=1)
+
+
 def test_decay_report_bound_holds():
     rng = np.random.default_rng(24)
     for matrix in (DOUBLE, TWIN):

@@ -1,13 +1,21 @@
 """End-to-end command-line checks: formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import shlex
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toraldecay import analysis, cli, lattice
+from conftest import expanding_matrices
+from toraldecay import analysis, cli, lattice, spectral
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -90,6 +98,22 @@ def test_digits(capsys):
     assert json.loads(out) == [[0], [1], [-1]]
 
 
+@pytest.mark.parametrize("argv", [["--matrix=-2,1;1,2"], ["--matrix", "-2, 1; 1, 2"]])
+def test_matrix_with_a_negative_first_entry(capsys, argv):
+    code, out = run(capsys, ["matrix-info"] + argv)
+    assert code == 0
+    assert json.loads(out)["q"] == 5
+
+
+def test_matrix_value_read_as_an_option(capsys):
+    # argparse takes "-2,1;1,2" for an option: the --matrix help names the
+    # two forms above
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["matrix-info", "--matrix", "-2,1;1,2"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_parser_built_once_dispatches_by_name(capsys, monkeypatch):
     # the parser is cached, but each call looks its handler up by name
     first = run(capsys, ["matrix-info", "--matrix", "2"])
@@ -169,6 +193,37 @@ def test_transfer_coeffs_round_trip(capsys, rich_path, tmp_path):
     assert code == 0
     g = TrigPolynomial.load(out_path)
     assert g.coeffs == {(1,): 0.25, (-1,): 0.25}
+
+
+@st.composite
+def real_polys(draw, dim):
+    """Real trigonometric polynomials with up to 4 frequency pairs in [-6, 6]^dim."""
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 4))):
+        k = tuple(draw(st.integers(-6, 6)) for _ in range(dim))
+        c = complex(draw(st.floats(0.125, 2)), draw(st.floats(-2, 2)))
+        coeffs[k] = c
+        coeffs[tuple(-v for v in k)] = c.conjugate()
+    return TrigPolynomial(dim, coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), expanding_matrices(), st.integers(0, 3))
+def test_transfer_coeffs_stdout_loads_back(data, matrix, steps):
+    f = data.draw(real_polys(matrix.dim))
+    text = "--matrix=" + ";".join(",".join(map(str, row)) for row in matrix.entries)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.json")
+        f.save(path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["transfer", text, "--function", path, "--steps", str(steps),
+                             "--emit", "coeffs"])
+        assert code == 0
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(out.getvalue())
+        loaded = TrigPolynomial.load(path, dim=matrix.dim)
+    assert loaded.coeffs == spectral.transfer_fourier(f, matrix, steps).coeffs
 
 
 def test_transfer_modulus(capsys, rich_path):
@@ -266,6 +321,19 @@ def test_decay_rejects_bad_mc_samples(capsys, rich_path, f1_path):
          "--nmax", "3", "--mode", "transfer_norm", "--mc-samples", "100"],
     )
     assert code == 2
+
+
+def test_decay_mc_past_float_precision_exits_2(capsys, tmp_path, f1_path):
+    # the Monte Carlo rows turned into 0.995 from n = 53 on; the command
+    # used to print them and exit 0
+    path = tmp_path / "g.json"
+    TrigPolynomial(1, {(0,): 1.0, (3,): 0.5, (-3,): 0.5}).save(path)
+    code = cli.main(["decay", "--matrix", "2", "--f", f1_path, "--g", str(path),
+                     "--nmax", "60", "--mc-samples", "2000", "--seed", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "precision limit" in err
 
 
 def test_decay_rerun_byte_identical(capsys, rich_path, f1_path):
@@ -610,3 +678,20 @@ def test_output_to_a_device(capsys):
     code, printed = run(capsys, ["matrix-info", "--matrix", "2", "--out", os.devnull])
     assert code == 0
     assert json.loads(printed)["q"] == 2
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    # every `toraldecay ...` line of README's command-line block exits 0
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("toraldecay ")]
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    TrigPolynomial(1, {(8,): 0.25, (-8,): 0.25, (1,): 0.25, (-1,): 0.25}).save("f.json")
+    TrigPolynomial.cosine(1).save("cos.json")
+    with open("targets.csv", "w", encoding="utf-8") as fh:
+        fh.write("target\n" + "".join("%r\n" % 0.5**n for n in range(1, 9)))
+    for line in lines:
+        code, _ = run(capsys, shlex.split(line)[1:])
+        assert code == 0, (line, capsys.readouterr().err)

@@ -1,9 +1,12 @@
 """Deterministic emission: config hashes, CSV/JSON layout, target reader."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toraldecay import serialize
 from toraldecay.errors import InputError
@@ -85,3 +88,28 @@ def test_read_targets_csv_rejects_non_numeric_data_rows(tmp_path, text):
     path.write_text(text)
     with pytest.raises(InputError):
         serialize.read_targets_csv(path)
+
+
+def float_bits(values):
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4), max_size=6))
+def test_render_csv_rows_parse_back_bit_exact(rows):
+    width = max((len(r) for r in rows), default=1)
+    rows = [r + [0.0] * (width - len(r)) for r in rows]
+    text = serialize.render_csv(["c%d" % i for i in range(width)], rows, {"t": 1}, seed=2,
+                                footer=["fit: null"])
+    data = [line for line in text.splitlines() if not line.startswith("#")][1:]
+    back = [[float(v) for v in r] for r in csv.reader(data)]
+    assert [float_bits(r) for r in back] == [float_bits(r) for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), min_size=1))
+def test_read_targets_csv_reads_the_benchmark_layout(tmp_path_factory, targets):
+    # the layout bench/workloads.py writes: a header, then one repr per line
+    path = tmp_path_factory.mktemp("targets") / "targets.csv"
+    path.write_text("target\n" + "".join("%r\n" % float(t) for t in targets))
+    assert float_bits(serialize.read_targets_csv(path)) == float_bits(targets)

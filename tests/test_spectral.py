@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
@@ -584,21 +584,48 @@ def test_modulus_curve_invariants():
     assert vals == sorted(vals)  # monotone in delta
 
 
-@pytest.mark.parametrize("r, k, directions, radial_steps, refinement", [
-    (2, 3, 1, 1024, "pattern-search+newton"),
-    (2, (3, 1), 64, 32, "pattern-search+newton"),
-    ("inf", 3, 1, 48, "pattern-search"),
-    ("inf", (3, 1), 16, 8, "pattern-search"),
+@pytest.mark.parametrize("r, k", [
+    (2, 3),
+    (2, (3, 1)),
+    ("inf", 3),
+    ("inf", (3, 1)),
     # from d = 4 on, `_directions` gives the 2d + 2 axis and diagonal directions
-    (2, (1, 0, 0, 2), 10, 32, "pattern-search+newton"),
-    ("inf", (1, 0, 0, 2), 10, 8, "pattern-search"),
+    (2, (1, 0, 0, 2)),
+    ("inf", (1, 0, 0, 2)),
 ])
-def test_modulus_metadata_describes_the_grid_that_ran(r, k, directions, radial_steps, refinement):
-    # the r = inf scan has SUP_SHIFT_SCAN = 48 shifts in d = 1 and 16 directions
-    # times 8 radii in d >= 2, not the 1024 or 64 x 32 points of the r = 2 grid
-    curve = spectral.modulus(TrigPolynomial.cosine(k), r, [0.1])
-    assert curve.direction_count == directions
-    assert curve.refinement == {"radial_steps": radial_steps, "refinement": refinement}
+def test_modulus_curve_values_in_each_dimension(r, k):
+    f = TrigPolynomial.cosine(k)
+    curve = spectral.modulus(f, r, [0.1, 0.05])
+    assert curve.check_invariants(spectral.norm(f, 2 if r == 2 else math.inf))
+    assert all(v > 0 for v in curve.values)
+
+
+@st.composite
+def sparse_polys(draw):
+    """Complex coefficients of any sign, subnormal to 1e150 (abs() of a complex
+    overflows once both parts near 1.8e308), on random supports in d = 1..3."""
+    dim = draw(st.integers(1, 3))
+    keys = st.tuples(*[st.integers(-50, 50)] * dim)
+    parts = st.floats(-1e150, 1e150)
+    coeffs = draw(st.dictionaries(keys, st.builds(complex, parts, parts), min_size=1, max_size=8))
+    f = TrigPolynomial(dim, coeffs)
+    assume(f.coeffs)  # load infers the dimension from the first entry
+    return f
+
+
+def float_bits(c):
+    return np.array([c.real, c.imag]).view(np.uint64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polys())
+def test_save_load_round_trip_is_bit_exact(tmp_path_factory, f):
+    path = tmp_path_factory.mktemp("poly") / "f.json"
+    f.save(path)
+    g = TrigPolynomial.load(path)
+    assert g.dim == f.dim
+    assert sorted(g.coeffs) == sorted(f.coeffs)
+    assert all(float_bits(g.coeffs[k]) == float_bits(c) for k, c in f.coeffs.items())
 
 
 def test_inv_norm_sup():

@@ -380,18 +380,6 @@ def test_sigma_squared_input_checks():
         stochastic.sigma_squared(TrigPolynomial.cosine(1), TWIN)
 
 
-def test_check_dini_convergent():
-    f = TrigPolynomial.cosine((1, 1))
-    report = stochastic.check_dini(f, TWIN, 12)
-    assert report.classification == "convergent"
-    assert len(report.terms) == 13
-    assert report.tail_estimate < report.terms[0]
-    assert report.total == pytest.approx(sum(report.terms))
-    assert report.terms[-1] < report.terms[2]  # geometric decay kicked in
-    with pytest.raises(InputError):
-        stochastic.check_dini(f, TWIN, -1)
-
-
 def test_birkhoff_guards():
     f = TrigPolynomial.cosine(1)
     with pytest.raises(TooLarge):

@@ -110,9 +110,10 @@ def test_self_affinity_catches_a_wrong_kernel(monkeypatch):
 
 def test_attractor_points_stay_in_bound():
     tile = tiling.tile_points(TWIN, TWIN_DIGITS, 12)
-    r = tiling.attractor_radius(TWIN, TWIN_DIGITS)
+    r = tiling.neumann_tail(TWIN) * np.sqrt((TWIN_DIGITS.as_array() ** 2).sum(axis=1)).max()
     norms = np.sqrt((tile.points**2).sum(axis=1))
     assert norms.max() <= r + 1e-12
+    assert tile.window == math.ceil(r) + 1
 
 
 def test_check_tiling_dyadic_exact():
@@ -147,8 +148,7 @@ REFERENCE_QUERY = 2**18  # translates the reference census queries at once
 
 def all_translates_census(tile, samples, seed):
     """Reference census: query every window translate, without pruning."""
-    d = tile.matrix.dim
-    window = int(np.ceil(tiling.attractor_radius(tile.matrix, tile.digits))) + 1
+    d, window = tile.matrix.dim, tile.window
     offsets = np.stack(
         np.meshgrid(*([np.arange(-window, window + 1)] * d), indexing="ij"), axis=-1
     ).reshape(-1, d)
@@ -195,10 +195,9 @@ def test_check_tiling_matches_all_translates():
                 assert stats.histogram == want, (entries, level, threads)
 
 
-def window_cells(matrix):
+def window_cells(tile):
     """Translates in the census window, (2 window + 1)^d."""
-    window = int(np.ceil(tiling.attractor_radius(matrix, lattice.digit_set(matrix)))) + 1
-    return (2 * window + 1) ** matrix.dim
+    return (2 * tile.window + 1) ** tile.matrix.dim
 
 
 @st.composite
@@ -211,7 +210,8 @@ def census_tiles(draw):
     entries = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     try:
         m = lattice.validate_expanding(entries)
-        usable = window_cells(m) <= 2**20
+        # the window does not depend on the level
+        usable = window_cells(tiling.tile_points(m, lattice.digit_set(m), 1)) <= 2**20
     except (NotExpanding, SingularMatrix):
         usable = False
     if not usable:
@@ -226,7 +226,7 @@ def census_tiles(draw):
 @given(census_tiles(), st.integers(1, 200), st.integers(0, 2**32 - 1))
 def test_census_matches_all_translates_on_random_matrices(tile, samples, seed):
     # at most 2^18 reference queries, and at least one sample
-    samples = max(1, min(samples, 2**18 // window_cells(tile.matrix)))
+    samples = max(1, min(samples, 2**18 // window_cells(tile)))
     window, want = all_translates_census(tile, samples, seed)
     for stats in census_by_each_path(tile, samples, seed):
         assert stats.window == window
