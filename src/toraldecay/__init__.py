@@ -28,7 +28,6 @@ from .lattice import IntegerMatrix, digit_set, parse_matrix, validate_expanding
 from .spectral import (
     ModulusCurve,
     TrigPolynomial,
-    modulus,
     modulus_value,
     norm,
     sup_norm_bracket,
@@ -94,7 +93,6 @@ __all__ = [
     "transfer_spatial_eval",
     "norm",
     "sup_norm_bracket",
-    "modulus",
     "modulus_value",
     "tile_points",
     "check_tiling",

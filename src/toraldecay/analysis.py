@@ -16,9 +16,12 @@ from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
 MIN_FIT_ROWS = 8  # fewest nonzero rows any model is fitted to
-# Monte Carlo draws lie on a 2^-53 grid, so g(A^n x mod 1) is off in phase by about
-# 2 pi ||A^n||_inf |k|_1 2^-53: below 1e-3, under the sampling noise, while
-# ||A^n||_inf max |k|_1 < MC_PHASE_LIMIT (for A = [[2]], A^n x mod 1 = 0 from n = 53 on)
+# The phase-precision limit of both Monte Carlo paths:
+# - correlation: draws lie on a 2^-53 grid, so g(A^n x mod 1) is off in phase by about
+#   2 pi ||A^n||_inf |k|_1 2^-53, below 1e-3 (under the sampling noise) while
+#   ||A^n||_inf max |k|_1 over g < MC_PHASE_LIMIT (for A = [[2]], A^n x mod 1 = 0 from n = 53 on);
+# - stochastic.birkhoff_samples: phases leave out the orbit's low words, which moves
+#   them by less than ||k||_1 2^-64 turns, below 2^-24 while max ||k||_1 over f < MC_PHASE_LIMIT.
 MC_PHASE_LIMIT = 2**40
 
 
@@ -48,12 +51,7 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     if mc_samples is not None:
         if int(mc_samples) < 1:
             raise InputError("mc_samples must be >= 1")
-        a_n = lattice.mat_pow(matrix.entries, n)
-        reach = max(sum(map(abs, row)) for row in a_n)
-        reach *= max((sum(map(abs, k)) for k in g.coeffs), default=0)
-        if reach >= MC_PHASE_LIMIT:
-            raise InputError("||A^n||_inf max |k|_1 = %d at n=%d reaches the Monte Carlo"
-                             " precision limit %d" % (reach, n, MC_PHASE_LIMIT))
+        a_n = _mc_power(g, matrix, n)
         return _correlation_mc(f, g, np.array(a_n, dtype=float), int(mc_samples), seed, threads)
     star_n = lattice.mat_pow(matrix.star(), n)
     zero = (0,) * matrix.dim
@@ -66,6 +64,17 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
         if fk is not None:
             total += gm * fk
     return total
+
+
+def _mc_power(g, matrix, n):
+    """Exact A^n; InputError once ||A^n||_inf max |k|_1 over g reaches MC_PHASE_LIMIT."""
+    a_n = lattice.mat_pow(matrix.entries, n)
+    reach = max(sum(map(abs, row)) for row in a_n)
+    reach *= max((sum(map(abs, k)) for k in g.coeffs), default=0)
+    if reach >= MC_PHASE_LIMIT:
+        raise InputError("||A^n||_inf max |k|_1 = %d at n=%d reaches the Monte Carlo"
+                         " precision limit %d" % (reach, n, MC_PHASE_LIMIT))
+    return a_n
 
 
 def _correlation_mc(f, g, a_n, samples, seed, threads):
@@ -150,8 +159,10 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         raise InputError("n_max must be >= 1")
     if mode not in ("correlation", "transfer_norm"):
         raise InputError("mode must be correlation or transfer_norm")
-    if mc_samples is not None and mode != "correlation":
-        raise InputError("--mc-samples applies only to correlation mode")
+    if mc_samples is not None:
+        if mode != "correlation":
+            raise InputError("--mc-samples applies only to correlation mode")
+        _mc_power(g, matrix, int(n_max))  # the limit at n_max, before any search
     centered = abs(f.mean()) > 0
     fc = f.centered() if centered else f
     lam = matrix.lambda_min

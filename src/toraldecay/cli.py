@@ -33,10 +33,6 @@ def _load_function(path):
         raise InputError("bad function file %s: %s" % (path, exc)) from exc
 
 
-def _matrix(args):
-    return lattice.parse_matrix(args.matrix)
-
-
 def _print(text):
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -76,27 +72,27 @@ def float_list(text):
 
 
 def cmd_matrix_info(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     digits = lattice.digit_set(matrix)
     info = {
         "d": matrix.dim,
         "q": matrix.det_abs,
         "lambda": matrix.lambda_min,
-        "digits": [list(g) for g in digits.digits],
+        "digits": [list(g) for g in digits],
     }
     _emit_json(info, args.out)
     return 0
 
 
 def cmd_digits(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     digits = lattice.digit_set(matrix)
-    _emit_json([list(g) for g in digits.digits], args.out)
+    _emit_json([list(g) for g in digits], args.out)
     return 0
 
 
 def cmd_tile(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     digits = lattice.digit_set(matrix)
     tile = tiling.tile_points(matrix, digits, args.level)
     config = {
@@ -129,7 +125,7 @@ def cmd_tile(args):
 
 
 def cmd_transfer(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     f = _load_function(args.function)
     config = {
         "subcommand": "transfer",
@@ -143,8 +139,8 @@ def cmd_transfer(args):
         return 0
     if args.emit == "modulus":
         radii = [matrix.lambda_min ** (-n) for n in range(1, args.steps + 1)]
-        curve = spectral.modulus(f, 2, radii)
-        _emit_csv(["delta", "omega"], curve.as_rows(), config, args.out)
+        rows = list(zip(radii, spectral.modulus_value(f, 2, radii)))
+        _emit_csv(["delta", "omega"], rows, config, args.out)
         return 0
     report = analysis.decay_report(f, None, matrix, args.steps, mode="transfer_norm")
     rows = []
@@ -158,7 +154,7 @@ def cmd_transfer(args):
 
 
 def cmd_decay(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     f = _load_function(args.f)
     g = _load_function(args.g)
     config = {
@@ -184,7 +180,7 @@ def cmd_decay(args):
 def cmd_lacunary(args):
     if args.nmax < 0:
         raise InputError("--nmax must be >= 0")
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     if args.design:
         targets = serialize.read_targets_csv(args.design)
         coeffs = lacunary.design_for_rate(targets, norm=args.design_norm)
@@ -250,7 +246,7 @@ def _sampler_payload(result, config, **extra):
 
 
 def cmd_clt(args):
-    matrix = _matrix(args)
+    matrix = lattice.parse_matrix(args.matrix)
     f = _load_function(args.f)
     experiment = stochastic.birkhoff_samples(
         f, matrix, args.horizon, args.samples, args.seed, threads=args.threads

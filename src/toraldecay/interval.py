@@ -272,7 +272,7 @@ def _lyapunov_terms(k, tol):
     return terms
 
 
-def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
+def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION):
     """Variance series of the pulled-back Lyapunov observable, term by term.
 
     Each term pairs L_T^j applied to the series truncated at `truncation`
@@ -286,7 +286,7 @@ def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION, tol=SERIES_TOL):
     k = int(truncation)
     if k < 1:
         raise InputError("truncation must be >= 1")
-    first, *rest = _lyapunov_terms(k, tol)
+    first, *rest = _lyapunov_terms(k, SERIES_TOL)
     total = first
     for term in rest:
         total += 2.0 * term

@@ -107,13 +107,6 @@ class IntegerMatrix:
         self.lambda_min = lambda_min
         self.adjugate = adjugate
 
-    def as_array(self):
-        return np.array(self.entries, dtype=float)
-
-    def power(self, n):
-        """Exact integer entries of A^n."""
-        return mat_pow(self.entries, n)
-
     def star(self):
         """Exact transpose entries (the adjoint A* acting on frequencies)."""
         return transpose(self.entries)
@@ -176,25 +169,6 @@ def same_coset(matrix, u, v):
     return exact_solve_integral(matrix.adjugate, matrix.det, diff) is not None
 
 
-class DigitSet:
-    """q integer representatives of Z^d / A Z^d, zero always first."""
-
-    def __init__(self, digits):
-        self.digits = digits
-
-    def as_array(self):
-        return np.array(self.digits, dtype=float)
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
-
-    def __repr__(self):
-        return "DigitSet(%r)" % (list(self.digits),)
-
-
 def _shell(d, r):
     """Integer vectors with sup-norm exactly r, largest-lex first.
 
@@ -218,7 +192,7 @@ def coset_search_bound(matrix):
 
 
 def digit_set(matrix):
-    """One representative per coset of Z^d / A Z^d, zero included.
+    """One representative per coset of Z^d / A Z^d, zero first, as int tuples.
 
     Deterministic: shells of increasing sup-norm, largest-lex first
     inside each shell. Failure to find q cosets inside the provable
@@ -232,7 +206,7 @@ def digit_set(matrix):
             if all(not same_coset(matrix, cand, g) for g in digits):
                 digits.append(cand)
                 if len(digits) == q:
-                    return DigitSet(tuple(digits))
+                    return tuple(digits)
     raise InternalError(
         "found %d of %d cosets within sup-norm %d" % (len(digits), q, bound)
     )
@@ -243,9 +217,9 @@ def branch_points(matrix, digits, n):
 
     S_g x = A^-1 (x + g); the points come in canonical digit order.
     """
-    inv_a = np.linalg.inv(matrix.as_array())
+    inv_a = np.linalg.inv(np.array(matrix.entries, dtype=float))
     pts = np.zeros((1, matrix.dim))
-    dig = digits.as_array()
+    dig = np.array(digits, dtype=float)
     for _ in range(n):
         pts = np.concatenate([(pts + g) @ inv_a.T for g in dig])
     return pts

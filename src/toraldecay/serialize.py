@@ -29,19 +29,13 @@ def format_value(v):
     return str(v)
 
 
-def meta_block(config, seed=None):
-    lines = ["# config: %s" % config_hash(config)]
-    if seed is not None:
-        lines.append("# seed: %d" % seed)
-    lines.append("# version: %s" % __version__)
-    return lines
-
-
 def render_csv(columns, rows, config, seed=None, footer=None):
-    """CSV text: '#' metadata block, header row, data rows, optional footer."""
+    """CSV text: '#' config, seed and version lines, header row, data rows, optional footer."""
     buf = io.StringIO()
-    for line in meta_block(config, seed):
-        buf.write(line + "\n")
+    buf.write("# config: %s\n" % config_hash(config))
+    if seed is not None:
+        buf.write("# seed: %d\n" % seed)
+    buf.write("# version: %s\n" % __version__)
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:

@@ -63,18 +63,18 @@ class TrigPolynomial:
 
     Convention: f(x) = sum_k fhat(k) exp(2 pi i <k, x>). Coefficients of
     modulus below PRUNE_TOL are dropped, so the stored support is exact.
+    Every coefficient part and sum |fhat(k)|^2 must be finite.
     """
 
     def __init__(self, dim, coeffs=None):
         self.dim = int(dim)
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
-        store = {}
-        for k, c in (coeffs or {}).items():
-            c = complex(c)
-            if abs(c) >= PRUNE_TOL:
-                store[_freq_key(k, self.dim)] = c
-        self.coeffs = store
+        items = [(k, complex(c)) for k, c in (coeffs or {}).items()]
+        # products, not ** 2, which raises OverflowError instead of giving inf
+        if not math.isfinite(sum(c.real * c.real + c.imag * c.imag for _, c in items)):
+            raise InputError("coefficients must be finite with a finite sum of |c|^2")
+        self.coeffs = {_freq_key(k, self.dim): c for k, c in items if abs(c) >= PRUNE_TOL}
         self.real_valued = self._hermitian()
 
     def _hermitian(self):
@@ -124,17 +124,15 @@ class TrigPolynomial:
         return complex(vals[0]) if single else vals
 
     @staticmethod
-    def cosine(k, amplitude=1.0, dim=None):
-        """amplitude * cos(2 pi <k, x>) as a hermitian pair."""
+    def cosine(k):
+        """cos(2 pi <k, x>) as a hermitian pair."""
         if np.isscalar(k):
             k = (k,)
         k = tuple(int(v) for v in k)
-        dim = dim or len(k)
         neg = tuple(-v for v in k)
-        half = amplitude / 2.0
         if k == neg:
-            return TrigPolynomial(dim, {k: amplitude})
-        return TrigPolynomial(dim, {k: half, neg: half})
+            return TrigPolynomial(len(k), {k: 1.0})
+        return TrigPolynomial(len(k), {k: 0.5, neg: 0.5})
 
     def entries(self):
         """The function-file form: one {"k", "re", "im"} object per frequency."""
@@ -157,7 +155,7 @@ class TrigPolynomial:
             try:
                 k = tuple(int(v) for v in e["k"])
                 coeffs[k] = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, OverflowError) as exc:  # an int past float range
                 raise InputError("bad function file entry %r" % (e,)) from exc
             dim = dim or len(k)
         if dim is None:
@@ -610,15 +608,6 @@ def _newton_ascent(k, w, objective, v, best, delta):
     return best
 
 
-def _shift_grid(l2, d):
-    """Directions, and radii per direction, of the shift grid that starts a modulus search."""
-    if l2:
-        count, steps, line = MODULUS_DIRECTIONS, MODULUS_RADII_STEPS, MODULUS_LINE_STEPS
-    else:
-        count, steps, line = SUP_SHIFT_DIRECTIONS, SUP_SHIFT_RADII, SUP_SHIFT_SCAN
-    return _directions(d, count), line if d == 1 else steps
-
-
 def _omega_l2(f, radii):
     """Omega_{f,2} at each radius: sqrt of the max of F over the ball |v| <= delta.
 
@@ -636,7 +625,8 @@ def _omega_l2(f, radii):
     w = np.abs(c) ** 2
     objective = _l2_objective(k, w)
     d = f.dim
-    dirs, steps = _shift_grid(True, d)
+    dirs = _directions(d, MODULUS_DIRECTIONS)
+    steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
     if d == 2:  # F(-v) = F(v), and the directions come in antipodal pairs
         dirs = dirs[:len(dirs) // 2]
     fracs = np.arange(1, steps + 1) / steps
@@ -662,6 +652,8 @@ def modulus_value(f, r, delta):
     """
     many = np.ndim(delta) > 0
     radii = list(np.ravel(delta)) if many else [delta]
+    if not radii:
+        raise InputError("need at least one radius")
     if any(x <= 0 for x in radii):
         raise InputError("delta must be positive")
     l2 = _is_l2(r)
@@ -688,7 +680,8 @@ def _omega_sup(f, radii):
     k, c = f.freq_array()
     d = f.dim
     delta = np.array(radii, dtype=float)
-    dirs, steps = _shift_grid(False, d)
+    dirs = _directions(d, SUP_SHIFT_DIRECTIONS)
+    steps = SUP_SHIFT_SCAN if d == 1 else SUP_SHIFT_RADII
     unit = (dirs[:, None, :] * (np.arange(1, steps + 1) / steps)[None, :, None]).reshape(-1, d)
 
     def objective(v):
@@ -701,23 +694,6 @@ def _omega_sup(f, radii):
     # the search re-evaluates its start, so its values already include the scan's best
     best, _ = _pattern_search(objective, start, delta, delta / 16.0, 1e-6, 60)
     return [float(v) for v in best]
-
-
-def modulus(f, r, radii):
-    """Modulus-of-continuity curve over a list of radii in (0, 1/2].
-
-    For r=2 the exact Parseval identity for the shifted difference is
-    maximized over the ball |v| <= delta by a grid of shifts, a pattern
-    search and a Newton finish; for r=inf grid-sampled sup differences
-    are maximized by a pattern search. Values are certified lower bounds
-    of the true sup.
-    """
-    radii = sorted({float(x) for x in radii}, reverse=True)
-    if not radii:
-        raise InputError("need at least one radius")
-    if radii[0] > 0.5 or radii[-1] <= 0.0:
-        raise InputError("radii must lie in (0, 1/2]")
-    return ModulusCurve(radii, modulus_value(f, r, radii))
 
 
 def inv_norm_sup(matrix):

@@ -269,13 +269,18 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     bits below 2^-40 are redrawn, which perturbs the law by at most
     2^-40 per coordinate but prevents the mod-1 dynamics from collapsing
     onto short floating-point cycles. f is evaluated from exact integer
-    phases of the high words (see `_phase`).
+    phases of the high words (see `_phase`), so max |k|_1 over f must stay
+    below analysis.MC_PHASE_LIMIT.
     """
     frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:
         raise InputError("Birkhoff sampling requires a real-valued function")
     if any(abs(a) >= 2**31 for row in matrix.entries for a in row):
         raise InputError("matrix entries must be below 2^31 for orbit arithmetic")
+    reach = max((sum(map(abs, k)) for k in f.coeffs), default=0)
+    if reach >= analysis.MC_PHASE_LIMIT:
+        raise InputError("max |k|_1 = %d reaches the sampler's phase precision limit %d"
+                         % (reach, analysis.MC_PHASE_LIMIT))
     sigma2 = sigma_squared(f, matrix)
     d = matrix.dim
     entries = matrix.entries

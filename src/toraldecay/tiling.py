@@ -111,7 +111,7 @@ def tile_points(matrix, digits, level):
             "q^level = %d exceeds the cloud guard %d" % (q**level, LEVEL_GUARD)
         )
     pts = lattice.branch_points(matrix, digits, level)
-    tail, arr = neumann_tail(matrix), digits.as_array()
+    tail, arr = neumann_tail(matrix), np.array(digits, dtype=float)
     diameter = float(np.sqrt(((arr[:, None] - arr[None]) ** 2).sum(axis=2)).max())
     radius = tail * diameter / spectral.min_singular_power(matrix, level)
     window = int(np.ceil(tail * float(np.sqrt((arr**2).sum(axis=1)).max()))) + 1
@@ -179,7 +179,7 @@ class _Residues:
     """
 
     def __init__(self, tile):
-        power = tile.matrix.power(tile.level)
+        power = lattice.mat_pow(tile.matrix.entries, tile.level)
         self.hermite, self.unimodular = _hermite(power)
         keys = tile.keys
         self.power = np.array(power, dtype=float)
@@ -462,7 +462,7 @@ def check_self_affinity(tile):
         tile.matrix.det**n
     )
     prev = lattice.branch_points(tile.matrix, tile.digits, n - 1)
-    deepest = tile.digits.as_array() @ inv_n.T
+    deepest = np.array(tile.digits, dtype=float) @ inv_n.T
     independent = (prev[:, None, :] + deepest[None, :, :]).reshape(-1, tile.matrix.dim)
     gap = np.abs(np.subtract(independent, tile.points, out=independent), out=independent)
     return int((gap.max(axis=1) > 1e-12).sum()) / len(independent)

@@ -123,6 +123,16 @@ def test_correlation_mc_refuses_powers_past_float_precision():
             analysis.correlation(f, g, DOUBLE, n, mc_samples=20000, seed=1)
 
 
+def test_decay_report_checks_the_mc_limit_before_the_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the modulus search ran")
+
+    monkeypatch.setattr(spectral, "modulus_value", no_search)
+    f, g = TrigPolynomial.cosine(1), TrigPolynomial.cosine(3)
+    with pytest.raises(InputError, match="n=60 reaches the Monte Carlo"):
+        analysis.decay_report(f, g, lattice.validate_expanding([[2]]), 60, mc_samples=20000)
+
+
 def test_decay_report_bound_holds():
     rng = np.random.default_rng(24)
     for matrix in (DOUBLE, TWIN):

@@ -22,7 +22,7 @@ from toraldecay.spectral import TrigPolynomial
 @pytest.fixture
 def f1_path(tmp_path):
     path = tmp_path / "f1.json"
-    TrigPolynomial.cosine(1, dim=1).save(path)
+    TrigPolynomial.cosine(1).save(path)
     return str(path)
 
 
@@ -239,6 +239,39 @@ def test_transfer_modulus(capsys, rich_path):
     omegas = [float(r[1]) for r in rows]
     assert deltas == sorted(deltas, reverse=True)
     assert omegas == sorted(omegas, reverse=True)
+
+
+def test_transfer_modulus_below_lambda_two_matches_norms(capsys, tmp_path):
+    # twin dragon, lambda = sqrt 2: the first radius lambda^-1 is above 1/2
+    path = tmp_path / "twin.json"
+    TrigPolynomial(2, {(2, 1): 0.5, (-2, -1): 0.5, (1, 3): 0.25j, (-1, -3): -0.25j}).save(path)
+    base = ["transfer", "--matrix=1,-1;1,1", "--function", str(path), "--steps", "3"]
+    code, out = run(capsys, base + ["--emit", "modulus"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["delta", "omega"]
+    lam = lattice.parse_matrix("1,-1;1,1").lambda_min
+    assert [r[0] for r in rows] == [repr(lam ** -n) for n in (1, 2, 3)]
+    code, out = run(capsys, base + ["--emit", "norms"])
+    assert code == 0
+    header, norms = parse_csv(out)
+    assert [r[1] for r in rows] == [r[header.index("omega_L2")] for r in norms]
+
+
+@pytest.mark.parametrize("entries", [
+    [{"k": [k], "re": 1e308, "im": 0.0} for k in (2, -2, 1, -1)],
+    [{"k": [1], "re": 1e308, "im": 1e308}, {"k": [-1], "re": 1e308, "im": -1e308}],
+    [{"k": [1], "re": float("nan"), "im": 0.0}, {"k": [-1], "re": 0.5, "im": 0.0}],
+    [{"k": [1], "re": 10**400, "im": 0}, {"k": [-1], "re": 1.0, "im": 0}],
+], ids=["sum-overflows", "parts-overflow-abs", "nan", "int-past-float"])
+def test_non_finite_function_file_is_bad_input(capsys, tmp_path, entries):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(entries), encoding="utf-8")
+    code = cli.main(["transfer", "--matrix", "2", "--function", str(path), "--steps", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_decay_exact_and_footer(capsys, rich_path, f1_path):

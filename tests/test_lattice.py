@@ -120,7 +120,7 @@ def test_digit_sets_are_full_coset_systems():
 
 def assert_complete_residue_system(m):
     """digit_set(m) holds one point of each coset of A Z^d, zero first."""
-    reps = lattice.digit_set(m).digits
+    reps = lattice.digit_set(m)
     assert len(reps) == m.det_abs
     assert reps[0] == (0,) * m.dim
     for u, v in itertools.combinations(reps, 2):
@@ -133,7 +133,7 @@ def test_one_dimensional_digit_sets_reach_half_the_modulus():
         for sign in (1, -1):
             assert_complete_residue_system(lattice.validate_expanding([[sign * a]]))
     four = lattice.digit_set(lattice.validate_expanding([[4]]))
-    assert four.digits == ((0,), (1,), (-1,), (2,))
+    assert four == ((0,), (1,), (-1,), (2,))
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,7 +207,7 @@ def test_parse_matrix_formats():
 def test_star_and_power():
     m = lattice.validate_expanding(TWIN)
     assert m.star() == ((1, 1), (-1, 1))
-    assert m.power(2) == ((0, -2), (2, 0))
+    assert lattice.mat_pow(m.entries, 2) == ((0, -2), (2, 0))
     assert lattice.mat_vec(m.star(), (1, 0)) == (1, -1)
 
 
@@ -218,7 +218,7 @@ def test_branch_points():
     assert cloud.shape == (8, 2)
     # b_gamma = sum_j A^-j gamma_j over digit strings, outermost digit first
     inv = np.linalg.inv(np.array(TWIN, dtype=float))
-    d = np.array(digits.digits, dtype=float)
+    d = np.array(digits, dtype=float)
     want = [inv @ (g3 + inv @ (g2 + inv @ g1)) for g3 in d for g2 in d for g1 in d]
     assert np.allclose(cloud, want, atol=1e-15)
     assert np.array_equal(lattice.branch_points(m, digits, 0), np.zeros((1, 2)))

@@ -365,8 +365,6 @@ def test_modulus_rejects_other_r_for_an_empty_function():
     assert spectral.modulus_value(empty, "inf", [0.1, 0.2]) == [0.0, 0.0]
     with pytest.raises(InputError):
         spectral.modulus_value(empty, 3, 0.1)
-    with pytest.raises(InputError):
-        spectral.modulus(empty, 1, [0.1])
 
 
 def _reference_pattern_search(objective, v0, delta, step0, dim, tol_factor=1e-14, iters=200):
@@ -577,7 +575,7 @@ def test_modulus_curve_invariants():
     rng = np.random.default_rng(6)
     f = random_poly(rng, 2, span=3)
     radii = [0.5 / 2**j for j in range(6)]
-    curve = spectral.modulus(f, 2, radii)
+    curve = spectral.ModulusCurve(radii, spectral.modulus_value(f, 2, radii))
     assert curve.check_invariants(spectral.norm(f, 2))
     assert len(curve.as_rows()) == 6
     vals = [v for _, v in sorted(curve.as_rows())]
@@ -595,7 +593,7 @@ def test_modulus_curve_invariants():
 ])
 def test_modulus_curve_values_in_each_dimension(r, k):
     f = TrigPolynomial.cosine(k)
-    curve = spectral.modulus(f, r, [0.1, 0.05])
+    curve = spectral.ModulusCurve([0.1, 0.05], spectral.modulus_value(f, r, [0.1, 0.05]))
     assert curve.check_invariants(spectral.norm(f, 2 if r == 2 else math.inf))
     assert all(v > 0 for v in curve.values)
 

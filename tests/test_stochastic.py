@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from toraldecay import lattice, stochastic
+from toraldecay import analysis, lattice, stochastic
 from toraldecay import rng as rng_module
 from toraldecay.errors import InputError, NotMeanZero, TooLarge, ZeroVariance
 from toraldecay.spectral import TrigPolynomial
@@ -391,6 +391,23 @@ def test_birkhoff_guards():
     big = lattice.validate_expanding([[2**31]])
     with pytest.raises(InputError):
         stochastic.birkhoff_samples(f, big, 10, 10, seed=0)
+
+
+def test_birkhoff_refuses_frequencies_past_the_phase_limit():
+    # at k = 2^62 + 1 the sampler read sample_var 0.642 against sigma^2 = 1.125,
+    # because the phase leaves out the orbit's low words
+    triple = lattice.validate_expanding([[3]])
+    k = 2**62 + 1
+    f = TrigPolynomial(1, {(k,): 0.5, (-k,): 0.5, (3 * k,): 0.25, (-3 * k,): 0.25})
+    with pytest.raises(InputError, match="phase precision limit"):
+        stochastic.birkhoff_samples(f, triple, 200, 4000, seed=1)
+    # the limit is on max |k|_1 over the support
+    limit = analysis.MC_PHASE_LIMIT
+    with pytest.raises(InputError, match="phase precision limit"):
+        stochastic.birkhoff_samples(TrigPolynomial.cosine((limit // 2, -limit // 2)),
+                                    TWIN, 10, 10, seed=1)
+    below = stochastic.birkhoff_samples(TrigPolynomial.cosine(limit - 1), triple, 10, 10, seed=1)
+    assert below.sigma2 == 0.5
 
 
 def test_birkhoff_deterministic_across_threads_and_seeds():

@@ -48,7 +48,7 @@ def test_tile_keys_are_the_scaled_cloud():
         m = lattice.validate_expanding(entries)
         tile = tiling.tile_points(m, lattice.digit_set(m), level)
         assert tile.keys.dtype == np.int64 and tile.keys.shape == tile.points.shape
-        scaled = tile.points @ np.array(m.power(level), dtype=float).T
+        scaled = tile.points @ np.array(lattice.mat_pow(m.entries, level), dtype=float).T
         assert np.abs(scaled - tile.keys).max() < 1e-9
         # distinct residues mod A^n Z^d: one owner per key
         owner = tiling._Residues(tile).owner
@@ -96,10 +96,10 @@ def test_self_affinity_catches_a_wrong_kernel(monkeypatch):
     # a cloud kernel stepping with A^-T instead of A^-1 builds the mirrored
     # twin dragon; the check's own A^-n side must not follow it
     def transposed_branch_points(matrix, digits, n):
-        inv_t = np.linalg.inv(matrix.as_array())
+        inv_t = np.linalg.inv(np.array(matrix.entries, dtype=float))
         pts = np.zeros((1, matrix.dim))
         for _ in range(n):
-            pts = np.concatenate([(pts + g) @ inv_t for g in digits.as_array()])
+            pts = np.concatenate([(pts + g) @ inv_t for g in np.array(digits, dtype=float)])
         return pts
 
     monkeypatch.setattr(lattice, "branch_points", transposed_branch_points)
@@ -110,7 +110,7 @@ def test_self_affinity_catches_a_wrong_kernel(monkeypatch):
 
 def test_attractor_points_stay_in_bound():
     tile = tiling.tile_points(TWIN, TWIN_DIGITS, 12)
-    r = tiling.neumann_tail(TWIN) * np.sqrt((TWIN_DIGITS.as_array() ** 2).sum(axis=1)).max()
+    r = tiling.neumann_tail(TWIN) * np.sqrt((np.array(TWIN_DIGITS, dtype=float) ** 2).sum(axis=1)).max()
     norms = np.sqrt((tile.points**2).sum(axis=1))
     assert norms.max() <= r + 1e-12
     assert tile.window == math.ceil(r) + 1
