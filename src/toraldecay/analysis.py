@@ -127,19 +127,9 @@ class DecayReport:
         self.c_fitted = self.rows[0].ratio if self.rows else 0.0
         self.fit = fit_if_possible([(row.n, row.value) for row in self.rows])
 
-    @property
-    def fitted_model(self):
-        return self.fit.model if self.fit else None
-
-    def values(self):
-        return [row.value for row in self.rows]
-
-    def check_bound(self, slack=0.05):
-        """Every ratio stays within (1 + slack) of the n=1 constant."""
-        for row in self.rows:
-            if row.ratio > self.c_fitted * (1.0 + slack) + 1e-300:
-                return False
-        return True
+    def check_bound(self):
+        """Every ratio stays within 5 percent of the n=1 constant."""
+        return not any(row.ratio > self.c_fitted * 1.05 + 1e-300 for row in self.rows)
 
 
 def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, seed=0,
@@ -147,28 +137,34 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     """Per-step decay values against the modulus bound.
 
     mode="correlation": value = |rho_{f,g}(n)|, bound = ||g||_2 *
-    Omega_{f,2}(lambda^-n). mode="transfer_norm": value = ||L^n f||_r,
-    bound = Omega_{f,r}(lambda^-n). f is centered automatically; the
-    constant C is the n=1 ratio, so later rows make the bound
-    falsifiable rather than tautological. mc_samples, seed and threads
-    are passed to correlation; the Monte Carlo values are noisy, so only
-    exact values are checked against a vanishing bound. In transfer_norm
-    mode each row also keeps the transferred function it measured.
+    Omega_{f,2}(lambda^-n), and r must be 2. mode="transfer_norm": value
+    = ||L^n f||_r, bound = Omega_{f,r}(lambda^-n). f is centered
+    automatically; the constant C is the n=1 ratio, so later rows make
+    the bound falsifiable rather than tautological. mc_samples, seed and
+    threads are passed to correlation; the Monte Carlo values are noisy,
+    so only exact values are checked against a vanishing bound. A row
+    whose value, bound or ratio leaves float range is bad input. In
+    transfer_norm mode each row also keeps the transferred function it
+    measured.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
     if mode not in ("correlation", "transfer_norm"):
         raise InputError("mode must be correlation or transfer_norm")
+    if mode == "correlation" and r != 2:
+        raise InputError("correlation mode bounds with r = 2 only")
     if mc_samples is not None:
         if mode != "correlation":
             raise InputError("--mc-samples applies only to correlation mode")
-        _mc_power(g, matrix, int(n_max))  # the limit at n_max, before any search
+        # the sample guard and the limit at n_max, before any search
+        rng.check_samples(int(mc_samples))
+        _mc_power(g, matrix, int(n_max))
     centered = abs(f.mean()) > 0
     fc = f.centered() if centered else f
     lam = matrix.lambda_min
     g_norm = spectral.norm(g, 2) if mode == "correlation" else 1.0
     radii = [lam ** (-n) for n in range(1, int(n_max) + 1)]
-    omegas = spectral.modulus_value(fc, 2 if mode == "correlation" else r, radii)
+    omegas = spectral.modulus_value(fc, r, radii)
     rows = []
     for n, omega in enumerate(omegas, start=1):
         transferred = None
@@ -186,6 +182,9 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
                 "modulus bound is 0 at n=%d while the value is %g" % (n, value)
             )
         ratio = value / bound if bound > 0 else 0.0
+        if not all(map(math.isfinite, (value, bound, ratio))):
+            raise InputError("the row at n=%d leaves float range: value %g, bound %g"
+                             % (n, value, bound))
         rows.append(DecayRow(n, value, bound, ratio, transferred))
     return DecayReport(rows, centered)
 

@@ -12,13 +12,14 @@ import functools
 import json
 import math
 import sys
+import traceback
 
 import numpy as np
 
 from . import analysis, interval, lacunary, lattice, rng, serialize, spectral
 from . import stochastic, tiling
 from ._version import __version__
-from .errors import InputError, ToralDecayError
+from .errors import InputError, InternalError, ToralDecayError
 from .spectral import TrigPolynomial
 
 ULAM_MODULUS_GRID = [float(d) for d in np.logspace(-4, -1, 25)]
@@ -33,22 +34,18 @@ def _load_function(path):
         raise InputError("bad function file %s: %s" % (path, exc)) from exc
 
 
-def _print(text):
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _emit_json(obj, path=None):
     text = serialize.render_json(obj)
     if path:
         serialize.write_json(path, obj)
-    _print(text)
+    sys.stdout.write(text)
 
 
 def _emit_csv(cols, rows, config, path=None, seed=None, footer=None):
     text = serialize.render_csv(cols, rows, config, seed=seed, footer=footer)
     if path:
         serialize.write_csv(path, cols, rows, config, seed=seed, footer=footer)
-    _print(text)
+    sys.stdout.write(text)
 
 
 def _fit_fields(fit):
@@ -412,6 +409,9 @@ def main(argv=None):
     except ToralDecayError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.exit_code
+    except Exception:  # a bug, not bad input: keep the traceback, exit as an internal error
+        traceback.print_exc()
+        return InternalError.exit_code
 
 
 if __name__ == "__main__":

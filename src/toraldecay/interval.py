@@ -272,21 +272,18 @@ def _lyapunov_terms(k, tol):
     return terms
 
 
-def lyapunov_sigma2(truncation=DEFAULT_TRUNCATION):
+def lyapunov_sigma2():
     """Variance series of the pulled-back Lyapunov observable, term by term.
 
-    Each term pairs L_T^j applied to the series truncated at `truncation`
-    against the series itself, plus an exact trigamma completion of the
-    alternating tail, so every term matches the infinite series; the
-    terms are summed as arrays (`_lyapunov_terms`). Terms are
-    -2^-j pi^2/24, the sum telescopes to zero: the observable is an L^2
-    coboundary, and the report treats any |sigma^2| below 1e-10 as
-    exactly degenerate.
+    Each term pairs L_T^j applied to the series truncated at
+    DEFAULT_TRUNCATION against the series itself, plus an exact trigamma
+    completion of the alternating tail, so every term matches the
+    infinite series; the terms are summed as arrays (`_lyapunov_terms`).
+    Terms are -2^-j pi^2/24, the sum telescopes to zero: the observable
+    is an L^2 coboundary, and the report treats any |sigma^2| below
+    1e-10 as exactly degenerate.
     """
-    k = int(truncation)
-    if k < 1:
-        raise InputError("truncation must be >= 1")
-    first, *rest = _lyapunov_terms(k, SERIES_TOL)
+    first, *rest = _lyapunov_terms(DEFAULT_TRUNCATION, SERIES_TOL)
     total = first
     for term in rest:
         total += 2.0 * term
@@ -347,7 +344,7 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
 
     sums = frame.sums(worker, threads)
     fluct = (sums - shift) * frame.scale
-    mean_log = float(np.mean(sums)) / frame.horizon if len(sums) else 0.0
+    mean_log = float(np.mean(sums)) / frame.horizon
     return LyapunovReport(frame.horizon, seed, sigma2, fluct, mean_log)
 
 

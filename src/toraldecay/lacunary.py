@@ -105,7 +105,7 @@ def lacunary_build(spec):
     k = spec.truncation
     if k is None:
         raise InputError("lacunary_build needs a finite truncation")
-    a = coefficients(spec, k) if k else np.array([])
+    a = coefficients(spec, k)
     star = spec.matrix.star()
     freq = spec.h
     coeffs = {}
@@ -135,10 +135,7 @@ def tail_norms(spec, n):
         raise InputError("tail index must be >= 0")
     n = int(n)
     if spec.truncation is not None:
-        k = spec.truncation
-        if n >= k:
-            return TailNorms(0.0, 0.0)
-        a = coefficients(spec, k)[n:]
+        a = coefficients(spec, spec.truncation)[n:]
         # ascending summation: smallest terms first
         return TailNorms(math.sqrt(np.sum(a[::-1] ** 2)), float(np.sum(a[::-1])))
     if spec.family == "geometric":
@@ -209,7 +206,7 @@ def modulus_bounds_prop2(spec, n):
     h_norm = math.sqrt(sum(v * v for v in spec.h))
     const = 2.0 * math.pi * h_norm
     n = int(n)
-    a = coefficients(spec, n) if n else np.array([])
+    a = coefficients(spec, n)
     phase = const * lam ** (np.arange(1, n + 1) - n)
     l2_tail, l1_tail = tail_norms(spec, n)
     sup = float(np.sum(np.minimum(2.0, phase) * a)) + 2.0 * l1_tail

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, TooLarge
 
 # Fixed block size. Changing it changes every sampled result, so it is
 # part of the reproducibility contract, not a tuning knob.
@@ -23,6 +23,10 @@ BLOCK = 1024
 # Most blocks in one run. It bounds the memory a worker holds at once;
 # results do not depend on it.
 RUN_BLOCKS = 16
+
+# Most samples one call may ask for: the most stochastic.ORBIT_GUARD lets an
+# orbit sampler take. `map_blocks` lists one tuple per block before any work.
+SAMPLE_GUARD = 10**9
 
 THREADS_ENV = "TORAL_DECAY_THREADS"
 
@@ -93,6 +97,12 @@ def block_ranges(total):
     return blocks
 
 
+def check_samples(total):
+    """TooLarge where `total` samples exceed SAMPLE_GUARD."""
+    if total > SAMPLE_GUARD:
+        raise TooLarge("%d samples exceed the sample guard %d" % (total, SAMPLE_GUARD))
+
+
 def map_blocks(total, worker, threads):
     """Run `worker(run)` over block_ranges(total) cut into runs.
 
@@ -102,7 +112,9 @@ def map_blocks(total, worker, threads):
     results in block order regardless of the thread count or scheduling,
     so a worker whose output per sample does not depend on how blocks
     are grouped gives byte-identical results for any thread count.
+    `check_samples` runs first, before the blocks are listed.
     """
+    check_samples(total)
     blocks = block_ranges(total)
     if not blocks:
         return []

@@ -29,6 +29,10 @@ SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
 SUP_SHIFT_DIRECTIONS = 16  # d >= 2: shift directions of the sup-norm modulus scan
 SUP_SHIFT_RADII = 8  # d >= 2: radii per direction of that scan
 INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
+# Coefficient rows whose largest |c| lies in [2^-SCALE_EXP, 2^SCALE_EXP) are searched
+# as they are; others are rescaled by a power of two (`_unit_scale`), since their
+# squares and the Newton gradients leave float range.
+SCALE_EXP = 100
 _TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
 
@@ -108,19 +112,11 @@ class TrigPolynomial:
             [self.coeffs[k] for k in keys], dtype=complex
         )
 
-    def max_abs_freq(self):
-        if not self.coeffs:
-            return 0
-        return max(max(abs(v) for v in k) for k in self.coeffs)
-
     def evaluate(self, x):
         """f at one point (complex) or at many points (array); see `_as_points`."""
         pts, single = _as_points(x, self.dim)
-        if not self.coeffs:
-            vals = np.zeros(pts.shape[0], dtype=complex)
-        else:
-            k, c = self.freq_array()
-            vals = np.exp(2j * np.pi * (pts @ k.T)) @ c
+        k, c = self.freq_array()
+        vals = np.exp(2j * np.pi * (pts @ k.T)) @ c
         return complex(vals[0]) if single else vals
 
     @staticmethod
@@ -206,9 +202,6 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
         raise TooLarge("one point needs %d elements, over the spatial guard %d"
                        % (row, SPATIAL_GUARD))
     pts, single = _as_points(x, matrix.dim)
-    if n == 0:
-        vals = f.evaluate(pts)
-        return complex(vals[0]) if single else vals
     a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
     base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
     cloud = lattice.branch_points(matrix, digits, n)
@@ -232,11 +225,13 @@ def _is_l2(r):
 def norm(f, r):
     """L^r(mu) norm, r in {2, inf}.
 
-    r=2 is exact by Parseval. r=inf returns the certified lower bound;
+    r=2 is exact by Parseval, summed on the coefficients as `_unit_scale`
+    leaves them and scaled back. r=inf returns the certified lower bound;
     call sup_norm_bracket for the (lower, upper) pair.
     """
     if _is_l2(r):
-        return math.sqrt(sum(abs(c) ** 2 for c in f.coeffs.values()))
+        c, e = _unit_scale(np.array(list(f.coeffs.values()), dtype=complex))
+        return math.ldexp(math.sqrt(sum(abs(v) ** 2 for v in c.tolist())), int(e))
     return sup_norm_bracket(f)[0]
 
 
@@ -385,16 +380,35 @@ def _polish(k, c, x, cap):
     return val
 
 
+def _unit_scale(c):
+    """(c 2^-e, e) with one exponent e per row of c (its last axis).
+
+    e is 0 where the row's largest |c| lies in [2^-SCALE_EXP, 2^SCALE_EXP)
+    or is 0, so such a row keeps its bits; elsewhere e brings that largest
+    |c| into [1/2, 1). The real and imaginary parts are scaled by ldexp,
+    which is exact unless a part falls below the normal range, where it
+    is negligible against the row's largest entry.
+    """
+    top = np.abs(c).max(axis=-1, initial=0.0)
+    e = np.frexp(top)[1]
+    e = np.where((top > 0.0) & ((e > SCALE_EXP) | (e <= -SCALE_EXP)), e, 0)
+    out = np.empty_like(c)
+    out.real = np.ldexp(c.real, -e[..., None])
+    out.imag = np.ldexp(c.imag, -e[..., None])
+    return out, e
+
+
 def _sup_lower(k, c):
     """Certified lower bound of sup |f| for each row of c, on the frequencies k of `freq_array`.
 
     A row's bound is the larger of its best value on the grid of
     n = max(16, 8 max|k| + 1) points per axis (`_grid_values`) and |f|
     where `_polish` ends from that point, each |f| at a point evaluated
-    to rounding. Rows go to `_grid_values` in chunks of at most GRID_CHUNK
-    grid values and GRID_WORK_GUARD grid values x frequencies; TooLarge
-    means one row alone exceeds the guard. A row's value does not depend
-    on the other rows.
+    to rounding. A row is searched as `_unit_scale` leaves it, and its
+    bound is scaled back. Rows go to `_grid_values` in chunks of at most
+    GRID_CHUNK grid values and GRID_WORK_GUARD grid values x frequencies;
+    TooLarge means one row alone exceeds the guard. A row's value does
+    not depend on the other rows.
     """
     m, d = k.shape
     n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
@@ -402,6 +416,7 @@ def _sup_lower(k, c):
     if row > GRID_WORK_GUARD:
         raise TooLarge("sup-norm grid would need %d evaluations" % row)
     k = k.astype(np.int64)
+    c, e = _unit_scale(c)
     chunk = max(1, min(GRID_WORK_GUARD // row, GRID_CHUNK // n_pts**d))
     best = np.empty(len(c))
     start = np.empty((len(c), d), dtype=np.int64)
@@ -412,7 +427,7 @@ def _sup_lower(k, c):
     # grid index i as a 64-bit turn word, from i / n_pts in [-1/2, 1/2)
     start = np.where(2 * start >= n_pts, start - n_pts, start)
     x = np.rint(start / n_pts * 2.0**64).astype(np.int64).view(np.uint64)
-    return np.maximum(best, _polish(k, c, x, 1.0 / n_pts))
+    return np.ldexp(np.maximum(best, _polish(k, c, x, 1.0 / n_pts)), e)
 
 
 def sup_norm_bracket(f):
@@ -442,8 +457,9 @@ class ModulusCurve:
     def as_rows(self):
         return list(zip(self.radii, self.values))
 
-    def check_invariants(self, f_norm, tol=1e-9):
-        """Monotonicity, triangle bound, and the doubling inequality."""
+    def check_invariants(self, f_norm):
+        """Monotonicity, triangle bound, and the doubling inequality, to a relative 1e-9."""
+        tol = 1e-9
         pairs = sorted(zip(self.radii, self.values))
         for (r1, v1), (r2, v2) in zip(pairs, pairs[1:]):
             if v2 < v1 - tol * max(1.0, v1):
@@ -619,9 +635,12 @@ def _omega_l2(f, radii):
     delta, for at most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent`
     finishes.
     Every phase keeps only points that raise F, so each value is F at a
-    feasible shift: a certified lower bound.
+    feasible shift: a certified lower bound. The search runs on the
+    coefficients as `_unit_scale` leaves them, and the values are scaled
+    back; a weight that underflows there only lowers F.
     """
     k, c = f.freq_array()
+    c, e = _unit_scale(c)
     w = np.abs(c) ** 2
     objective = _l2_objective(k, w)
     d = f.dim
@@ -638,7 +657,7 @@ def _omega_l2(f, radii):
     best, v = _pattern_search(objective, v0, delta, delta / steps, MODULUS_EXPLORE_TOL,
                               MODULUS_EXPLORE_SWEEPS)
     best = _newton_ascent(k, w, objective, v, best, delta)
-    return [math.sqrt(b) for b in best]
+    return [math.ldexp(math.sqrt(b), int(e)) for b in best]
 
 
 def modulus_value(f, r, delta):

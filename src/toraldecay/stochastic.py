@@ -174,33 +174,21 @@ def _phase_terms(f):
     return terms
 
 
-def _phase(hi, k, out, scratch):
-    """<k, x> mod 1 in units of 2^-64 turns: sum_j k_j hi_j, wrapping uint64.
-
-    hi has shape (d, ...) and k must be nonzero. The low words are left
-    out, which moves the phase by less than ||k||_1 2^-64 turns. The
-    phase is written to `out`, a uint64 array of shape hi.shape[1:], and
-    returned; `scratch` is another such array.
-    """
-    (j, kj), *rest = [(j, kj) for j, kj in enumerate(k) if kj]
-    if kj == 1:
-        np.copyto(out, hi[j])
-    else:
-        np.multiply(hi[j], np.uint64(kj % 2**64), out=out)
-    for j, kj in rest:
-        term = hi[j] if kj == 1 else np.multiply(hi[j], np.uint64(kj % 2**64), out=scratch)
-        np.add(out, term, out=out)
-    return out
-
-
 def _phase_angles(hi, k, out, phase):
     """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word.
 
-    The angles are written to `out` (float64, shape hi.shape[1:]) and
-    returned; the phase words go to `phase` (uint64, same shape), and
-    `out` doubles as the phase's scratch space.
+    hi has shape (d, ...) and k must be nonzero. The phase word <k, x>
+    mod 1, in units of 2^-64 turns, is the wrapping uint64 sum
+    sum_j k_j hi_j; leaving out the low words moves it by less than
+    ||k||_1 2^-64 turns. The words go to `phase` (uint64, shape
+    hi.shape[1:]) and the angles to `out` (float64, same shape), which
+    doubles as scratch space for the products; `out` is returned.
     """
-    _phase(hi, k, phase, out.view(np.uint64))
+    scratch = out.view(np.uint64)
+    (j, kj), *rest = [(j, kj) for j, kj in enumerate(k) if kj]
+    np.multiply(hi[j], np.uint64(kj % 2**64), out=phase)
+    for j, kj in rest:
+        np.add(phase, np.multiply(hi[j], np.uint64(kj % 2**64), out=scratch), out=phase)
     return np.multiply(phase.view(np.int64), spectral._TURN, out=out)
 
 
@@ -219,8 +207,7 @@ class _SamplerFrame:
 
     def sums(self, worker, threads):
         """The per-sample sums of `worker` run on the sample blocks by `rng.map_blocks`."""
-        parts = rng.map_blocks(self.samples, worker, threads)
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(rng.map_blocks(self.samples, worker, threads))
 
 
 def _window_rows(values_per_step):
@@ -269,8 +256,8 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     bits below 2^-40 are redrawn, which perturbs the law by at most
     2^-40 per coordinate but prevents the mod-1 dynamics from collapsing
     onto short floating-point cycles. f is evaluated from exact integer
-    phases of the high words (see `_phase`), so max |k|_1 over f must stay
-    below analysis.MC_PHASE_LIMIT.
+    phases of the high words (see `_phase_angles`), so max |k|_1 over f
+    must stay below analysis.MC_PHASE_LIMIT.
     """
     frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:

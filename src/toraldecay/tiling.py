@@ -129,12 +129,7 @@ class CoverageStats:
 
     @property
     def fraction_one(self):
-        return self.fraction(1)
-
-    def fraction(self, count):
-        if self.samples == 0:
-            return 0.0
-        return self.histogram.get(count, 0) / self.samples
+        return self.histogram.get(1, 0) / self.samples if self.samples else 0.0
 
 
 def _hermite(entries):

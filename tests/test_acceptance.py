@@ -103,7 +103,7 @@ def test_criterion_02_modulus_bound():
             f = dense_poly(rng, 2, 5)
             matrix = MATRICES_2D[(i // 2) % 2]
         report = analysis.decay_report(f, f, matrix, 10, mode="transfer_norm", r=2)
-        if not report.check_bound(slack=0.05):
+        if not report.check_bound():
             violations += 1
         for row in report.rows:
             worst_excess = max(worst_excess, row.ratio / (report.c_fitted + 1e-300))

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
-from toraldecay import analysis, lattice, spectral
-from toraldecay.errors import InputError
+from toraldecay import analysis, lattice, rng, spectral
+from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
 
 TWIN = lattice.validate_expanding([[1, -1], [1, 1]])
@@ -133,6 +133,26 @@ def test_decay_report_checks_the_mc_limit_before_the_search(monkeypatch):
         analysis.decay_report(f, g, lattice.validate_expanding([[2]]), 60, mc_samples=20000)
 
 
+def test_decay_report_checks_the_sample_guard_before_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched before the sample guard")
+
+    monkeypatch.setattr(spectral, "modulus_value", no_search)
+    f, g = TrigPolynomial.cosine(1), TrigPolynomial.cosine(3)
+    with pytest.raises(TooLarge, match="sample guard"):
+        analysis.decay_report(f, g, DOUBLE, 2, mc_samples=rng.SAMPLE_GUARD + 1)
+    with pytest.raises(TooLarge, match="sample guard"):
+        analysis.correlation(f, g, DOUBLE, 1, mc_samples=rng.SAMPLE_GUARD + 1)
+
+
+def test_decay_report_correlation_mode_takes_r_2_only():
+    f, g = TrigPolynomial.cosine(2), TrigPolynomial.cosine(1)
+    for r in (math.inf, "inf"):
+        with pytest.raises(InputError, match="r = 2"):
+            analysis.decay_report(f, g, DOUBLE, 3, r=r)
+    assert analysis.decay_report(f, g, DOUBLE, 3, r=2).rows
+
+
 def test_decay_report_bound_holds():
     rng = np.random.default_rng(24)
     for matrix in (DOUBLE, TWIN):
@@ -140,7 +160,7 @@ def test_decay_report_bound_holds():
         g = random_real_poly(rng, matrix.dim, span=4, terms=5)
         report = analysis.decay_report(f, g, matrix, 8)
         assert len(report.rows) == 8
-        assert report.check_bound(slack=0.05)
+        assert report.check_bound()
         assert report.c_fitted == report.rows[0].ratio
         for row in report.rows:
             assert row.value <= report.c_fitted * row.bound * 1.05 + 1e-12
@@ -159,7 +179,7 @@ def test_decay_report_transfer_norm_mode():
     f = TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5, (4,): 0.25, (-4,): 0.25})
     report = analysis.decay_report(f, f, DOUBLE, 5, mode="transfer_norm")
     want = [spectral.norm(spectral.transfer_fourier(f, DOUBLE, n), 2) for n in range(1, 6)]
-    assert report.values() == pytest.approx(want)
+    assert [r.value for r in report.rows] == pytest.approx(want)
     with pytest.raises(InputError):
         analysis.decay_report(f, f, DOUBLE, 5, mode="bogus")
     with pytest.raises(InputError):
@@ -182,7 +202,7 @@ def test_decay_report_monte_carlo():
     report = analysis.decay_report(f, g, DOUBLE, 3, mc_samples=2000, seed=4)
     exact = analysis.decay_report(f, g, DOUBLE, 3)
     # the Monte Carlo values use the uncentered f; the bounds do not depend on it
-    assert report.values() == [
+    assert [r.value for r in report.rows] == [
         abs(analysis.correlation(f, g, DOUBLE, n, mc_samples=2000, seed=4))
         for n in (1, 2, 3)
     ]
@@ -200,7 +220,6 @@ def test_decay_report_all_zero_fit():
     report = analysis.decay_report(f, f, DOUBLE, 10, mode="transfer_norm")
     assert report.fit is not None
     assert report.fit.model == "all-zero"
-    assert report.fitted_model == "all-zero"
 
 
 def test_fit_rate_power():

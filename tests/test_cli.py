@@ -8,6 +8,7 @@ import os
 import pathlib
 import shlex
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
-from toraldecay import analysis, cli, lattice, spectral
+from toraldecay import analysis, cli, lattice, rng, spectral
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -272,6 +273,127 @@ def test_non_finite_function_file_is_bad_input(capsys, tmp_path, entries):
     assert code == 2
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("matrix, steps, k, c", [
+    ("2", 2, 1, 8e153),  # the r = 2 objective left float range: omega_L2 read inf
+    ("2", 2, 3, 1e150),  # the r = 2 Newton step squared a gradient past float range
+    ("3", 1, 3, 1e100),  # ... and so did the sup-norm polish of L f
+    ("2", 2, 2, 1e-200),  # every |c|^2 underflowed: norm_L2 and omega_L2 read 0
+], ids=["objective-overflows", "newton-overflows", "polish-overflows", "weights-underflow"])
+def test_extreme_coefficients_keep_norms_and_modulus_finite(capsys, tmp_path, matrix, steps, k, c):
+    f = TrigPolynomial(1, {(k,): c, (-k,): c})
+    path = tmp_path / "f.json"
+    f.save(path)
+    two_norm = 2.0 * spectral.norm(f, 2)
+    assert two_norm == pytest.approx(2.0 * math.sqrt(2.0) * c, rel=1e-15)
+    base = ["transfer", "--matrix", matrix, "--function", str(path), "--steps", str(steps)]
+    for emit, column in (("norms", "omega_L2"), ("modulus", "omega")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(base + ["--emit", emit])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        header, rows = parse_csv(captured.out)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        omegas = [float(row[header.index(column)]) for row in rows]
+        assert all(0.0 < w <= two_norm * (1.0 + 1e-12) for w in omegas)
+        # the first radius reaches a shift with k.v = 1/2 mod 1, where Omega = 2 ||f||_2
+        assert omegas[0] == pytest.approx(two_norm, rel=1e-12)
+
+
+def test_decay_row_past_float_range_is_bad_input(capsys, tmp_path):
+    # ||g||_2 Omega_{f,2} passes float range; the row used to print bound = inf
+    path = tmp_path / "big.json"
+    TrigPolynomial(1, {(1,): 8e153, (-1,): 8e153}).save(path)
+    code = cli.main(["decay", "--matrix", "2", "--f", str(path), "--g", str(path),
+                     "--nmax", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "float range" in captured.err
+
+
+@pytest.mark.parametrize("argv, unreachable", [
+    (["decay", "--matrix", "2", "--f", "{f}", "--g", "{f}", "--nmax", "3",
+      "--mc-samples", "{samples}"], (spectral, "modulus_value")),
+    (["tile", "--matrix", "1,-1;1,1", "--level", "4", "--samples", "{samples}"],
+     (rng, "block_ranges")),
+], ids=["decay-mc-samples", "tile-samples"])
+def test_sample_counts_past_the_guard_exit_3(capsys, monkeypatch, f1_path, argv, unreachable):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started past the sample guard")
+
+    monkeypatch.setattr(*unreachable, fail)
+    values = {"f": f1_path, "samples": str(rng.SAMPLE_GUARD + 1)}
+    code = cli.main([a.format(**values) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "sample guard" in captured.err
+
+
+def test_unexpected_exception_exits_4_with_its_traceback(capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(cli, "cmd_digits", broken)
+    code = cli.main(["digits", "--matrix", "2"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "Traceback" in captured.err
+    assert "ValueError: not a package error" in captured.err
+
+
+def _coefficient_parts():
+    """Floats in +-[0, 1e200]: hypothesis' own draws, and every decade down to the subnormals."""
+    decades = st.builds(lambda m, e: m * 10.0**e, st.floats(-9.5, 9.5), st.integers(-323, 199))
+    return st.one_of(st.floats(-1e200, 1e200, allow_subnormal=True), decades)
+
+
+@st.composite
+def function_entries(draw, dim):
+    """A function file: 1 to 4 entries, |k|_inf <= 2^20, parts from `_coefficient_parts`."""
+    k = st.lists(st.integers(-(2**20), 2**20), min_size=dim, max_size=dim)
+    return [{"k": draw(k), "re": draw(_coefficient_parts()), "im": draw(_coefficient_parts())}
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+def _printed_numbers(text):
+    """Every number a CSV or JSON report prints."""
+    if text.startswith("["):
+        return [v for e in json.loads(text) for v in (e["re"], e["im"])]
+    _, rows = parse_csv(text)
+    return [float(v) for row in rows for v in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), expanding_matrices().filter(lambda m: m.dim <= 2), st.integers(1, 3))
+def test_transfer_and_decay_on_drawn_functions(data, matrix, steps):
+    text = "--matrix=" + ";".join(",".join(map(str, row)) for row in matrix.entries)
+    command = data.draw(st.sampled_from(
+        [["transfer", "--emit", emit] for emit in ("norms", "modulus", "coeffs")]
+        + [["decay", "--mode", mode] for mode in ("correlation", "transfer_norm")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name in ("f", "g"):
+            paths.append(os.path.join(tmp, name + ".json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(data.draw(function_entries(matrix.dim)), fh)
+        if command[0] == "transfer":
+            argv = command + [text, "--function", paths[0], "--steps", str(steps)]
+        else:
+            argv = command + [text, "--f", paths[0], "--g", paths[1], "--nmax", str(steps)]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+    else:
+        assert all(map(math.isfinite, _printed_numbers(out.getvalue())))
 
 
 def test_decay_exact_and_footer(capsys, rich_path, f1_path):

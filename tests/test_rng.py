@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toraldecay import rng
-from toraldecay.errors import InputError
+from toraldecay.errors import InputError, TooLarge
 
 
 def test_substream_reproducible_and_independent():
@@ -65,6 +65,16 @@ def test_map_blocks_order_independent_of_threads():
             want = max(min(threads, len(blocks)), math.ceil(len(blocks) / rng.RUN_BLOCKS))
             assert len(runs) == want
             assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
+def test_map_blocks_refuses_samples_past_the_guard_before_listing_blocks(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("called past the sample guard")
+
+    monkeypatch.setattr(rng, "block_ranges", unreachable)
+    with pytest.raises(TooLarge, match="sample guard"):
+        rng.map_blocks(rng.SAMPLE_GUARD + 1, unreachable, 1)
+    rng.check_samples(rng.SAMPLE_GUARD)
 
 
 def test_resolve_threads(monkeypatch):

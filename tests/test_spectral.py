@@ -250,7 +250,7 @@ def _reference_bracket(f):
     k, c = f.freq_array()
     d = f.dim
     upper = float(sum(abs(v) for v in f.coeffs.values()))
-    n_pts = max(16, 8 * int(f.max_abs_freq()) + 1)
+    n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
     axes = [np.arange(n_pts) / n_pts for _ in range(d)]
     if d == 1:
         vals = np.abs(np.exp(2j * np.pi * np.outer(axes[0], k[:, 0])) @ c)

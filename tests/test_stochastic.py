@@ -95,8 +95,8 @@ def test_orbit_phases_exact():
     rng = np.random.default_rng(34)
     hi = rand_u64(rng, (3, 50))
     for k in ((1, 0, 0), (0, -1, 0), (2, -3, 5), (-7, 1, 2**40)):
-        phase = stochastic._phase(hi, k, np.empty(50, np.uint64), np.empty(50, np.uint64))
-        angles = stochastic._phase_angles(hi, k, np.empty(50), np.empty(50, np.uint64))
+        phase = np.empty(50, np.uint64)
+        angles = stochastic._phase_angles(hi, k, np.empty(50), phase)
         assert np.all(angles >= -math.pi) and np.all(angles < math.pi)
         for s in range(50):
             word = sum(kj * int(hi[j, s]) for j, kj in enumerate(k)) % 2**64

@@ -139,8 +139,8 @@ def test_check_tiling_coverage_improves_with_level():
     hi = tiling.check_tiling(tiling.tile_points(TWIN, TWIN_DIGITS, 14), 2000, seed=2)
     assert hi.fraction_one > lo.fraction_one
     # nothing is ever uncovered: the clouds cover T and T tiles the plane
-    assert lo.fraction(0) == 0.0
-    assert hi.fraction(0) == 0.0
+    assert lo.histogram.get(0, 0) == 0
+    assert hi.histogram.get(0, 0) == 0
 
 
 REFERENCE_QUERY = 2**18  # translates the reference census queries at once
