@@ -132,6 +132,21 @@ class DecayReport:
         return not any(row.ratio > self.c_fitted * 1.05 + 1e-300 for row in self.rows)
 
 
+def modulus_radii(matrix, n_max):
+    """The radii lambda^-n, n = 1..n_max, at which the modulus bound is taken.
+
+    InputError, before any list is built, names the first n where
+    lambda^-n underflows to 0: a step count (`--nmax`, `--steps`) past
+    float range.
+    """
+    lam, n_max = matrix.lambda_min, int(n_max)
+    if n_max >= 1 and lam ** -n_max == 0.0:
+        first = next(n for n in range(1, n_max + 1) if lam ** -n == 0.0)
+        raise InputError("the radius lambda^-n (lambda = %r) underflows to 0 from n = %d: "
+                         "--nmax / --steps must be below %d" % (lam, first, first))
+    return [lam ** -n for n in range(1, n_max + 1)]
+
+
 def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, seed=0,
                  threads=None):
     """Per-step decay values against the modulus bound.
@@ -159,11 +174,10 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         # the sample guard and the limit at n_max, before any search
         rng.check_samples(int(mc_samples))
         _mc_power(g, matrix, int(n_max))
+    radii = modulus_radii(matrix, n_max)
     centered = abs(f.mean()) > 0
     fc = f.centered() if centered else f
-    lam = matrix.lambda_min
     g_norm = spectral.norm(g, 2) if mode == "correlation" else 1.0
-    radii = [lam ** (-n) for n in range(1, int(n_max) + 1)]
     omegas = spectral.modulus_value(fc, r, radii)
     rows = []
     for n, omega in enumerate(omegas, start=1):

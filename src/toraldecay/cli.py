@@ -135,7 +135,7 @@ def cmd_transfer(args):
         _emit_json(spectral.transfer_fourier(f, matrix, args.steps).entries(), args.out)
         return 0
     if args.emit == "modulus":
-        radii = [matrix.lambda_min ** (-n) for n in range(1, args.steps + 1)]
+        radii = analysis.modulus_radii(matrix, args.steps)
         rows = list(zip(radii, spectral.modulus_value(f, 2, radii)))
         _emit_csv(["delta", "omega"], rows, config, args.out)
         return 0

@@ -16,10 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import analysis, rng, stochastic, tails
-from .errors import InputError, InternalError, TruncationTooSmall
+from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
 from .spectral import ModulusCurve
 
 DEFAULT_TRUNCATION = 10**5
+TRUNCATION_GUARD = 10**8  # most series terms one call holds: 8 bytes each, 800 MB
 SERIES_TOL = 1e-12
 ZERO_VARIANCE_TOL = 1e-10
 LOG_FLOOR = 1e-300
@@ -181,9 +182,16 @@ def _alternating_tail(j):
 
 def _inverse_squares(k):
     """1/i^2 for i = k, ..., 1, smallest first: the slice [k - j:] holds the
-    terms i <= j, and [k - j::2] those of them with the parity of j."""
+    terms i <= j, and [k - j::2] those of them with the parity of j.
+
+    The terms are filled into one array of 8k bytes; TooLarge where k
+    exceeds TRUNCATION_GUARD, before anything is allocated.
+    """
+    if k > TRUNCATION_GUARD:
+        raise TooLarge("truncation %d exceeds the series guard %d" % (k, TRUNCATION_GUARD))
     i = np.arange(k, 0, -1, dtype=float)
-    return 1.0 / (i * i)
+    np.multiply(i, i, out=i)
+    return np.divide(1.0, i, out=i)
 
 
 def uvn_decay_norms(n_max, truncation=10**6):
@@ -258,9 +266,9 @@ def _lyapunov_terms(k, tol):
     with |term_j| < tol.
     """
     inv_sq = _inverse_squares(k)
-    alternating = inv_sq.copy()
-    alternating[(k + 1) % 2::2] *= -1.0  # the odd i
     terms = [0.5 * (float(np.sum(inv_sq)) + _trigamma(k + 1))]
+    alternating = inv_sq  # the odd i negated in place, so one array serves both
+    alternating[(k + 1) % 2::2] *= -1.0
     j = 0
     while j == 0 or abs(terms[-1]) >= tol:
         j += 1

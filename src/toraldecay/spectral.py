@@ -6,6 +6,7 @@ a spatial averaging form over digit branches. The two routes are kept
 independent so each can serve as the other's oracle.
 """
 
+import itertools
 import json
 import math
 
@@ -17,7 +18,7 @@ from .errors import DegenerateBound, InputError, TooLarge
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
 GRID_WORK_GUARD = 10**8  # max grid points x frequencies per row of a sup scan
-GRID_CHUNK = 2**20  # max grid values one sup-norm grid call holds
+GRID_CHUNK = 2**16  # max grid values (rows x points) one sup-norm grid call holds
 SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
@@ -261,34 +262,50 @@ def _cos_sin_rows(k, c):
             np.concatenate([big_q.real, big_q.imag[cplx]]), cplx)
 
 
-def _grid_values(k, c, n_pts):
-    """|f| of each row of c on the uniform n_pts^d grid, and each row's argmax.
+def _root_table(n_pts):
+    """exp(2 pi i j / n_pts) for j = 0..n_pts - 1, the angle taken in (-pi, pi].
+
+    Entries are filled GRID_CHUNK at a time, each by the same elementwise
+    expression, so no temporary is n_pts long.
+    """
+    roots = np.empty(n_pts, dtype=complex)
+    for lo in range(0, n_pts, GRID_CHUNK):
+        i = np.arange(lo, min(lo + GRID_CHUNK, n_pts))
+        roots[lo:lo + len(i)] = np.exp(2j * np.pi * (np.where(2 * i > n_pts, i - n_pts, i) / n_pts))
+    return roots
+
+
+def _grid_values(k, c, roots, lead, cols):
+    """|f| of each row of c on one slab of the uniform n^d grid, n = len(roots), and each row's argmax.
 
     k is the (m, d) int64 frequency set of the (rows, m) coefficients c.
-    The phase k_a i mod n_pts of grid coordinate i / n_pts is an exact
-    integer into one table of n_pts-th roots of unity. The axes are
-    contracted one at a time through U = P cos + Q sin and V = Q cos -
-    P sin (see `_cos_sin_rows`), and the pairs are added in order by
-    elementwise multiply-adds, so a row's values do not depend on the
-    other rows. Returns ((rows, n_pts^d) values, flat argmax of each row).
+    The slab holds the points whose leading indices (i_0, ..., i_{d-2}),
+    flattened in C order, lie in the range `lead` (range(1) for d = 1)
+    and whose last index lies in the range `cols`. The phase k_a i mod n
+    of grid coordinate i / n is an exact integer into `roots`
+    (`_root_table`). One pair at a time, the axes are contracted through
+    U = P cos + Q sin and V = Q cos - P sin (see `_cos_sin_rows`), and
+    the pairs are added in order by elementwise multiply-adds, so a value
+    depends neither on the other rows nor on the slab, and every array
+    is a row or a slab long. Returns ((rows, len(lead) * len(cols))
+    values in flat order, argmax of each row).
     """
     kp, big_u, big_v, cplx = _cos_sin_rows(k, c)
-    i = np.arange(n_pts)
-    roots = np.exp(2j * np.pi * (np.where(2 * i > n_pts, i - n_pts, i) / n_pts))
-    rows, (pairs, d) = len(big_u), kp.shape
-    tables = [roots[(kp[:, a, None] % n_pts) * i % n_pts] for a in range(d)]  # (pairs, n)
-    big_u, big_v = big_u[:, :, None], big_v[:, :, None]
-    for tab in tables[:-1]:
-        cos, sin = tab.real[None, :, None, :], tab.imag[None, :, None, :]
-        big_u, big_v = ((big_u[..., None] * cos + big_v[..., None] * sin).reshape(rows, pairs, -1),
-                        (big_v[..., None] * cos - big_u[..., None] * sin).reshape(rows, pairs, -1))
-    cos, sin = tables[-1].real, tables[-1].imag
-    out = big_u[:, 0, :, None] * cos[0] + big_v[:, 0, :, None] * sin[0]
+    n_pts, d = len(roots), kp.shape[1]
+    p = np.arange(lead.start, lead.stop)
+    leading = [p // n_pts ** (d - 2 - a) % n_pts for a in range(d - 1)]
+    i = np.arange(cols.start, cols.stop)
+    out = np.zeros((len(big_u), len(p), len(i)))  # 0 + x is x up to a zero's sign, which |.| drops
     tmp = np.empty_like(out)
-    for j in range(1, pairs):
-        out += np.multiply(big_u[:, j, :, None], cos[j], out=tmp)
-        out += np.multiply(big_v[:, j, :, None], sin[j], out=tmp)
-    out = out.reshape(rows, -1)
+    for j, kj in enumerate(kp):
+        u, v = big_u[:, j, None], big_v[:, j, None]
+        for a, i_a in enumerate(leading):
+            tab = roots[kj[a] % n_pts * i_a % n_pts]
+            u, v = u * tab.real + v * tab.imag, v * tab.real - u * tab.imag
+        tab = roots[kj[-1] % n_pts * i % n_pts]
+        out += np.multiply(u[:, :, None], tab.real, out=tmp)
+        out += np.multiply(v[:, :, None], tab.imag, out=tmp)
+    out = out.reshape(len(out), -1)
     vals = np.abs(out[:len(cplx)])
     vals[cplx] = np.hypot(out[:len(cplx)][cplx], out[len(cplx):])
     return vals, np.argmax(vals, axis=1)
@@ -402,13 +419,15 @@ def _sup_lower(k, c):
     """Certified lower bound of sup |f| for each row of c, on the frequencies k of `freq_array`.
 
     A row's bound is the larger of its best value on the grid of
-    n = max(16, 8 max|k| + 1) points per axis (`_grid_values`) and |f|
-    where `_polish` ends from that point, each |f| at a point evaluated
-    to rounding. A row is searched as `_unit_scale` leaves it, and its
-    bound is scaled back. Rows go to `_grid_values` in chunks of at most
-    GRID_CHUNK grid values and GRID_WORK_GUARD grid values x frequencies;
-    TooLarge means one row alone exceeds the guard. A row's value does
-    not depend on the other rows.
+    n = max(16, 8 max|k| + 1) points per axis and |f| where `_polish`
+    ends from that point, each |f| at a point evaluated to rounding. A
+    row is searched as `_unit_scale` leaves it, and its bound is scaled
+    back. TooLarge means one row's grid values x frequencies exceed
+    GRID_WORK_GUARD. The grid is scanned by `_grid_values` in calls of
+    at most GRID_CHUNK grid values: several whole-grid rows while a row
+    fits, else one row on slabs of leading indices (d >= 2) or columns
+    (d = 1), walked in flat order. A strict > across slabs keeps the
+    first flat argmax. A row's value does not depend on the other rows.
     """
     m, d = k.shape
     n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
@@ -417,13 +436,21 @@ def _sup_lower(k, c):
         raise TooLarge("sup-norm grid would need %d evaluations" % row)
     k = k.astype(np.int64)
     c, e = _unit_scale(c)
-    chunk = max(1, min(GRID_WORK_GUARD // row, GRID_CHUNK // n_pts**d))
-    best = np.empty(len(c))
-    start = np.empty((len(c), d), dtype=np.int64)
-    for lo in range(0, len(c), chunk):
-        vals, idx = _grid_values(k, c[lo:lo + chunk], n_pts)
-        best[lo:lo + chunk] = vals[np.arange(len(idx)), idx]
-        start[lo:lo + chunk] = np.stack(np.unravel_index(idx, (n_pts,) * d), axis=1)
+    roots = _root_table(n_pts)
+    n_lead = n_pts ** (d - 1)
+    rows = max(1, GRID_CHUNK // n_pts**d)
+    lead_step, col_step = max(1, GRID_CHUNK // n_pts), min(n_pts, GRID_CHUNK)
+    best = np.full(len(c), -np.inf)
+    flat = np.zeros(len(c), dtype=np.int64)
+    for lo, a, b in itertools.product(range(0, len(c), rows), range(0, n_lead, lead_step),
+                                      range(0, n_pts, col_step)):
+        lead, cols = range(a, min(a + lead_step, n_lead)), range(b, min(b + col_step, n_pts))
+        vals, idx = _grid_values(k, c[lo:lo + rows], roots, lead, cols)
+        top = vals[np.arange(len(idx)), idx]
+        up = top > best[lo:lo + rows]
+        best[lo:lo + rows][up] = top[up]
+        flat[lo:lo + rows][up] = (a + idx[up] // len(cols)) * n_pts + b + idx[up] % len(cols)
+    start = np.stack(np.unravel_index(flat, (n_pts,) * d), axis=1)
     # grid index i as a 64-bit turn word, from i / n_pts in [-1/2, 1/2)
     start = np.where(2 * start >= n_pts, start - n_pts, start)
     x = np.rint(start / n_pts * 2.0**64).astype(np.int64).view(np.uint64)

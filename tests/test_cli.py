@@ -491,6 +491,34 @@ def test_decay_mc_past_float_precision_exits_2(capsys, tmp_path, f1_path):
     assert "precision limit" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "decay --matrix 2 --f {f} --g {f} --nmax 1100",
+    "decay --matrix 2 --f {f} --g {f} --nmax 1100 --mode transfer_norm",
+    "transfer --matrix 2 --function {f} --steps 1100",
+    "transfer --matrix 2 --function {f} --steps 1100 --emit modulus",
+])
+def test_radius_underflow_names_the_step_count(capsys, f1_path, argv):
+    # lambda^-n = 2^-n is 0.0 from n = 1075; the parent exited 2 with
+    # "delta must be positive", about an input the user never gave
+    code = cli.main(shlex.split(argv.format(f=f1_path)))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "n = 1075" in err and "--nmax / --steps" in err
+
+
+def test_ulam_decay_truncation_guard_exits_3(capsys, monkeypatch):
+    from toraldecay import interval
+
+    monkeypatch.setattr(interval, "TRUNCATION_GUARD", 2**14)
+    code, _ = run(capsys, ["ulam", "--op", "decay", "--nmax", "2", "--truncation", str(2**14)])
+    assert code == 0
+    code = cli.main(["ulam", "--op", "decay", "--nmax", "2", "--truncation", str(2**14 + 1)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and "guard" in err
+
+
 def test_decay_rerun_byte_identical(capsys, rich_path, f1_path):
     argv = ["decay", "--matrix", "2", "--f", rich_path, "--g", f1_path,
             "--nmax", "6", "--seed", "1"]

@@ -176,6 +176,32 @@ def test_uvn_decay_norms_truncation_guard():
         interval.uvn_decay_norms(-1)
 
 
+def test_uvn_decay_norms_memory_is_one_series_array():
+    interval.uvn_decay_norms(2, 64)  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        interval.uvn_decay_norms(12, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10**6 + 2**20  # 8 bytes a term; three such arrays before
+
+
+def test_series_guard_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(interval, "TRUNCATION_GUARD", 2**14)
+    assert len(interval._inverse_squares(2**14)) == 2**14
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            interval.uvn_decay_norms(2, 2**14 + 1)
+        with pytest.raises(TooLarge):
+            interval._lyapunov_terms(2**14 + 1, interval.SERIES_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # no 128 KB series array was built
+
+
 def test_uvn_decay_norms_vs_symbolic_transfer():
     # finite-truncation symbolic route plus the exact trigamma completion
     # must reproduce the reported infinite-series values

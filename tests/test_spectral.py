@@ -1,6 +1,7 @@
 """Transfer operator dual routes, norms, and modulus estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,7 +313,8 @@ def test_grid_phases_exact_on_lacunary_series():
     f = TrigPolynomial(1, coeffs)
     k, c = f.freq_array()
     n_pts = 8 * 2**12 + 1
-    vals, _ = spectral._grid_values(k.astype(np.int64), c[None, :], n_pts)
+    vals, _ = spectral._grid_values(k.astype(np.int64), c[None, :], spectral._root_table(n_pts),
+                                    range(1), range(n_pts))
     l1 = sum(abs(v) for v in coeffs.values())
     with mp.workdps(40):
         for i in range(0, n_pts, 61):
@@ -562,6 +564,116 @@ def test_sup_kernel_chunks_match_one_shot(monkeypatch):
         with pytest.raises(TooLarge):  # one row alone exceeds the guard
             spectral._sup_lower(k, rows[:1])
         monkeypatch.undo()
+
+
+def _frozen_grid_values(k, c, n_pts):
+    """Reference scan of the whole grid in one call, with n_pts-long tables:
+    ((rows, n_pts^d) values, flat argmax of each row)."""
+    kp, big_u, big_v, cplx = spectral._cos_sin_rows(k, c)
+    i = np.arange(n_pts)
+    roots = np.exp(2j * np.pi * (np.where(2 * i > n_pts, i - n_pts, i) / n_pts))
+    rows, (pairs, d) = len(big_u), kp.shape
+    tables = [roots[(kp[:, a, None] % n_pts) * i % n_pts] for a in range(d)]  # (pairs, n)
+    big_u, big_v = big_u[:, :, None], big_v[:, :, None]
+    for tab in tables[:-1]:
+        cos, sin = tab.real[None, :, None, :], tab.imag[None, :, None, :]
+        big_u, big_v = ((big_u[..., None] * cos + big_v[..., None] * sin).reshape(rows, pairs, -1),
+                        (big_v[..., None] * cos - big_u[..., None] * sin).reshape(rows, pairs, -1))
+    cos, sin = tables[-1].real, tables[-1].imag
+    out = big_u[:, 0, :, None] * cos[0] + big_v[:, 0, :, None] * sin[0]
+    tmp = np.empty_like(out)
+    for j in range(1, pairs):
+        out += np.multiply(big_u[:, j, :, None], cos[j], out=tmp)
+        out += np.multiply(big_v[:, j, :, None], sin[j], out=tmp)
+    out = out.reshape(rows, -1)
+    vals = np.abs(out[:len(cplx)])
+    vals[cplx] = np.hypot(out[:len(cplx)][cplx], out[len(cplx):])
+    return vals, np.argmax(vals, axis=1)
+
+
+def _even_poly(rng, d, pairs):
+    """A real even function (real coefficients on hermitian pairs): |f| at the grid
+    points i and -i is bit for bit the same, so every grid maximum off 0 is tied."""
+    span = (12, 6, 2)[d - 1]
+    coeffs = {}
+    while len(coeffs) < 2 * pairs:
+        k = tuple(int(v) for v in rng.integers(-span, span + 1, size=d))
+        if any(k) and k not in coeffs:
+            coeffs[k] = coeffs[tuple(-v for v in k)] = float(rng.normal())
+    return TrigPolynomial(d, coeffs)
+
+
+def test_slab_walk_matches_one_shot_scan(monkeypatch):
+    # every scanned value, each row's best value and each polish start (the
+    # first flat argmax) equal the one-shot scan's bit for bit, whatever the budget
+    rng = np.random.default_rng(23)
+    kernel = spectral._grid_values
+    calls, starts = [], []
+
+    def recorded(k, c, roots, lead, cols):
+        vals, idx = kernel(k, c, roots, lead, cols)
+        calls.append((c, lead, cols, vals))
+        return vals, idx
+
+    def no_polish(k, c, x, cap):
+        starts.append(x.copy())
+        return np.zeros(len(c))
+
+    monkeypatch.setattr(spectral, "_grid_values", recorded)
+    monkeypatch.setattr(spectral, "_polish", no_polish)
+    ties = 0
+    for d in (1, 2, 3):
+        for poly in (_hermitian_poly(rng, d, 2), _even_poly(rng, d, 3), random_poly(rng, d, 3, 2)):
+            k, c = poly.freq_array()
+            k = k.astype(np.int64)
+            noise = rng.normal(size=len(c)) + 1j * rng.normal(size=len(c))
+            rows = np.stack([c, c * (1 + 2j), noise, 0 * c])  # hermitian, complex, zero
+            n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
+            grid = n_pts**d
+            want, arg = _frozen_grid_values(k, rows, n_pts)
+            ties += int(np.sum(want[0] == want[0, arg[0]]) > 1)
+            start = np.stack(np.unravel_index(arg, (n_pts,) * d), axis=1)
+            start = np.where(2 * start >= n_pts, start - n_pts, start)
+            word = np.rint(start / n_pts * 2.0**64).astype(np.int64).view(np.uint64)
+            # all rows in one call; one row a call; a few slabs a row; slabs of 2 leading
+            # indices, whose edges fall inside a leading row for d = 3; column ranges
+            for budget in (len(rows) * grid, grid, grid // 3 + 5, 3 * n_pts - 1, n_pts - 2, 7):
+                if len(rows) * grid > 2000 * budget:
+                    continue
+                calls.clear()
+                starts.clear()
+                monkeypatch.setattr(spectral, "GRID_CHUNK", budget)
+                best = spectral._sup_lower(k, rows)
+                got = np.full(want.shape, -1.0)
+                for c_call, lead, cols, vals in calls:
+                    assert vals.size <= budget
+                    first = next(r for r in range(len(rows)) if np.array_equal(c_call[0], rows[r]))
+                    flat = (np.arange(lead.start, lead.stop)[:, None] * n_pts
+                            + np.arange(cols.start, cols.stop)).ravel()
+                    assert np.all(got[first:first + len(vals), flat] == -1.0)  # each point once
+                    got[first:first + len(vals), flat] = vals
+                assert np.array_equal(got, want), (d, budget)
+                assert np.array_equal(best, want[np.arange(len(rows)), arg]), (d, budget)
+                assert np.array_equal(starts[0], word), (d, budget)
+    assert ties >= 3  # the even functions' maxima are tied with their mirror points
+
+
+def test_sup_scan_memory_is_the_root_table_and_one_slab():
+    # N = 524,289 grid points in d = 1: the root table (16 N bytes) is the one
+    # N-long array the scan may hold; N-long tables per pair would pass 60 MB
+    coeffs = {}
+    for j, k in enumerate((2**16, 2**16 - 3, 77, 5)):
+        coeffs[(k,)] = coeffs[(-k,)] = 1.0 / (j + 1)
+    f = TrigPolynomial(1, coeffs)
+    spectral.sup_norm_bracket(TrigPolynomial.cosine(1))  # first-call set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        lower, upper = spectral.sup_norm_bracket(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lower == pytest.approx(upper, rel=1e-15)  # all cosines peak together at x = 0
+    assert peak < 16 * (8 * 2**16 + 1) + 2**23
 
 
 @settings(max_examples=10, deadline=None)
