@@ -229,7 +229,12 @@ def _sampler_config(args, **fields):
 
 
 def _sampler_payload(result, config, **extra):
-    """The JSON report of a sampler run, plus the `extra` fields."""
+    """The JSON report of a sampler run, plus the `extra` fields; InputError
+    where sigma^2 or a sample moment leaves float range."""
+    moments = (result.sigma2, result.sample_mean, result.sample_var)
+    if not all(map(math.isfinite, moments)):
+        raise InputError("sigma2 %g, sample mean %g or sample variance %g leaves float range"
+                         % moments)
     return {
         "sigma2": result.sigma2,
         "ks": result.ks_stat,
@@ -249,12 +254,13 @@ def cmd_clt(args):
         f, matrix, args.horizon, args.samples, args.seed, threads=args.threads
     )
     config = _sampler_config(args, subcommand="clt", matrix=args.matrix)
+    payload = _sampler_payload(experiment, config)  # refused before any file is written
     if args.samples_out:
         rows = [[i, float(v)] for i, v in enumerate(experiment.samples)]
         serialize.write_csv(
             args.samples_out, ["index", "value"], rows, config, seed=args.seed
         )
-    _emit_json(_sampler_payload(experiment, config), args.out)
+    _emit_json(payload, args.out)
     return 0
 
 

@@ -316,7 +316,8 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
     Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
     U in double precision with the same low-bit refresh policy as the toral
     sampler, and a worker advances its run of blocks as one array through
-    the shared window loop (`stochastic._window_sums`).
+    the shared window loop (`stochastic._window_sums`), taking turns with
+    the other workers on the orbit step.
     log|U'(y)| = log(4|y|) is clamped away from the y = 0
     singularity (measure-zero, log-integrable). The limit variance is
     zero (coboundary), so the KS column is skipped exactly as in the
@@ -340,15 +341,14 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
         def refresh(y, _):
             return np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0), None
 
-        def add_window(points, acc):  # log(4 max(|y|, LOG_FLOOR))
+        def evaluate(points):  # log(4 max(|y|, LOG_FLOOR)), one term
             values = np.abs(points, out=logs[:len(points)])
             np.maximum(values, LOG_FLOOR, out=values)
             np.multiply(values, 4.0, out=values)
             np.log(values, out=values)
-            for row in values:
-                acc += row
+            yield values[:, None]
 
-        return stochastic._window_sums(frame.horizon, y, None, rows, step, refresh, add_window)
+        return stochastic._window_sums(frame, y, None, rows, step, refresh, evaluate)
 
     sums = frame.sums(worker, threads)
     fluct = (sums - shift) * frame.scale

@@ -18,6 +18,7 @@ from .errors import DegenerateBound, InputError, TooLarge
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
 GRID_WORK_GUARD = 10**8  # max grid points x frequencies per row of a sup scan
+ROOT_TABLE_GUARD = 2**28  # max bytes of a sup scan's root table: 2^24 points of 16 bytes
 GRID_CHUNK = 2**16  # max grid values (rows x points) one sup-norm grid call holds
 SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
@@ -423,17 +424,21 @@ def _sup_lower(k, c):
     ends from that point, each |f| at a point evaluated to rounding. A
     row is searched as `_unit_scale` leaves it, and its bound is scaled
     back. TooLarge means one row's grid values x frequencies exceed
-    GRID_WORK_GUARD. The grid is scanned by `_grid_values` in calls of
-    at most GRID_CHUNK grid values: several whole-grid rows while a row
-    fits, else one row on slabs of leading indices (d >= 2) or columns
-    (d = 1), walked in flat order. A strict > across slabs keeps the
-    first flat argmax. A row's value does not depend on the other rows.
+    GRID_WORK_GUARD, or the root table's bytes exceed ROOT_TABLE_GUARD.
+    The grid is scanned by `_grid_values` in calls of at most GRID_CHUNK
+    grid values: several whole-grid rows while a row fits, else one row
+    on slabs of leading indices (d >= 2) or columns (d = 1), walked in
+    flat order. A strict > across slabs keeps the first flat argmax. A
+    row's value does not depend on the other rows.
     """
     m, d = k.shape
     n_pts = max(16, 8 * int(np.abs(k).max()) + 1)
     row = m * n_pts**d
     if row > GRID_WORK_GUARD:
         raise TooLarge("sup-norm grid would need %d evaluations" % row)
+    if 16 * n_pts > ROOT_TABLE_GUARD:
+        raise TooLarge("sup-norm root table of %d points would take %d bytes"
+                       % (n_pts, 16 * n_pts))
     k = k.astype(np.int64)
     c, e = _unit_scale(c)
     roots = _root_table(n_pts)
@@ -533,8 +538,20 @@ def _directions(dim, count):
 
 
 def _row_norms(v):
-    """Euclidean norm of each row of v, each summed as np.linalg.norm sums one vector."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    """Euclidean norm of each row of v, each summed as np.linalg.norm sums one vector.
+
+    A row whose sum of squares leaves the normal range (norm below
+    2^-511) is summed again scaled by 2^600, which is exact, so a tiny
+    nonzero row does not get norm 0; the other rows are left as summed.
+    """
+    def norms(x):
+        return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+    out = norms(v)
+    tiny = out < 2.0**-511
+    if tiny.any():
+        out[tiny] = np.ldexp(norms(np.ldexp(v[tiny], 600)), -600)
+    return out
 
 
 def _dot_last(a, b):

@@ -7,10 +7,11 @@ sums needs care: iterating x -> Ax mod 1 in binary floating point erases
 mantissa bits (about one per step for A = [[2]]), so orbits are kept in
 128-bit fixed point with fresh low-order bits injected every 40 steps,
 and f is evaluated from exact integer phases <k, x> mod 1 rather than
-from float coordinates.
+from float coordinates, through a table of each frequency's wave.
 """
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,12 @@ REFRESH_PERIOD = 40
 # Most values one window buffer of an orbit sampler holds (1 MB of
 # float64); it bounds a worker's memory, and results do not depend on it.
 WINDOW_BUDGET = 2**17
+# Index bits of the CLT sampler's wave tables: two tables of 2^12 float64
+# (64 KB) per frequency, and a remainder below pi / 2^12 radians.
+WAVE_BITS = 12
+_WAVE_SHIFT = np.uint64(64 - WAVE_BITS)
+_WAVE_HALF = np.uint64(1 << (63 - WAVE_BITS))
+_WAVE_LOW = np.uint64((1 << (64 - WAVE_BITS)) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK24 = np.uint64(0xFFFFFF)
 _SHIFT32 = np.uint64(32)
@@ -81,7 +88,8 @@ class SampleMoments:
 
     @property
     def sample_var(self):
-        return float(np.var(self.samples)) if len(self.samples) else 0.0
+        with np.errstate(over="ignore"):  # past float range it reads inf
+            return float(np.var(self.samples)) if len(self.samples) else 0.0
 
 
 @dataclass
@@ -174,27 +182,84 @@ def _phase_terms(f):
     return terms
 
 
-def _phase_angles(hi, k, out, phase):
-    """2 pi <k, x> as float angles in [-pi, pi), from the exact phase word.
+def _phase_words(hi, k, out, scratch):
+    """The exact phase words <k, x> mod 1, in units of 2^-64 turns.
 
-    hi has shape (d, ...) and k must be nonzero. The phase word <k, x>
-    mod 1, in units of 2^-64 turns, is the wrapping uint64 sum
-    sum_j k_j hi_j; leaving out the low words moves it by less than
-    ||k||_1 2^-64 turns. The words go to `phase` (uint64, shape
-    hi.shape[1:]) and the angles to `out` (float64, same shape), which
-    doubles as scratch space for the products; `out` is returned.
+    hi has shape (d, ...) and k must be nonzero. The word is the
+    wrapping uint64 sum sum_j k_j hi_j; leaving out the low words moves
+    it by less than ||k||_1 2^-64 turns. The words go to `out` (uint64,
+    shape hi.shape[1:]), and `scratch` (uint64, same shape) holds the
+    products; `out` is returned.
     """
-    scratch = out.view(np.uint64)
     (j, kj), *rest = [(j, kj) for j, kj in enumerate(k) if kj]
-    np.multiply(hi[j], np.uint64(kj % 2**64), out=phase)
+    np.multiply(hi[j], np.uint64(kj % 2**64), out=out)
     for j, kj in rest:
-        np.add(phase, np.multiply(hi[j], np.uint64(kj % 2**64), out=scratch), out=phase)
-    return np.multiply(phase.view(np.int64), spectral._TURN, out=out)
+        np.add(out, np.multiply(hi[j], np.uint64(kj % 2**64), out=scratch), out=out)
+    return out
+
+
+def _wave_tables(terms):
+    """(P, Q) for each (k, a, b) of `_phase_terms`, at t_j = 2 pi j / 2^WAVE_BITS:
+    P_j = a cos t_j + b sin t_j and Q_j = b cos t_j - a sin t_j.
+
+    cos and sin are taken only at t_j <= pi/4, and the rest of the turn
+    is filled by quarter-turn symmetry, so each entry is within an ulp.
+    t_j is split as head + dt: 2 pi cut to 43 bits, whose products with
+    j <= 2^10 (WAVE_BITS <= 13) are exact, and the rest of 2 pi, where
+    2 pi - fl(2 pi) = 2.449e-16. The first-order correction in dt is
+    exact to dt^2 < 1e-26.
+    """
+    n = 1 << WAVE_BITS
+    j = np.arange(n // 8 + 1)
+    head = math.ldexp(math.floor(math.ldexp(2.0 * math.pi, 40)), -40)
+    tail = (2.0 * math.pi - head) + 2.4492935982947064e-16
+    t, dt = j * (head / n), j * (tail / n)
+    c0, s0 = np.cos(t), np.sin(t)
+    c, s = c0 - dt * s0, s0 + dt * c0
+    quarter = np.concatenate([c, s[-2::-1]])  # cos t_j for j = 0..n/4
+    half = np.concatenate([quarter[:-1], -quarter[:0:-1]])  # cos(pi - t) = -cos t
+    cos = np.concatenate([half, -half])  # cos(t + pi) = -cos t
+    sin = np.roll(cos, n // 4)  # sin t = cos(t - pi/2)
+    return [(a * cos + b * sin, b * cos - a * sin) for _, a, b in terms]
+
+
+def _wave_values(phase, tables, out, spare, small):
+    """a cos(2 pi p) + b sin(2 pi p) at the phase words p in `phase`, from
+    the (P, Q) `tables` of `_wave_tables`.
+
+    p splits into the nearest table index j (mod 2^WAVE_BITS) and a
+    signed remainder l, |l| <= 2^(63 - WAVE_BITS), which is exact in
+    float64; r = 2 pi l / 2^64 is at most pi / 2^WAVE_BITS. The value is
+    P_j (1 - r^2/2 + r^4/24) + Q_j r (1 - r^2/6); the terms left out are
+    below 2.3e-18 |(a, b)|. All arrays have one shape: `phase` (uint64,
+    contiguous) is overwritten, `spare` and `small` (float64, contiguous)
+    are scratch, and `out` (float64) gets the values and is returned.
+    """
+    big_p, big_q = tables
+    np.add(phase, _WAVE_HALF, out=phase)
+    rem = np.bitwise_and(phase, _WAVE_LOW, out=spare.view(np.uint64)).view(np.int64)
+    np.subtract(rem, np.int64(_WAVE_HALF), out=rem)
+    np.copyto(small, rem)  # exact: no cast buffer, unlike a mixed-type multiply
+    r = np.multiply(small, spectral._TURN, out=small)
+    index = np.right_shift(phase, _WAVE_SHIFT, out=phase).view(np.int64)
+    sin_part = np.take(big_q, index, out=spare, mode="clip")
+    np.multiply(sin_part, r, out=sin_part)
+    r2 = np.multiply(r, r, out=small)
+    np.multiply(r2, -1.0 / 6.0, out=out)
+    np.add(out, 1.0, out=out)
+    np.multiply(sin_part, out, out=sin_part)  # Q r (1 - r^2/6)
+    np.multiply(r2, 1.0 / 24.0, out=out)
+    np.add(out, -0.5, out=out)
+    np.multiply(out, r2, out=out)
+    np.add(out, 1.0, out=out)  # 1 - r^2/2 + r^4/24
+    np.multiply(out, np.take(big_p, index, out=small, mode="clip"), out=out)
+    return np.add(out, sin_part, out=out)
 
 
 class _SamplerFrame:
     """What both orbit samplers share: the size checks, made first so their errors
-    come before a sampler's own, the scale 1/sqrt(horizon), and `sums`."""
+    come before a sampler's own, the scale 1/sqrt(horizon), `sums`, and `turn`,
+    the lock that `_window_sums` holds while a worker steps its orbits."""
 
     def __init__(self, horizon, samples):
         self.horizon, self.samples = int(horizon), int(samples)
@@ -204,6 +269,7 @@ class _SamplerFrame:
             raise TooLarge("horizon * samples = %d exceeds %d"
                            % (self.horizon * self.samples, ORBIT_GUARD))
         self.scale = 1.0 / math.sqrt(self.horizon)
+        self.turn = threading.Lock()
 
     def sums(self, worker, threads):
         """The per-sample sums of `worker` run on the sample blocks by `rng.map_blocks`."""
@@ -215,33 +281,46 @@ def _window_rows(values_per_step):
     return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
 
 
-def _window_sums(horizon, head, tail, rows, step, refresh, add_window):
-    """Birkhoff sums over `horizon` steps of a run of orbits, a window at a time.
+def _window_sums(frame, head, tail, rows, step, refresh, evaluate):
+    """Birkhoff sums over `frame.horizon` steps of a run of orbits, a window at a time.
 
     An orbit state is a pair: `head` (shape (..., m), what the observable
-    reads) and `tail` (the rest). Row w of the window holds the head of
-    the window's step w: `step(head, tail, out)` writes the next head to
-    `out` (the next row) and returns the next tail. `add_window(heads,
-    acc)` adds the observable on a window's heads to the m sums in
-    `acc`, step after step, and `refresh(head, tail)` redraws low bits
-    after every REFRESH_PERIOD steps but the last. A window holds at most
+    reads) and `tail` (the rest). The window stacks the heads of a
+    window's steps along its second-to-last axis, shape (..., rows + 1,
+    m), so each coordinate's heads are one contiguous block; its step w
+    holds the head of the window's step w. `step(head, tail, out)`
+    writes the next head to `out` (the next step) and returns the next
+    tail, and `refresh(head, tail)` redraws low bits after every
+    REFRESH_PERIOD steps but the last. `evaluate(heads)` may overwrite a
+    window's heads and yields the observable on them as arrays of shape
+    (steps, terms, m); their rows are added into the m sums step after
+    step and, within a step, term after term. A window holds at most
     `rows` steps and never spans a refresh, so the orbit, the draws and
     the order of the additions are those of a step-by-step loop, bit for
-    bit.
+    bit. The workers of one call take turns on `frame.turn` for their
+    short array calls, a refresh, the steps through a window and the
+    additions, and evaluate outside it: a short call hands the
+    interpreter lock to each other worker that wants it, while an
+    evaluation call is long and runs without the lock.
     """
-    window = np.empty((rows + 1,) + head.shape, head.dtype)
+    window = np.empty(head.shape[:-1] + (rows + 1, head.shape[-1]), head.dtype)
     acc = np.zeros(head.shape[-1])
     done = 0
-    while done < horizon:
-        n = min(rows, horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
-        window[0] = head
-        for w in range(n):
-            tail = step(window[w], tail, window[w + 1])
-        add_window(window[:n], acc)
+    while done < frame.horizon:
+        with frame.turn:
+            if done % REFRESH_PERIOD == 0 and done:
+                head, tail = refresh(head, tail)
+            n = min(rows, frame.horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
+            window[..., 0, :] = head
+            for w in range(n):
+                tail = step(window[..., w, :], tail, window[..., w + 1, :])
+        for values in evaluate(window[..., :n, :]):
+            with frame.turn:
+                for step_values in values:
+                    for row in step_values:
+                        acc += row
         done += n
-        head = window[n]
-        if done % REFRESH_PERIOD == 0 and done < horizon:
-            head, tail = refresh(head, tail)
+        head = window[..., n, :]
     return acc
 
 
@@ -256,8 +335,9 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     bits below 2^-40 are redrawn, which perturbs the law by at most
     2^-40 per coordinate but prevents the mod-1 dynamics from collapsing
     onto short floating-point cycles. f is evaluated from exact integer
-    phases of the high words (see `_phase_angles`), so max |k|_1 over f
-    must stay below analysis.MC_PHASE_LIMIT.
+    phases of the high words (`_phase_words`) through each frequency's
+    wave tables (`_wave_values`), so max |k|_1 over f must stay below
+    analysis.MC_PHASE_LIMIT.
     """
     frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:
@@ -272,7 +352,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     d = matrix.dim
     entries = matrix.entries
     terms = _phase_terms(f)  # sigma_squared has checked that f has mean zero
-    pieces = [(k, w, fn) for k, a, b in terms for w, fn in ((a, np.cos), (b, np.sin)) if w]
+    tables = _wave_tables(terms)
 
     def worker(run):
         draw_words = rng.run_draw(seed, run, lambda gen, count: rng.uniform64(gen, (count, d)))
@@ -283,13 +363,14 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         hi = draw()
         lo = draw()
         m = hi.shape[1]
-        rows = _window_rows(m * max(d, len(pieces)))
-        # a window of one step may split its pieces; a longer one holds them all
-        # (a zero f has none, and its sums stay 0)
-        chunk = max(1, len(pieces) if rows > 1 else min(len(pieces), WINDOW_BUDGET // m))
-        phase = np.empty((rows, m), np.uint64)
-        angle = np.empty((rows, m))
-        weighted = np.empty((rows, chunk, m))
+        # no buffer holds more than WINDOW_BUDGET values; a window of one step
+        # may split its terms (a zero f has none, and its sums stay 0)
+        rows = _window_rows(m * max(d, len(terms)))
+        chunk = max(1, len(terms) if rows > 1 else min(len(terms), WINDOW_BUDGET // m))
+        spare = np.empty((rows, m))
+        small = np.empty((rows, m))
+        # one slot per term of a group, and a spare slot if there are several groups
+        weighted = np.empty((chunk + (chunk < len(terms)), rows, m))
 
         spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
         term = np.empty((2, m), np.uint64)
@@ -301,21 +382,19 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         def refresh(hi, lo):
             return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
 
-        def add_window(heads, acc):  # heads: (n, d, m) high words
-            n = len(heads)
-            words = heads.transpose(1, 0, 2)
-            for first in range(0, len(pieces), chunk):
-                group = pieces[first:first + chunk]
-                for p, (k, weight, fn) in enumerate(group):
-                    if p == 0 or k is not group[p - 1][0]:
-                        _phase_angles(words, k, angle[:n], phase[:n])
-                    fn(angle[:n], out=weighted[:n, p])
-                    np.multiply(weighted[:n, p], weight, out=weighted[:n, p])
-                for step_values in weighted[:n, :len(group)]:
-                    for row in step_values:
-                        acc += row
+        def evaluate(heads):  # heads: (d, n, m) high words
+            n = heads.shape[1]
+            for first in range(0, len(terms), chunk):
+                group = range(first, min(first + chunk, len(terms)))
+                for p, t in enumerate(group):
+                    # a term's phase words go where nothing reads any more: the
+                    # next slot, or for the last term the first coordinate's heads
+                    words = heads[0] if t == len(terms) - 1 else weighted[p + 1, :n].view(np.uint64)
+                    _phase_words(heads, terms[t][0], words, spare[:n].view(np.uint64))
+                    _wave_values(words, tables[t], weighted[p, :n], spare[:n], small[:n])
+                yield weighted[:len(group), :n].transpose(1, 0, 2)
 
-        return _window_sums(frame.horizon, hi, lo, rows, step, refresh, add_window)
+        return _window_sums(frame, hi, lo, rows, step, refresh, evaluate)
 
     values = frame.sums(worker, threads) * frame.scale
     return CltExperiment(frame.horizon, seed, sigma2, values)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
-from toraldecay import analysis, cli, lattice, rng, spectral
+from toraldecay import analysis, cli, lattice, rng, spectral, stochastic
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -394,6 +394,102 @@ def test_transfer_and_decay_on_drawn_functions(data, matrix, steps):
         assert out.getvalue() == ""
     else:
         assert all(map(math.isfinite, _printed_numbers(out.getvalue())))
+
+
+@st.composite
+def sampler_entries(draw, dim):
+    """A function file for `clt`: 1 to 3 frequencies, |k_j| small, up to 2^40 or up
+    to 2^63, most with their conjugate partner. A file's parts are mostly in
+    [-1, 1], else up to 1e154 (where sum |c|^2 nears float range), from
+    `_coefficient_parts`, or in [-1, 1] with some non-finite."""
+    unit = st.floats(-1, 1)
+    non_finite = st.one_of(unit, st.sampled_from([math.inf, -math.inf, math.nan]))
+    part = draw(st.sampled_from([unit, unit, unit, st.floats(-1e154, 1e154),
+                                 _coefficient_parts(), non_finite]))
+    small = st.integers(-3, 3)
+    k = st.lists(st.one_of(small, small, small, st.integers(-(2**40), 2**40),
+                           st.integers(-(2**63), 2**63)), min_size=dim, max_size=dim)
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        key, re, im = draw(k), draw(part), draw(part)
+        entries.append({"k": key, "re": re, "im": im})
+        if draw(st.integers(0, 3)):
+            entries.append({"k": [-v for v in key], "re": re, "im": -im})
+    return entries
+
+
+def _sampler_sizes():
+    """(horizon, samples): mostly small, or zero or negative, or one step past
+    ORBIT_GUARD, which must be refused before any work."""
+    small = st.tuples(st.integers(1, 40), st.integers(1, 200))
+    bad = st.tuples(st.integers(-1, 40), st.integers(-1, 0)).map(lambda t: t[::-1])
+    past = st.integers(1, 10**4).map(lambda s: (stochastic.ORBIT_GUARD // s + 1, s))
+    return st.one_of(small, small, small, small, bad, past)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), expanding_matrices(), _sampler_sizes(), st.sampled_from([1, 2]),
+       st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 9), st.sampled_from([-1, 2**64])))
+def test_samplers_on_drawn_arguments(data, matrix, sizes, threads, seed):
+    horizon, samples = sizes
+    common = ["--horizon=%d" % horizon, "--samples=%d" % samples, "--seed=%d" % seed,
+              "--threads", str(threads)]
+    with tempfile.TemporaryDirectory() as tmp:
+        if data.draw(st.booleans()):
+            path = os.path.join(tmp, "f.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data.draw(sampler_entries(matrix.dim)), fh)
+            text = ";".join(",".join(map(str, row)) for row in matrix.entries)
+            argv = ["clt", "--matrix=" + text, "--f", path] + common
+        else:
+            argv = ["ulam", "--op", "lyapunov"] + common
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if horizon * samples > stochastic.ORBIT_GUARD:
+        assert code != 0
+    if code:
+        assert out.getvalue() == ""
+    else:
+        payload = json.loads(out.getvalue())
+        numbers = [v for v in payload.values() if isinstance(v, (int, float))]
+        assert all(map(math.isfinite, numbers))
+
+
+def test_clt_variance_past_float_range_is_bad_input(capsys, tmp_path):
+    # sum |c|^2 is finite, but sigma^2 = 2.9e308 and the sample variance are not;
+    # clt printed "Infinity" and warned of an overflow in np.var
+    path = tmp_path / "big.json"
+    c = 6e153
+    TrigPolynomial(1, {(1,): c, (-1,): c, (2,): c, (-2,): c}).save(path)
+    samples_out = tmp_path / "samples.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["clt", "--matrix", "2", "--f", str(path), "--horizon", "50",
+                         "--samples", "200", "--samples-out", str(samples_out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "float range" in captured.err
+    assert not samples_out.exists()
+
+
+def test_decay_at_radii_past_the_norms_underflow_warns_of_nothing(capsys, f1_path):
+    # at n = 537 the Newton trial norms of [[2]] underflow to 0: the projection
+    # onto the ball divided by 0, which exited 4 under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["decay", "--matrix", "2", "--f", f1_path, "--g", f1_path,
+                         "--nmax", "600"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    _, rows = parse_csv(captured.out)
+    assert len(rows) == 600
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_decay_exact_and_footer(capsys, rich_path, f1_path):

@@ -547,7 +547,8 @@ def test_sup_kernel_row_does_not_depend_on_its_batch(f, rows, seed):
 
 
 def test_sup_kernel_chunks_match_one_shot(monkeypatch):
-    # rows are chunked under GRID_CHUNK values and GRID_WORK_GUARD values x frequencies
+    # rows are chunked under GRID_CHUNK values; GRID_WORK_GUARD refuses a row whose
+    # grid values x frequencies exceed it
     rng = np.random.default_rng(17)
     for d in (1, 2, 3):
         k, c = _hermitian_poly(rng, d, 3).freq_array()
@@ -564,6 +565,27 @@ def test_sup_kernel_chunks_match_one_shot(monkeypatch):
         with pytest.raises(TooLarge):  # one row alone exceeds the guard
             spectral._sup_lower(k, rows[:1])
         monkeypatch.undo()
+
+
+def test_sup_root_table_guard_refuses_before_the_table(monkeypatch):
+    # GRID_WORK_GUARD admits one d = 1 frequency near 1.25e7, whose root table
+    # of 16 bytes a point would take 1.6 GB; ROOT_TABLE_GUARD refuses it first
+    assert 16 * spectral.GRID_WORK_GUARD > spectral.ROOT_TABLE_GUARD
+    # the frequency-2^20 function of the CI memory step still scans
+    assert 16 * (8 * 2**20 + 1) <= spectral.ROOT_TABLE_GUARD
+    f = TrigPolynomial.cosine(100)
+    table_bytes = 16 * (8 * 100 + 1)
+    lower, _ = spectral.sup_norm_bracket(f)
+    monkeypatch.setattr(spectral, "ROOT_TABLE_GUARD", table_bytes)
+    assert spectral.sup_norm_bracket(f)[0] == lower
+    monkeypatch.setattr(spectral, "ROOT_TABLE_GUARD", table_bytes - 1)
+
+    def fail(n_pts):
+        raise AssertionError("root table built past the guard")
+
+    monkeypatch.setattr(spectral, "_root_table", fail)
+    with pytest.raises(TooLarge, match="root table"):
+        spectral.sup_norm_bracket(f)
 
 
 def _frozen_grid_values(k, c, n_pts):

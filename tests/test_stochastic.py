@@ -1,6 +1,8 @@
 """Variance series, fixed-point orbits, CLT sampling, KS statistic."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,13 +98,47 @@ def test_orbit_phases_exact():
     hi = rand_u64(rng, (3, 50))
     for k in ((1, 0, 0), (0, -1, 0), (2, -3, 5), (-7, 1, 2**40)):
         phase = np.empty(50, np.uint64)
-        angles = stochastic._phase_angles(hi, k, np.empty(50), phase)
-        assert np.all(angles >= -math.pi) and np.all(angles < math.pi)
+        stochastic._phase_words(hi, k, phase, np.empty(50, np.uint64))
         for s in range(50):
             word = sum(kj * int(hi[j, s]) for j, kj in enumerate(k)) % 2**64
             assert int(phase[s]) == word
-            turns = (word - 2**64 if word >= 2**63 else word) / 2**64
-            assert abs(angles[s] - 2.0 * math.pi * turns) <= 1e-15
+
+
+def test_wave_tables_within_an_ulp():
+    mp = pytest.importorskip("mpmath")
+    (cos, minus_sin), = stochastic._wave_tables([(None, 1.0, 0.0)])
+    n = 1 << stochastic.WAVE_BITS
+    with mp.workprec(120):
+        for j in range(n):
+            t = 2 * mp.pi * j / n
+            # an exact 0 is within 1e-30, the rounding of t at 120 bits
+            for entry, exact in ((cos[j], mp.cos(t)), (-minus_sin[j], mp.sin(t))):
+                assert abs(entry - exact) <= max(np.spacing(abs(entry)), 1e-30), j
+
+
+def test_wave_values_beat_libm_against_mpmath():
+    # a cos + b sin at 20,000 random phase words and the edges of the table
+    # index and remainder, against 120-bit mpmath, next to the route that
+    # rounds the word to an angle and calls np.cos and np.sin
+    mp = pytest.importorskip("mpmath")
+    words = rand_u64(np.random.default_rng(37), 20000)
+    step = 2**(64 - stochastic.WAVE_BITS)
+    words[:8] = [0, 1, 2**64 - 1, 2**63, 2**63 - 1, step // 2, step // 2 - 1, 3 * step // 2]
+    with mp.workprec(120):
+        turns = [2 * mp.pi * mp.mpf(int(w)) / 2**64 for w in words]
+        exact_cos = [mp.cos(t) for t in turns]
+        exact_sin = [mp.sin(t) for t in turns]
+        angle = words.view(np.int64) * (2.0 * math.pi * 2.0**-64)
+        for a, b in ((1.0, 0.0), (0.0, 1.0), (0.6, -0.8)):
+            tables, = stochastic._wave_tables([(None, a, b)])
+            m = len(words)
+            got = stochastic._wave_values(words.copy(), tables, np.empty(m), np.empty(m),
+                                          np.empty(m))
+            libm = a * np.cos(angle) + b * np.sin(angle)
+            exact = [a * c + b * s for c, s in zip(exact_cos, exact_sin)]
+            err = max(float(abs(g - e)) for g, e in zip(got.tolist(), exact))
+            libm_err = max(float(abs(g - e)) for g, e in zip(libm.tolist(), exact))
+            assert err <= min(libm_err, 4.4e-16), (a, b, err, libm_err)
 
 
 def _reference_samples(f, matrix, horizon, samples, seed, picks):
@@ -166,14 +202,19 @@ def test_birkhoff_matches_slow_reference():
             assert np.max(np.abs(got.samples[picks] - want)) <= 1e-12
 
 
-def _frozen_phase_angles(hi, k):
-    """2 pi <k, x> from the high words, as the per-step sampler formed it."""
+def _frozen_phase_words(hi, k):
+    """<k, x> mod 1 in 2^-64 turns from the high words, as the per-step sampler formed it."""
     phase = None
     for j, kj in enumerate(k):
         if kj:
             term = hi[j] if kj == 1 else hi[j] * np.uint64(kj % 2**64)
             phase = term if phase is None else phase + term
-    return phase.view(np.int64) * (2.0 * math.pi * 2.0**-64)
+    return phase
+
+
+def _frozen_phase_angles(hi, k):
+    """2 pi <k, x> from the high words, as the per-step sampler formed it."""
+    return _frozen_phase_words(hi, k).view(np.int64) * (2.0 * math.pi * 2.0**-64)
 
 
 def _frozen_orbit_step(hi, lo, entries):
@@ -212,12 +253,15 @@ def _frozen_orbit_step(hi, lo, entries):
     return new_hi, new_lo
 
 
-def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads):
+def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads, libm=False):
     """birkhoff_samples' values from the per-step loop it ran before the
     window loop: each step evaluates every term on the current high words,
-    then advances the orbit; low bits are redrawn every 40 steps."""
+    then advances the orbit; low bits are redrawn every 40 steps. A term
+    is evaluated from its phase words through its wave tables, or with
+    `libm` as a cos and a sin of the rounded angle, the route before them."""
     d = matrix.dim
     terms = stochastic._phase_terms(f)
+    tables = stochastic._wave_tables(terms)
 
     def worker(run):
         blocks = [(rng_module.substream(seed, b), stop - start) for b, start, stop in run]
@@ -230,12 +274,18 @@ def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads):
         lo = draw()
         acc = np.zeros(hi.shape[1])
         for step in range(horizon):
-            for k, a, b in terms:
-                angle = _frozen_phase_angles(hi, k)
-                if a:
-                    acc += a * np.cos(angle)
-                if b:
-                    acc += b * np.sin(angle)
+            for (k, a, b), wave in zip(terms, tables):
+                if libm:
+                    angle = _frozen_phase_angles(hi, k)
+                    if a:
+                        acc += a * np.cos(angle)
+                    if b:
+                        acc += b * np.sin(angle)
+                else:
+                    m = len(acc)
+                    phase = _frozen_phase_words(hi, k).copy()  # hi itself where k is a unit
+                    acc += stochastic._wave_values(phase, wave, np.empty(m), np.empty(m),
+                                                   np.empty(m))
             hi, lo = _frozen_orbit_step(hi, lo, matrix.entries)
             if (step + 1) % 40 == 0 and step + 1 < horizon:
                 hi = (hi & ~np.uint64(0xFFFFFF)) | (draw() >> np.uint64(40))
@@ -277,6 +327,50 @@ def test_birkhoff_window_splits_many_terms_bit_for_bit():
     assert count // 2 * 24 > stochastic.WINDOW_BUDGET
     got = stochastic.birkhoff_samples(f, matrix, 42, count, 11, threads=1)
     assert np.array_equal(got.samples, _frozen_birkhoff(f, matrix, 42, count, 11, 1))
+
+
+def test_birkhoff_within_1e13_of_the_libm_route():
+    # the wave tables against np.cos and np.sin of the rounded angles, on
+    # SAMPLER_CASES and on the benchmark's clt configurations
+    cases = [(matrix, coeffs, 90, 1100) for matrix, coeffs in SAMPLER_CASES]
+    cases += [(DOUBLE, {(1,): 0.5, (-1,): 0.5}, 2000, 5000),
+              (TWIN, {(1, 2): 0.5, (-1, -2): 0.5}, 2000, 5000)]
+    for matrix, coeffs, horizon, samples in cases:
+        f = TrigPolynomial(matrix.dim, coeffs)
+        got = stochastic.birkhoff_samples(f, matrix, horizon, samples, 21, threads=2)
+        want = _frozen_birkhoff(f, matrix, horizon, samples, 21, 1, libm=True)
+        assert np.max(np.abs(got.samples - want)) <= 1e-13
+
+
+def test_birkhoff_memory_stays_at_the_libm_route_peak():
+    # tracemalloc peaks of the route before the wave tables (numpy 2.4.6):
+    # 6.922 MB on [[2]] and 5.926 MB on the twin dragon; the phase words of
+    # a term go to a free slot of the value buffer, not to a buffer of their own
+    for matrix, f, peak in ((DOUBLE, TrigPolynomial.cosine(1), 6.93e6),
+                            (TWIN, TrigPolynomial.cosine((1, 2)), 5.93e6)):
+        stochastic.birkhoff_samples(f, matrix, 50, 100, 3, threads=2)  # warm numpy's caches
+        tracemalloc.start()
+        try:
+            stochastic.birkhoff_samples(f, matrix, 2000, 5000, 3, threads=2)
+            assert tracemalloc.get_traced_memory()[1] <= peak
+        finally:
+            tracemalloc.stop()
+
+
+def test_birkhoff_turn_taking_under_fast_switching():
+    # six workers on two cores, switching the interpreter lock every microsecond;
+    # the workers share the wave tables and the turn lock, and a window lost,
+    # repeated or evaluated in another worker's buffers would change the bits
+    f = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j})
+    count = 5 * rng_module.BLOCK + 7
+    want = stochastic.birkhoff_samples(f, TWIN, 85, count, 8, threads=1).samples
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = stochastic.birkhoff_samples(f, TWIN, 85, count, 8, threads=6).samples
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
 
 
 @st.composite
