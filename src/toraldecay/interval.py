@@ -208,9 +208,10 @@ def uvn_decay_norms(n_max, truncation=10**6):
         raise InputError("n_max must be >= 0")
     k = int(truncation)
     if k < 2 ** (n_max + 4):
-        raise TruncationTooSmall(
-            "need truncation >= 2^(n_max+4) = %d, got %d" % (2 ** (n_max + 4), k)
-        )
+        top = TRUNCATION_GUARD.bit_length() - 5  # the largest n_max the guard leaves a truncation
+        hint = "; the series guard %d allows n_max <= %d" % (TRUNCATION_GUARD, top)
+        raise TruncationTooSmall("need truncation >= 2^(n_max+4) = 2^%d, got %d%s"
+                                 % (n_max + 4, k, hint if n_max > top else ""))
     inv_sq = _inverse_squares(k)
     rows = []
     for n in range(n_max + 1):
@@ -341,12 +342,11 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
         def refresh(y, _):
             return np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0), None
 
-        def evaluate(points):  # log(4 max(|y|, LOG_FLOOR)), one term
+        def evaluate(points):  # log(4 max(|y|, LOG_FLOOR))
             values = np.abs(points, out=logs[:len(points)])
             np.maximum(values, LOG_FLOOR, out=values)
             np.multiply(values, 4.0, out=values)
-            np.log(values, out=values)
-            yield values[:, None]
+            return np.log(values, out=values)
 
         return stochastic._window_sums(frame, y, None, rows, step, refresh, evaluate)
 

@@ -10,9 +10,10 @@ import itertools
 
 import numpy as np
 
-from .errors import InputError, InternalError, NotExpanding, SingularMatrix
+from .errors import InputError, InternalError, NotExpanding, SingularMatrix, TooLarge
 
 EXPANDING_TOL = 1e-9  # strict margin on |eigenvalue| - 1
+CLOUD_GUARD = 10**7  # most points a digit set (q) or a level-n tile cloud (q^n) holds
 
 
 def _as_int_rows(entries):
@@ -169,15 +170,67 @@ def same_coset(matrix, u, v):
     return exact_solve_integral(matrix.adjugate, matrix.det, diff) is not None
 
 
+def hermite(entries):
+    """Lower-triangular basis H = B V of the lattice B Z^d, V unimodular.
+
+    Extended Euclid on each row by exact integer column operations; the
+    diagonal of H is positive, its product is |det B|, and each entry
+    left of the diagonal is reduced into [0, H_ii).
+    """
+    d = len(entries)
+    cols = [list(c) for c in zip(*entries)]
+    unimodular = [list(c) for c in identity(d)]
+
+    def subtract(i, j, t):  # column i -= t column j, in both matrices
+        for m in (cols, unimodular):
+            m[i] = [a - t * b for a, b in zip(m[i], m[j])]
+
+    for i in range(d):
+        for j in range(i + 1, d):
+            while cols[j][i]:
+                subtract(i, j, cols[i][i] // cols[j][i])
+                for m in (cols, unimodular):
+                    m[i], m[j] = m[j], m[i]
+        if cols[i][i] < 0:
+            subtract(i, i, 2)  # negate column i
+        for j in range(i):
+            subtract(j, i, cols[j][i] // cols[i][i])
+    return transpose(cols), transpose(unimodular)
+
+
+def residue(h, m):
+    """Index of r, one of |det H|, and the quotients c in m = H c + r, 0 <= r_i < H_ii.
+
+    H is a `hermite` basis and m holds one integer, or one integer array, per
+    axis; two points share an index exactly when they differ by a point of H Z^d.
+    """
+    m = list(m)
+    rho = 0
+    quotients = []
+    for i in range(len(h)):
+        c = m[i] // h[i][i]
+        quotients.append(c)
+        for j in range(i + 1, len(h)):
+            if h[j][i]:
+                m[j] = m[j] - c * h[j][i]
+        rho = rho * h[i][i] + (m[i] - c * h[i][i])
+    return rho, quotients
+
+
 def _shell(d, r):
     """Integer vectors with sup-norm exactly r, largest-lex first.
 
     The listing order is the normalization contract: scanning shells
     outward and taking the lexicographically largest candidates first
     yields {0, 1, -1} for [[3]] and {(0,0), (1,0)} for [[1,-1],[1,1]].
+    Only the shell's own points are listed, not the cube around it.
     """
-    return [v for v in itertools.product(range(r, -r - 1, -1), repeat=d)
-            if max(map(abs, v)) == r]
+    if d == 1:
+        return [(r,), (-r,)] if r else [(0,)]
+    span = range(r, -r - 1, -1)
+    inner = _shell(d - 1, r)  # the rest where |v| < r: it reaches sup-norm r itself
+    return [(v,) + w for v in span
+            for w in (itertools.product(span, repeat=d - 1) if abs(v) == r else inner)]
 
 
 def coset_search_bound(matrix):
@@ -195,15 +248,23 @@ def digit_set(matrix):
     """One representative per coset of Z^d / A Z^d, zero first, as int tuples.
 
     Deterministic: shells of increasing sup-norm, largest-lex first
-    inside each shell. Failure to find q cosets inside the provable
-    bounding shell is an arithmetic bug, not a user error.
+    inside each shell; a candidate is kept when its `residue` modulo
+    A Z^d is new. TooLarge where q exceeds CLOUD_GUARD, before the scan.
+    Failure to find q cosets inside the provable bounding shell is an
+    arithmetic bug, not a user error.
     """
     q = matrix.det_abs
+    if q > CLOUD_GUARD:
+        raise TooLarge("q = %d digits exceed the cloud guard %d" % (q, CLOUD_GUARD))
+    basis = hermite(matrix.entries)[0]
     digits = []
+    seen = set()
     bound = coset_search_bound(matrix)
     for r in range(0, bound + 1):
         for cand in _shell(matrix.dim, r):
-            if all(not same_coset(matrix, cand, g) for g in digits):
+            rho = residue(basis, cand)[0]
+            if rho not in seen:
+                seen.add(rho)
                 digits.append(cand)
                 if len(digits) == q:
                     return tuple(digits)

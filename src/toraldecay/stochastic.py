@@ -292,16 +292,15 @@ def _window_sums(frame, head, tail, rows, step, refresh, evaluate):
     writes the next head to `out` (the next step) and returns the next
     tail, and `refresh(head, tail)` redraws low bits after every
     REFRESH_PERIOD steps but the last. `evaluate(heads)` may overwrite a
-    window's heads and yields the observable on them as arrays of shape
-    (steps, terms, m); their rows are added into the m sums step after
-    step and, within a step, term after term. A window holds at most
-    `rows` steps and never spans a refresh, so the orbit, the draws and
-    the order of the additions are those of a step-by-step loop, bit for
-    bit. The workers of one call take turns on `frame.turn` for their
-    short array calls, a refresh, the steps through a window and the
-    additions, and evaluate outside it: a short call hands the
-    interpreter lock to each other worker that wants it, while an
-    evaluation call is long and runs without the lock.
+    window's heads and returns the observable on them, shape (steps, m);
+    its rows are added into the m sums step after step. A window holds
+    at most `rows` steps and never spans a refresh, so the orbit, the
+    draws and the order of the additions are those of a step-by-step
+    loop, bit for bit. The workers of one call take turns on
+    `frame.turn` for their short array calls, a refresh, the steps
+    through a window and the additions, and evaluate outside it: a short
+    call hands the interpreter lock to each other worker that wants it,
+    while an evaluation call is long and runs without the lock.
     """
     window = np.empty(head.shape[:-1] + (rows + 1, head.shape[-1]), head.dtype)
     acc = np.zeros(head.shape[-1])
@@ -314,11 +313,10 @@ def _window_sums(frame, head, tail, rows, step, refresh, evaluate):
             window[..., 0, :] = head
             for w in range(n):
                 tail = step(window[..., w, :], tail, window[..., w + 1, :])
-        for values in evaluate(window[..., :n, :]):
-            with frame.turn:
-                for step_values in values:
-                    for row in step_values:
-                        acc += row
+        values = evaluate(window[..., :n, :])
+        with frame.turn:
+            for row in values:
+                acc += row
         done += n
         head = window[..., n, :]
     return acc
@@ -363,14 +361,12 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         hi = draw()
         lo = draw()
         m = hi.shape[1]
-        # no buffer holds more than WINDOW_BUDGET values; a window of one step
-        # may split its terms (a zero f has none, and its sums stay 0)
-        rows = _window_rows(m * max(d, len(terms)))
-        chunk = max(1, len(terms) if rows > 1 else min(len(terms), WINDOW_BUDGET // m))
+        rows = _window_rows(m * d)  # no buffer holds more than WINDOW_BUDGET values
         spare = np.empty((rows, m))
         small = np.empty((rows, m))
-        # one slot per term of a group, and a spare slot if there are several groups
-        weighted = np.empty((chunk + (chunk < len(terms)), rows, m))
+        f_values = np.zeros((rows, m))  # a zero f has no terms, and its sums stay 0
+        # slots for a later term's values and, unless it is the last, its phase words
+        extra = np.empty((min(2, max(0, len(terms) - 1)), rows, m))
 
         spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
         term = np.empty((2, m), np.uint64)
@@ -382,17 +378,19 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         def refresh(hi, lo):
             return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
 
-        def evaluate(heads):  # heads: (d, n, m) high words
+        def evaluate(heads):  # heads: (d, n, m) high words; f's values, term after term
             n = heads.shape[1]
-            for first in range(0, len(terms), chunk):
-                group = range(first, min(first + chunk, len(terms)))
-                for p, t in enumerate(group):
-                    # a term's phase words go where nothing reads any more: the
-                    # next slot, or for the last term the first coordinate's heads
-                    words = heads[0] if t == len(terms) - 1 else weighted[p + 1, :n].view(np.uint64)
-                    _phase_words(heads, terms[t][0], words, spare[:n].view(np.uint64))
-                    _wave_values(words, tables[t], weighted[p, :n], spare[:n], small[:n])
-                yield weighted[:len(group), :n].transpose(1, 0, 2)
+            out = f_values[:n]
+            for t, (k, _, _) in enumerate(terms):
+                # a term's phase words go where nothing reads any more: a spare
+                # slot, or for the last term the first coordinate's heads
+                words = heads[0] if t == len(terms) - 1 else extra[0, :n].view(np.uint64)
+                _phase_words(heads, k, words, spare[:n].view(np.uint64))
+                wave = _wave_values(words, tables[t], extra[-1, :n] if t else out,
+                                    spare[:n], small[:n])
+                if t:
+                    np.add(out, wave, out=out)
+            return out
 
         return _window_sums(frame, hi, lo, rows, step, refresh, evaluate)
 

@@ -25,8 +25,7 @@ import numpy as np
 from . import lattice, rng, spectral
 from .errors import DegenerateBound, InputError, InternalError, TooLarge
 
-LEVEL_GUARD = 10**7  # max q^n cloud points
-KEY_LIMIT = 2**62 // LEVEL_GUARD  # keys and A^n: exact in float64, residue products inside int64
+KEY_LIMIT = 2**62 // lattice.CLOUD_GUARD  # keys and A^n: exact in float64, residue products inside int64
 CENSUS_BUDGET = 2**15  # candidates one census batch holds; results do not depend on it
 LATTICE_OFFSETS = 2**11  # past this many lattice offsets a sample, the census uses the digit tree
 TRANSLATE_GUARD = 2**24  # max window translates the digit-tree census tests for one sample
@@ -106,9 +105,9 @@ def tile_points(matrix, digits, level):
     if level < 1:
         raise InputError("level must be >= 1")
     q = matrix.det_abs
-    if q**level > LEVEL_GUARD:
+    if q**level > lattice.CLOUD_GUARD:
         raise TooLarge(
-            "q^level = %d exceeds the cloud guard %d" % (q**level, LEVEL_GUARD)
+            "q^level = %d exceeds the cloud guard %d" % (q**level, lattice.CLOUD_GUARD)
         )
     pts = lattice.branch_points(matrix, digits, level)
     tail, arr = neumann_tail(matrix), np.array(digits, dtype=float)
@@ -132,34 +131,6 @@ class CoverageStats:
         return self.histogram.get(1, 0) / self.samples if self.samples else 0.0
 
 
-def _hermite(entries):
-    """Lower-triangular basis H = B V of the lattice B Z^d, V unimodular.
-
-    Extended Euclid on each row by exact integer column operations; the
-    diagonal of H is positive, its product is |det B|, and each entry
-    left of the diagonal is reduced into [0, H_ii).
-    """
-    d = len(entries)
-    cols = [list(c) for c in zip(*entries)]
-    unimodular = [list(c) for c in lattice.identity(d)]
-
-    def subtract(i, j, t):  # column i -= t column j, in both matrices
-        for m in (cols, unimodular):
-            m[i] = [a - t * b for a, b in zip(m[i], m[j])]
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            while cols[j][i]:
-                subtract(i, j, cols[i][i] // cols[j][i])
-                for m in (cols, unimodular):
-                    m[i], m[j] = m[j], m[i]
-        if cols[i][i] < 0:
-            subtract(i, i, 2)  # negate column i
-        for j in range(i):
-            subtract(j, i, cols[j][i] // cols[i][i])
-    return lattice.transpose(cols), lattice.transpose(unimodular)
-
-
 class _Residues:
     """Owner table of A^-n Z^d = cloud + Z^d over a lower-triangular basis.
 
@@ -175,7 +146,7 @@ class _Residues:
 
     def __init__(self, tile):
         power = lattice.mat_pow(tile.matrix.entries, tile.level)
-        self.hermite, self.unimodular = _hermite(power)
+        self.hermite, self.unimodular = lattice.hermite(power)
         keys = tile.keys
         self.power = np.array(power, dtype=float)
         self.inverse = np.linalg.inv(self.power)
@@ -185,7 +156,7 @@ class _Residues:
         self.drift = 0.0
         for start in range(0, count, CENSUS_BUDGET):
             stop = min(start + CENSUS_BUDGET, count)
-            rho, quotients = self.reduce(keys[start:stop].T)
+            rho, quotients = lattice.residue(self.hermite, keys[start:stop].T)
             self.owner[rho] = np.arange(start, stop)
             self.shift[:, rho] = self._apply(quotients)
             gap = np.abs(tile.points[start:stop] - keys[start:stop] @ self.inverse.T).max()
@@ -197,24 +168,9 @@ class _Residues:
         """V c, one int64 array per coordinate."""
         return [sum(v * c for v, c in zip(row, quotients) if v) for row in self.unimodular]
 
-    def reduce(self, m):
-        """Residue index and Hermite quotients of the integer points m (one array per axis)."""
-        h = self.hermite
-        m = list(m)
-        rho = 0
-        quotients = []
-        for i in range(len(h)):
-            c = m[i] // h[i][i]
-            quotients.append(c)
-            for j in range(i + 1, len(h)):
-                if h[j][i]:
-                    m[j] = m[j] - c * h[j][i]
-            rho = rho * h[i][i] + (m[i] - c * h[i][i])
-        return rho, quotients
-
     def locate(self, m):
         """Cloud index g and translate k (one array per axis) with m = key_g + A^n k."""
-        rho, quotients = self.reduce(m)
+        rho, quotients = lattice.residue(self.hermite, m)
         return self.owner[rho], [a - s[rho] for a, s in zip(self._apply(quotients), self.shift)]
 
 

@@ -603,6 +603,20 @@ def test_radius_underflow_names_the_step_count(capsys, f1_path, argv):
     assert "n = 1075" in err and "--nmax / --steps" in err
 
 
+def test_ulam_decay_names_the_largest_nmax_the_guard_allows(capsys):
+    # 2^(n+4) terms pass TRUNCATION_GUARD = 10^8 from n = 23 on, so no
+    # truncation serves there; the message names n = 22 and a short power
+    for nmax, power in (("23", "2^27"), ("2000", "2^2004")):
+        code = cli.main(["ulam", "--op", "decay", "--nmax", nmax])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and power in err and "allows n_max <= 22" in err
+        assert len(err) < 200
+    code = cli.main(["ulam", "--op", "decay", "--nmax", "22"])  # the default 10^6 is too small
+    out, err = capsys.readouterr()
+    assert code == 2 and err.strip().endswith("2^(n_max+4) = 2^26, got 1000000")
+
+
 def test_ulam_decay_truncation_guard_exits_3(capsys, monkeypatch):
     from toraldecay import interval
 
@@ -849,6 +863,9 @@ def test_exit_codes(capsys, f1_path):
     code, _ = run(capsys, ["clt", "--matrix", "2", "--f", f1_path,
                            "--horizon", "2000000", "--samples", "1000"])
     assert code == 3  # orbit guard
+    code, _ = run(capsys, ["tile", "--matrix", "1000000,0;0,1000000", "--level", "1",
+                           "--samples", "3"])
+    assert code == 3  # q = 10^12 digits: cloud guard, before the digit scan
     code, _ = run(capsys, ["ulam", "--op", "decay", "--nmax", "40",
                            "--truncation", "1000"])
     assert code == 2  # truncation too small

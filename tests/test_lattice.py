@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from conftest import expanding_matrices
 from toraldecay import lattice
-from toraldecay.errors import InputError, NotExpanding, SingularMatrix
+from toraldecay.errors import InputError, NotExpanding, SingularMatrix, TooLarge
 
 TWIN = [[1, -1], [1, 1]]
 
@@ -134,6 +134,28 @@ def test_one_dimensional_digit_sets_reach_half_the_modulus():
             assert_complete_residue_system(lattice.validate_expanding([[sign * a]]))
     four = lattice.digit_set(lattice.validate_expanding([[4]]))
     assert four == ((0,), (1,), (-1,), (2,))
+
+
+def test_digit_set_refuses_q_past_the_cloud_guard(monkeypatch):
+    # the guard comes before the scan, which keeps one residue per coset
+    monkeypatch.setattr(lattice, "CLOUD_GUARD", 4)
+    assert lattice.digit_set(lattice.validate_expanding([[-4]])) == ((0,), (1,), (-1,), (2,))
+    for entries in ([[5]], [[2, 1], [-1, 2]]):
+        with pytest.raises(TooLarge):
+            lattice.digit_set(lattice.validate_expanding(entries))
+
+
+def test_digit_set_of_a_large_modulus_matches_the_pairwise_scan():
+    # the residue scan keeps what the pairwise same_coset scan kept
+    for entries in ([[97]], [[-60]], [[7, 2], [-3, 5]], [[2, 1, 0], [0, 2, 1], [1, 0, 3]]):
+        m = lattice.validate_expanding(entries)
+        pairwise = []
+        for r in range(lattice.coset_search_bound(m) + 1):
+            for cand in lattice._shell(m.dim, r):
+                if len(pairwise) < m.det_abs and all(
+                        not lattice.same_coset(m, cand, g) for g in pairwise):
+                    pairwise.append(cand)
+        assert lattice.digit_set(m) == tuple(pairwise)
 
 
 @settings(max_examples=60, deadline=None)

@@ -254,9 +254,10 @@ def _frozen_orbit_step(hi, lo, entries):
 
 
 def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads, libm=False):
-    """birkhoff_samples' values from the per-step loop it ran before the
-    window loop: each step evaluates every term on the current high words,
-    then advances the orbit; low bits are redrawn every 40 steps. A term
+    """birkhoff_samples' values from a per-step loop without windows: each
+    step sums every term on the current high words, in term order, adds
+    that value to the sample's sum and then advances the orbit; low bits
+    are redrawn every 40 steps. A term
     is evaluated from its phase words through its wave tables, or with
     `libm` as a cos and a sin of the rounded angle, the route before them."""
     d = matrix.dim
@@ -272,20 +273,22 @@ def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads, libm=False):
 
         hi = draw()
         lo = draw()
-        acc = np.zeros(hi.shape[1])
+        m = hi.shape[1]
+        acc = np.zeros(m)
         for step in range(horizon):
+            value = np.zeros(m)  # f at this step, its terms added in order
             for (k, a, b), wave in zip(terms, tables):
                 if libm:
                     angle = _frozen_phase_angles(hi, k)
                     if a:
-                        acc += a * np.cos(angle)
+                        value += a * np.cos(angle)
                     if b:
-                        acc += b * np.sin(angle)
+                        value += b * np.sin(angle)
                 else:
-                    m = len(acc)
                     phase = _frozen_phase_words(hi, k).copy()  # hi itself where k is a unit
-                    acc += stochastic._wave_values(phase, wave, np.empty(m), np.empty(m),
-                                                   np.empty(m))
+                    value += stochastic._wave_values(phase, wave, np.empty(m), np.empty(m),
+                                                     np.empty(m))
+            acc += value
             hi, lo = _frozen_orbit_step(hi, lo, matrix.entries)
             if (step + 1) % 40 == 0 and step + 1 < horizon:
                 hi = (hi & ~np.uint64(0xFFFFFF)) | (draw() >> np.uint64(40))
@@ -293,6 +296,15 @@ def _frozen_birkhoff(f, matrix, horizon, samples, seed, threads, libm=False):
         return acc * (1.0 / math.sqrt(horizon))
 
     return np.concatenate(rng_module.map_blocks(samples, worker, threads))
+
+
+def many_terms():
+    """24 weighted terms: 12 folded frequencies of [[-3]], each with a cos and a sin."""
+    coeffs = {}
+    for q in range(1, 13):
+        c = complex(0.1 * q, 0.05 * (q % 3 + 1))
+        coeffs[(q,)], coeffs[(-q,)] = c, c.conjugate()
+    return TrigPolynomial(1, coeffs), lattice.validate_expanding([[-3]])
 
 
 def test_birkhoff_window_loop_matches_per_step_loop_bit_for_bit():
@@ -312,21 +324,36 @@ def test_birkhoff_window_loop_matches_per_step_loop_bit_for_bit():
     for threads in (1, 3):
         got = stochastic.birkhoff_samples(f, matrix, 41, count, 10, threads=threads)
         assert np.array_equal(got.samples, want)
-
-
-def test_birkhoff_window_splits_many_terms_bit_for_bit():
-    # 24 weighted terms on runs of 16 blocks exceed WINDOW_BUDGET in one
-    # step, so a window is one step and its terms are added in groups
-    coeffs = {}
-    for q in range(1, 13):
-        c = complex(0.1 * q, 0.05 * (q % 3 + 1))
-        coeffs[(q,)], coeffs[(-q,)] = c, c.conjugate()
-    f = TrigPolynomial(1, coeffs)
-    matrix = lattice.validate_expanding([[-3]])
+    # many terms on two runs of 16 blocks: 24 values a sample and step
+    f, matrix = many_terms()
     count = 2 * rng_module.RUN_BLOCKS * rng_module.BLOCK
-    assert count // 2 * 24 > stochastic.WINDOW_BUDGET
-    got = stochastic.birkhoff_samples(f, matrix, 42, count, 11, threads=1)
-    assert np.array_equal(got.samples, _frozen_birkhoff(f, matrix, 42, count, 11, 1))
+    want = _frozen_birkhoff(f, matrix, 42, count, 11, 1)
+    for threads in (1, 2):
+        got = stochastic.birkhoff_samples(f, matrix, 42, count, 11, threads=threads)
+        assert np.array_equal(got.samples, want)
+
+
+def test_birkhoff_evaluates_each_term_once_a_window(monkeypatch):
+    # each folded term is evaluated once on all of a window's steps: per run,
+    # `_wave_values` runs terms x windows times, not terms x horizon times
+    f, matrix = many_terms()
+    terms = len(stochastic._phase_terms(f))
+    horizon, m = 97, rng_module.RUN_BLOCKS * rng_module.BLOCK
+    calls = 0
+    wave_values = stochastic._wave_values
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return wave_values(*args)
+
+    monkeypatch.setattr(stochastic, "_wave_values", counted)
+    stochastic.birkhoff_samples(f, matrix, horizon, m, 12, threads=1)  # one 16-block run
+    rows = stochastic._window_rows(m)  # 8 steps of 16,384 samples fill WINDOW_BUDGET
+    period = stochastic.REFRESH_PERIOD
+    windows = sum(-(-min(period, horizon - s) // rows) for s in range(0, horizon, period))
+    assert windows == 13  # 5 + 5 + 3: a window never spans a refresh
+    assert calls == terms * windows
 
 
 def test_birkhoff_within_1e13_of_the_libm_route():
