@@ -324,9 +324,14 @@ def test_birkhoff_window_loop_matches_per_step_loop_bit_for_bit():
     for threads in (1, 3):
         got = stochastic.birkhoff_samples(f, matrix, 41, count, 10, threads=threads)
         assert np.array_equal(got.samples, want)
-    # many terms on two runs of 16 blocks: 24 values a sample and step
+
+
+def test_birkhoff_window_splits_many_terms_bit_for_bit():
+    # 24 weighted terms on runs of 16 blocks: a step records more values
+    # than WINDOW_BUDGET, and each is summed in term order into the window
     f, matrix = many_terms()
     count = 2 * rng_module.RUN_BLOCKS * rng_module.BLOCK
+    assert count // 2 * 24 > stochastic.WINDOW_BUDGET
     want = _frozen_birkhoff(f, matrix, 42, count, 11, 1)
     for threads in (1, 2):
         got = stochastic.birkhoff_samples(f, matrix, 42, count, 11, threads=threads)
