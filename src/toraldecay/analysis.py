@@ -7,6 +7,7 @@ demanding it hold, with 5 percent slack, at every later step.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     Passing mc_samples switches to the Monte Carlo cross-check estimator,
     which is sampling-noisy and intended only for validating the exact path;
     it refuses n where ||A^n||_inf max |k|_1 over g reaches MC_PHASE_LIMIT.
+    It runs in the calling process, so `threads` changes nothing.
     """
     if f.dim != matrix.dim or g.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
@@ -52,7 +54,7 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
         if int(mc_samples) < 1:
             raise InputError("mc_samples must be >= 1")
         a_n = _mc_power(g, matrix, n)
-        return _correlation_mc(f, g, np.array(a_n, dtype=float), int(mc_samples), seed, threads)
+        return _correlation_mc(f, g, np.array(a_n, dtype=float), int(mc_samples), seed)
     star_n = lattice.mat_pow(matrix.star(), n)
     zero = (0,) * matrix.dim
     total = 0j
@@ -77,8 +79,12 @@ def _mc_power(g, matrix, n):
     return a_n
 
 
-def _correlation_mc(f, g, a_n, samples, seed, threads):
-    """The Monte Carlo estimate of rho_{f,g}(n), with a_n = A^n in floats."""
+def _correlation_mc(f, g, a_n, samples, seed):
+    """The Monte Carlo estimate of rho_{f,g}(n), with a_n = A^n in floats.
+
+    Its blocks run in the calling process: a block is a few short numpy
+    calls, too little work to repay a forked worker.
+    """
     def worker(run):
         sums = []
         for block, start, stop in run:
@@ -88,7 +94,7 @@ def _correlation_mc(f, g, a_n, samples, seed, threads):
         return sums
 
     total = 0j
-    for sums in rng.map_blocks(samples, worker, threads):
+    for sums in rng.map_blocks(samples, worker, 1):
         for p in sums:  # fixed block order keeps the float reduction reproducible
             total += p
     return total / samples - f.mean() * g.mean()
@@ -230,7 +236,8 @@ def fit_rate(rows):
 
     Least squares on transformed coordinates; the model with the
     smallest log-space residual wins. The log model only sees rows with
-    n >= 10. All-zero inputs are reported, not fitted.
+    n >= 10. A model whose amplitude or base leaves float range is left
+    out of the candidates. All-zero inputs are reported, not fitted.
     """
     if not rows:
         raise InputError("empty report")
@@ -242,14 +249,21 @@ def fit_rate(rows):
     ns = np.array([n for n, _ in nonzero], dtype=float)
     logv = np.log([v for _, v in nonzero])
     candidates = {}
-    a, b, res = _linear_fit(np.log(ns), logv)
-    candidates["power"] = (-b, math.exp(a), res)
-    a, b, res = _linear_fit(ns, logv)
-    candidates["exponential"] = (math.exp(b), math.exp(a), res)
+
+    def fit(name, x, y, param):
+        a, b, res = _linear_fit(x, y)
+        try:
+            candidates[name] = (param(b), math.exp(a), res)
+        except OverflowError:  # a model whose amplitude or base leaves float range
+            pass
+
+    fit("power", np.log(ns), logv, operator.neg)
+    fit("exponential", ns, logv, math.exp)
     mask = ns >= LOG_FIT_MIN_N
     if int(mask.sum()) >= MIN_FIT_ROWS:
-        a, b, res = _linear_fit(np.log(np.log(ns[mask])), logv[mask])
-        candidates["log"] = (-b, math.exp(a), res)
+        fit("log", np.log(np.log(ns[mask])), logv[mask], operator.neg)
+    if not candidates:
+        raise InputError("no rate model fits these rows within float range")
     best = min(candidates, key=lambda name: candidates[name][2])
     p, amp, res = candidates[best]
     return FitResult(best, p, amp, res, candidates)

@@ -323,7 +323,9 @@ def build_parser():
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         p.add_argument(
             "--threads", type=int, default=None,
-            help="worker threads (default: TORAL_DECAY_THREADS or cpu count)",
+            help="worker processes: this one and forked ones, at most one per usable"
+                 " CPU; this one alone where os.fork is missing or other threads are"
+                 " alive (default: TORAL_DECAY_THREADS or the usable CPU count)",
         )
 
     def add_matrix(p):  # argparse takes a bare -2,1;1,2 for an option, not a value

@@ -317,8 +317,7 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
     Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
     U in double precision with the same low-bit refresh policy as the toral
     sampler, and a worker advances its run of blocks as one array through
-    the shared window loop (`stochastic._window_sums`), taking turns with
-    the other workers on the orbit step.
+    the shared window loop (`stochastic._window_sums`).
     log|U'(y)| = log(4|y|) is clamped away from the y = 0
     singularity (measure-zero, log-integrable). The limit variance is
     zero (coboundary), so the KS column is skipped exactly as in the
@@ -348,7 +347,7 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
             np.multiply(values, 4.0, out=values)
             return np.log(values, out=values)
 
-        return stochastic._window_sums(frame, y, None, rows, step, refresh, evaluate)
+        return stochastic._window_sums(frame.horizon, y, None, rows, step, refresh, evaluate)
 
     sums = frame.sums(worker, threads)
     fluct = (sums - shift) * frame.scale

@@ -24,6 +24,10 @@ POWER_MAX = 1e4  # k^-alpha underflows for every k >= 2 from alpha = 1075 on
 LOGPOWER_MAX = 900.0
 # logpower heads are summed directly up to this index, then Euler-Maclaurin
 SUM_SPLIT = 512
+# modulus_bounds_prop2 squares its L2 terms as they are while the largest
+# lies in this range, where its square is normal and a sum of squares
+# stays far below overflow; outside it, the terms are scaled first
+SQUARE_RANGE = (2.0**-511, 2.0**500)
 
 
 @dataclass
@@ -210,8 +214,14 @@ def modulus_bounds_prop2(spec, n):
     phase = const * lam ** (np.arange(1, n + 1) - n)
     l2_tail, l1_tail = tail_norms(spec, n)
     sup = float(np.sum(np.minimum(2.0, phase) * a)) + 2.0 * l1_tail
-    l2_sq = float(np.sum(np.minimum(4.0, phase**2) * a**2)) + 4.0 * l2_tail**2
-    return Prop2Bounds(sup, math.sqrt(l2_sq), const)
+    terms = np.append(np.minimum(2.0, phase) * np.abs(a), 2.0 * l2_tail)
+    top = float(terms.max())
+    if top == 0.0 or SQUARE_RANGE[0] <= top < SQUARE_RANGE[1]:
+        l2 = math.sqrt(float(np.sum(np.minimum(4.0, phase**2) * a**2)) + 4.0 * l2_tail**2)
+    else:  # square the terms scaled by top's exponent, as spectral._unit_scale scales rows
+        e = math.frexp(top)[1]
+        l2 = math.ldexp(math.sqrt(float(np.sum(np.ldexp(terms, -e) ** 2))), e)
+    return Prop2Bounds(sup, l2, const)
 
 
 def design_for_rate(targets, norm="sup"):

@@ -11,7 +11,6 @@ from float coordinates, through a table of each frequency's wave.
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,8 +257,7 @@ def _wave_values(phase, tables, out, spare, small):
 
 class _SamplerFrame:
     """What both orbit samplers share: the size checks, made first so their errors
-    come before a sampler's own, the scale 1/sqrt(horizon), `sums`, and `turn`,
-    the lock that `_window_sums` holds while a worker steps its orbits."""
+    come before a sampler's own, the scale 1/sqrt(horizon), and `sums`."""
 
     def __init__(self, horizon, samples):
         self.horizon, self.samples = int(horizon), int(samples)
@@ -269,7 +267,6 @@ class _SamplerFrame:
             raise TooLarge("horizon * samples = %d exceeds %d"
                            % (self.horizon * self.samples, ORBIT_GUARD))
         self.scale = 1.0 / math.sqrt(self.horizon)
-        self.turn = threading.Lock()
 
     def sums(self, worker, threads):
         """The per-sample sums of `worker` run on the sample blocks by `rng.map_blocks`."""
@@ -281,8 +278,8 @@ def _window_rows(values_per_step):
     return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
 
 
-def _window_sums(frame, head, tail, rows, step, refresh, evaluate):
-    """Birkhoff sums over `frame.horizon` steps of a run of orbits, a window at a time.
+def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
+    """Birkhoff sums over `horizon` steps of a run of orbits, a window at a time.
 
     An orbit state is a pair: `head` (shape (..., m), what the observable
     reads) and `tail` (the rest). The window stacks the heads of a
@@ -296,27 +293,20 @@ def _window_sums(frame, head, tail, rows, step, refresh, evaluate):
     its rows are added into the m sums step after step. A window holds
     at most `rows` steps and never spans a refresh, so the orbit, the
     draws and the order of the additions are those of a step-by-step
-    loop, bit for bit. The workers of one call take turns on
-    `frame.turn` for their short array calls, a refresh, the steps
-    through a window and the additions, and evaluate outside it: a short
-    call hands the interpreter lock to each other worker that wants it,
-    while an evaluation call is long and runs without the lock.
+    loop, bit for bit.
     """
     window = np.empty(head.shape[:-1] + (rows + 1, head.shape[-1]), head.dtype)
     acc = np.zeros(head.shape[-1])
     done = 0
-    while done < frame.horizon:
-        with frame.turn:
-            if done % REFRESH_PERIOD == 0 and done:
-                head, tail = refresh(head, tail)
-            n = min(rows, frame.horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
-            window[..., 0, :] = head
-            for w in range(n):
-                tail = step(window[..., w, :], tail, window[..., w + 1, :])
-        values = evaluate(window[..., :n, :])
-        with frame.turn:
-            for row in values:
-                acc += row
+    while done < horizon:
+        if done % REFRESH_PERIOD == 0 and done:
+            head, tail = refresh(head, tail)
+        n = min(rows, horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
+        window[..., 0, :] = head
+        for w in range(n):
+            tail = step(window[..., w, :], tail, window[..., w + 1, :])
+        for row in evaluate(window[..., :n, :]):
+            acc += row
         done += n
         head = window[..., n, :]
     return acc
@@ -392,7 +382,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
                     np.add(out, wave, out=out)
             return out
 
-        return _window_sums(frame, hi, lo, rows, step, refresh, evaluate)
+        return _window_sums(frame.horizon, hi, lo, rows, step, refresh, evaluate)
 
     values = frame.sums(worker, threads) * frame.scale
     return CltExperiment(frame.horizon, seed, sigma2, values)

@@ -245,6 +245,18 @@ def test_fit_rate_log_model():
     assert fit.param == pytest.approx(2.0, abs=1e-6)
 
 
+def test_fit_rate_drops_a_model_whose_amplitude_overflows():
+    # on steep geometric rows the log model's amplitude e^a leaves float range
+    # from 680 rows on; the fits that stay in range are unchanged
+    fit = analysis.fit_rate([(n, 0.55**n) for n in range(681)])
+    assert fit.model == "exponential"
+    assert fit.param == pytest.approx(0.55, rel=1e-12)
+    assert set(fit.candidates) == {"power", "exponential"}
+    assert all(math.isfinite(v) for c in fit.candidates.values() for v in c)
+    with pytest.raises(InputError, match="float range"):  # every model overflows
+        analysis.fit_rate([(n, math.exp(700.0 - n * n)) for n in range(1, 27)])
+
+
 def test_fit_rate_edge_cases():
     assert analysis.fit_rate([(n, 0.0) for n in range(1, 20)]).model == "all-zero"
     with pytest.raises(InputError):

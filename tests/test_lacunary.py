@@ -192,6 +192,22 @@ def test_prop2_bounds_dominate_measured_modulus():
         assert b.l2_bound <= b.sup_bound + 1e-12  # L2(mu) never beats sup
 
 
+def test_prop2_l2_bound_stays_positive_where_squares_underflow():
+    # geometric 0.55 on [[2]]: the plain sum of squares read 0.0 from n = 627,
+    # above a positive measured norm ||L^n f||_2 = tail_2(n - 1)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    spec = lacunary.LacunarySpec((1,), DOUBLE, "geometric", 0.55)
+    for n in (596, 627, 680):
+        bound = lacunary.modulus_bounds_prop2(spec, n).l2_bound
+        assert bound >= lacunary.tail_norms(spec, n - 1).l2 > 0.0
+        a = lacunary.coefficients(spec, n)
+        phase = 2.0 * math.pi * 2.0 ** (np.arange(1, n + 1) - n)
+        want = mp.sqrt(sum(min(4, mp.mpf(p) ** 2) * mp.mpf(c) ** 2 for p, c in zip(phase, a))
+                       + 4 * mp.mpf(lacunary.tail_norms(spec, n).l2) ** 2)
+        assert abs(bound - want) <= 1e-15 * want
+
+
 def test_prop2_zero_steps_is_pure_tail():
     spec = lacunary.LacunarySpec((1,), DOUBLE, "power", 2.0)
     b = lacunary.modulus_bounds_prop2(spec, 0)

@@ -2,12 +2,13 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from toraldecay import rng
-from toraldecay.errors import InputError, TooLarge
+from toraldecay.errors import InputError, InternalError, TooLarge
 
 
 def test_substream_reproducible_and_independent():
@@ -97,3 +98,86 @@ def test_resolve_threads_counts_only_usable_cpus(monkeypatch):
     assert rng.resolve_threads() == 1
     monkeypatch.setenv(rng.THREADS_ENV, "3")
     assert rng.resolve_threads() == 3
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _block_sizes(run):
+    return [(block, stop - start) for block, start, stop in run]
+
+
+def test_map_blocks_forks_at_most_one_child_per_spare_cpu(monkeypatch):
+    runs = [[(b, 0, 1)] for b in range(200)]
+    groups = rng.run_groups(runs, 10**6)
+    assert len(groups) == min(len(runs), rng.usable_cpus())
+    assert [run for group in groups for run in group] == runs
+    assert len(rng.run_groups(runs, 1)) == 1
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 3)
+    got = rng.map_blocks(200 * rng.BLOCK, _block_sizes, 10**6)
+    assert [blk for run in got for blk in run] == _block_sizes(rng.block_ranges(200 * rng.BLOCK))
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_map_blocks_surfaces_a_failing_child_with_its_traceback(monkeypatch):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+
+    def worker(run):
+        if run[0][0]:  # only the second run, which a child computes
+            raise ValueError("no block %d" % run[0][0])
+        return len(run)
+
+    with pytest.raises(InternalError, match=r"(?s)Traceback.*ValueError: no block 3"):
+        rng.map_blocks(5 * rng.BLOCK, worker, 2)
+    _no_child_left()
+
+    def dies(run):
+        if run[0][0]:
+            os._exit(7)
+        return len(run)
+
+    with pytest.raises(InternalError, match="exit code 7"):
+        rng.map_blocks(5 * rng.BLOCK, dies, 2)
+    _no_child_left()
+
+    def parent_fails(run):
+        if not run[0][0]:
+            raise ValueError("in the calling process")
+        return len(run)
+
+    with pytest.raises(ValueError, match="calling process"):
+        rng.map_blocks(5 * rng.BLOCK, parent_fails, 2)
+    _no_child_left()
+
+
+def test_map_blocks_runs_in_process_without_fork_or_with_threads_alive(monkeypatch):
+    monkeypatch.setattr(rng, "usable_cpus", lambda: 2)
+    blocks = rng.block_ranges(5 * rng.BLOCK)
+    want = [_block_sizes(blocks[:3]), _block_sizes(blocks[3:])]  # two runs, one process
+
+    def unreachable():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", unreachable)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert rng.map_blocks(5 * rng.BLOCK, _block_sizes, 2) == want
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert rng.map_blocks(5 * rng.BLOCK, _block_sizes, 2) == want

@@ -1,7 +1,6 @@
 """Variance series, fixed-point orbits, CLT sampling, KS statistic."""
 
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -377,32 +376,30 @@ def test_birkhoff_within_1e13_of_the_libm_route():
 def test_birkhoff_memory_stays_at_the_libm_route_peak():
     # tracemalloc peaks of the route before the wave tables (numpy 2.4.6):
     # 6.922 MB on [[2]] and 5.926 MB on the twin dragon; the phase words of
-    # a term go to a free slot of the value buffer, not to a buffer of their own
+    # a term go to a free slot of the value buffer, not to a buffer of their own.
+    # One worker keeps every buffer of the call in this process, where
+    # tracemalloc sees it (4.68 and 3.44 MB, one run of five blocks).
     for matrix, f, peak in ((DOUBLE, TrigPolynomial.cosine(1), 6.93e6),
                             (TWIN, TrigPolynomial.cosine((1, 2)), 5.93e6)):
-        stochastic.birkhoff_samples(f, matrix, 50, 100, 3, threads=2)  # warm numpy's caches
+        stochastic.birkhoff_samples(f, matrix, 50, 100, 3, threads=1)  # warm numpy's caches
         tracemalloc.start()
         try:
-            stochastic.birkhoff_samples(f, matrix, 2000, 5000, 3, threads=2)
+            stochastic.birkhoff_samples(f, matrix, 2000, 5000, 3, threads=1)
             assert tracemalloc.get_traced_memory()[1] <= peak
         finally:
             tracemalloc.stop()
 
 
-def test_birkhoff_turn_taking_under_fast_switching():
-    # six workers on two cores, switching the interpreter lock every microsecond;
-    # the workers share the wave tables and the turn lock, and a window lost,
-    # repeated or evaluated in another worker's buffers would change the bits
+def test_birkhoff_identical_across_worker_counts(monkeypatch):
+    # up to three forked workers, whatever the host's CPU count; a run lost,
+    # repeated or returned out of order would change the bits
+    monkeypatch.setattr(rng_module, "usable_cpus", lambda: 4)
     f = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j})
     count = 5 * rng_module.BLOCK + 7
     want = stochastic.birkhoff_samples(f, TWIN, 85, count, 8, threads=1).samples
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = stochastic.birkhoff_samples(f, TWIN, 85, count, 8, threads=6).samples
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(got, want)
+    for threads in (2, 3, 4, 6):
+        got = stochastic.birkhoff_samples(f, TWIN, 85, count, 8, threads=threads).samples
+        assert np.array_equal(got, want), threads
 
 
 @st.composite
