@@ -12,17 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice, rng, spectral
+from . import lattice, rng, spectral, stochastic
 from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
 MIN_FIT_ROWS = 8  # fewest nonzero rows any model is fitted to
-# The phase-precision limit of both Monte Carlo paths:
-# - correlation: draws lie on a 2^-53 grid, so g(A^n x mod 1) is off in phase by about
-#   2 pi ||A^n||_inf |k|_1 2^-53, below 1e-3 (under the sampling noise) while
-#   ||A^n||_inf max |k|_1 over g < MC_PHASE_LIMIT (for A = [[2]], A^n x mod 1 = 0 from n = 53 on);
-# - stochastic.birkhoff_samples: phases leave out the orbit's low words, which moves
-#   them by less than ||k||_1 2^-64 turns, below 2^-24 while max ||k||_1 over f < MC_PHASE_LIMIT.
+# Both Monte Carlo paths need max |k|_1 below this over each function they read:
+# - correlation reads f and g at the float value of the orbit's high words, a phase
+#   off by about 2 pi |k|_1 2^-53, below 1e-3 (under the sampling noise);
+# - stochastic.birkhoff_samples reads phase words without the orbit's low words,
+#   off by less than |k|_1 2^-64 turns, below 2^-24.
 MC_PHASE_LIMIT = 2**40
 
 
@@ -38,23 +37,29 @@ def pairing(g, h):
 
 
 def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
-    """rho_{f,g}(n) = integral of f * (g o A^n) minus the mean product.
+    """rho_{f,g}(n) = integral of f * (g o A^n) minus the mean product; a list
+    for a sequence of step counts n.
 
     Exact Fourier-side evaluation: sum over k != 0 of ghat(-k) fhat(A*^n k).
-    Passing mc_samples switches to the Monte Carlo cross-check estimator,
-    which is sampling-noisy and intended only for validating the exact path;
-    it refuses n where ||A^n||_inf max |k|_1 over g reaches MC_PHASE_LIMIT.
-    It runs in the calling process, so `threads` changes nothing.
+    Passing mc_samples switches to the Monte Carlo cross-check estimator
+    `_correlation_mc`, which is sampling-noisy and intended only for
+    validating the exact path. `threads` changes nothing.
     """
     if f.dim != matrix.dim or g.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
-    if n < 0:
-        raise InputError("steps must be >= 0")
-    if mc_samples is not None:
-        if int(mc_samples) < 1:
-            raise InputError("mc_samples must be >= 1")
-        a_n = _mc_power(g, matrix, n)
-        return _correlation_mc(f, g, np.array(a_n, dtype=float), int(mc_samples), seed)
+    many = np.ndim(n) > 0
+    steps = [int(v) for v in np.ravel(n)] if many else [int(n)]
+    if not steps or min(steps) < 0:
+        raise InputError("steps must be at least one count >= 0")
+    if mc_samples is not None:  # the walk's frame refuses a count below 1
+        walk = _correlation_mc(f, g, matrix, max(steps), int(mc_samples), seed)
+        values = [walk[v] for v in steps]
+    else:
+        values = [_correlation_exact(f, g, matrix, v) for v in steps]
+    return values if many else values[0]
+
+
+def _correlation_exact(f, g, matrix, n):
     star_n = lattice.mat_pow(matrix.star(), n)
     zero = (0,) * matrix.dim
     total = 0j
@@ -68,36 +73,35 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     return total
 
 
-def _mc_power(g, matrix, n):
-    """Exact A^n; InputError once ||A^n||_inf max |k|_1 over g reaches MC_PHASE_LIMIT."""
-    a_n = lattice.mat_pow(matrix.entries, n)
-    reach = max(sum(map(abs, row)) for row in a_n)
-    reach *= max((sum(map(abs, k)) for k in g.coeffs), default=0)
-    if reach >= MC_PHASE_LIMIT:
-        raise InputError("||A^n||_inf max |k|_1 = %d at n=%d reaches the Monte Carlo"
-                         " precision limit %d" % (reach, n, MC_PHASE_LIMIT))
-    return a_n
+def _correlation_mc(f, g, matrix, n_max, samples, seed):
+    """rho_{f,g}(n), n = 0..n_max, estimated on one walk of `stochastic._torus_orbit`:
+    f read at x_0 and g at every x_n, at the float value of the high words.
 
-
-def _correlation_mc(f, g, a_n, samples, seed):
-    """The Monte Carlo estimate of rho_{f,g}(n), with a_n = A^n in floats.
-
-    Its blocks run in the calling process: a block is a few short numpy
-    calls, too little work to repay a forked worker.
+    Products are summed per step and per block, so a value depends neither on
+    n_max nor on how blocks are grouped. The walk runs in the calling process:
+    a step is a few short numpy calls, too little to repay a forked worker.
     """
+    rng.check_samples(samples)
+    frame = stochastic._SamplerFrame(n_max + 1, samples)
+    stochastic._check_orbit(matrix, f, g)
+
     def worker(run):
-        sums = []
-        for block, start, stop in run:
-            x = rng.substream(seed, block).random((stop - start, len(a_n)))
-            y = (x @ a_n.T) % 1.0
-            sums.append(complex(np.sum(f.evaluate(x) * g.evaluate(y))))
+        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, matrix)
+        starts = [start - run[0][1] for _, start, _ in run]
+        f_start = f.evaluate(hi.T * 2.0**-64)
+        out = np.empty_like(hi)
+        sums = np.empty((frame.horizon, len(run)), complex)
+        for n in range(frame.horizon):
+            if n:
+                lo = step(hi, lo, out)
+                hi, out = out, hi
+            if n % stochastic.REFRESH_PERIOD == 0 and n:
+                hi, lo = refresh(hi, lo)
+            sums[n] = np.add.reduceat(f_start * g.evaluate(hi.T * 2.0**-64), starts)
         return sums
 
-    total = 0j
-    for sums in rng.map_blocks(samples, worker, 1):
-        for p in sums:  # fixed block order keeps the float reduction reproducible
-            total += p
-    return total / samples - f.mean() * g.mean()
+    sums = np.concatenate(rng.map_blocks(samples, worker, 1), axis=1)  # in block order
+    return (sums.sum(axis=1) / samples - f.mean() * g.mean()).tolist()
 
 
 @dataclass
@@ -161,12 +165,13 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     Omega_{f,2}(lambda^-n), and r must be 2. mode="transfer_norm": value
     = ||L^n f||_r, bound = Omega_{f,r}(lambda^-n). f is centered
     automatically; the constant C is the n=1 ratio, so later rows make
-    the bound falsifiable rather than tautological. mc_samples, seed and
-    threads are passed to correlation; the Monte Carlo values are noisy,
-    so only exact values are checked against a vanishing bound. A row
-    whose value, bound or ratio leaves float range is bad input. In
-    transfer_norm mode each row also keeps the transferred function it
-    measured.
+    the bound falsifiable rather than tautological. In correlation mode
+    one `correlation` call, before the modulus search, gives every row's
+    value, and mc_samples, seed and threads are passed to it; the Monte
+    Carlo values are noisy, so only exact values are checked against a
+    vanishing bound. A row whose value, bound or ratio leaves float range
+    is bad input. In transfer_norm mode each row also keeps the
+    transferred function it measured.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -174,24 +179,22 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         raise InputError("mode must be correlation or transfer_norm")
     if mode == "correlation" and r != 2:
         raise InputError("correlation mode bounds with r = 2 only")
-    if mc_samples is not None:
-        if mode != "correlation":
-            raise InputError("--mc-samples applies only to correlation mode")
-        # the sample guard and the limit at n_max, before any search
-        rng.check_samples(int(mc_samples))
-        _mc_power(g, matrix, int(n_max))
+    if mc_samples is not None and mode != "correlation":
+        raise InputError("--mc-samples applies only to correlation mode")
     radii = modulus_radii(matrix, n_max)
     centered = abs(f.mean()) > 0
     fc = f.centered() if centered else f
-    g_norm = spectral.norm(g, 2) if mode == "correlation" else 1.0
+    if mode == "correlation":
+        # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0
+        values = correlation(f, g, matrix, range(1, len(radii) + 1), mc_samples=mc_samples,
+                             seed=seed, threads=threads)
+        g_norm = spectral.norm(g, 2)
     omegas = spectral.modulus_value(fc, r, radii)
     rows = []
     for n, omega in enumerate(omegas, start=1):
         transferred = None
         if mode == "correlation":
-            # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0
-            value = abs(correlation(f, g, matrix, n, mc_samples=mc_samples, seed=seed,
-                                    threads=threads))
+            value = abs(values[n - 1])
             bound = g_norm * omega
         else:
             transferred = spectral.transfer_fourier(fc, matrix, n)

@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, interval, lacunary, lattice, rng, serialize, spectral
 from . import stochastic, tiling
 from ._version import __version__
-from .errors import InputError, InternalError, ToralDecayError
+from .errors import InputError, InternalError, TooLarge, ToralDecayError
 from .spectral import TrigPolynomial
 
 ULAM_MODULUS_GRID = [float(d) for d in np.logspace(-4, -1, 25)]
@@ -198,6 +198,9 @@ def cmd_lacunary(args):
         if spec.truncation is not None
         else max(64, args.nmax + 32)
     )
+    if (args.nmax + 1) * build_k > lacunary.ROW_TERMS_GUARD:
+        raise TooLarge("(nmax + 1) * build terms = %d exceeds the row guard %d"
+                       % ((args.nmax + 1) * build_k, lacunary.ROW_TERMS_GUARD))
     built = lacunary.lacunary_build(dataclasses.replace(spec, truncation=build_k))
     config = {
         "subcommand": "lacunary",

@@ -28,6 +28,8 @@ SUM_SPLIT = 512
 # lies in this range, where its square is normal and a sum of squares
 # stays far below overflow; outside it, the terms are scaled first
 SQUARE_RANGE = (2.0**-511, 2.0**500)
+# most (nmax + 1) rows * build terms the CLI transfers: 7.5-12.5 us each (d <= 3, 2 vCPUs)
+ROW_TERMS_GUARD = 2**20
 
 
 @dataclass

@@ -255,6 +255,41 @@ def _wave_values(phase, tables, out, spare, small):
     return np.add(out, sin_part, out=out)
 
 
+def _check_orbit(matrix, *functions):
+    """InputError unless matrix entries < 2^31 and |k|_1 < analysis.MC_PHASE_LIMIT."""
+    if any(abs(a) >= 2**31 for row in matrix.entries for a in row):
+        raise InputError("matrix entries must be below 2^31 for orbit arithmetic")
+    reach = max((sum(map(abs, k)) for f in functions for k in f.coeffs), default=0)
+    if reach >= analysis.MC_PHASE_LIMIT:
+        raise InputError("max |k|_1 = %d reaches the Monte Carlo phase precision limit %d"
+                         % (reach, analysis.MC_PHASE_LIMIT))
+
+
+def _torus_orbit(seed, run, matrix):
+    """(hi, lo, step, refresh) for a run: its uniform 128-bit starts as (d, m)
+    high and low words; `step(hi, lo, out)` writes Ax mod 1's high words to
+    `out`, which shares no memory with hi, and returns its low words; and
+    `refresh(hi, lo)` returns (hi, lo) with the bits below 2^-40 redrawn."""
+    draw_words = rng.run_draw(seed, run, lambda gen, n: rng.uniform64(gen, (n, matrix.dim)))
+
+    def draw():  # (d, m) words; a block of n samples draws (n, d) as it always has
+        return np.ascontiguousarray(draw_words().T)
+
+    hi = draw()
+    lo = draw()
+    spare_lo = [np.empty_like(lo) for _ in range(2)]
+    term = np.empty((2, hi.shape[1]), np.uint64)
+
+    def step(hi, lo, out):
+        new_lo = spare_lo[0] if lo is not spare_lo[0] else spare_lo[1]
+        return _orbit_step(hi, lo, matrix.entries, (out, new_lo), term)[1]
+
+    def refresh(hi, lo):
+        return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
+
+    return hi, lo, step, refresh
+
+
 class _SamplerFrame:
     """What both orbit samplers share: the size checks, made first so their errors
     come before a sampler's own, the scale 1/sqrt(horizon), and `sums`."""
@@ -318,55 +353,32 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     One counter-based substream per fixed-size sample block; a worker
     advances its run of blocks as one (d, m) array, and every sample's
     value is independent of how blocks are grouped, so results are
-    byte-identical for any thread count. The orbit is exact integer
-    arithmetic on 128-bit fixed-point coordinates; every 40 steps the
-    bits below 2^-40 are redrawn, which perturbs the law by at most
-    2^-40 per coordinate but prevents the mod-1 dynamics from collapsing
-    onto short floating-point cycles. f is evaluated from exact integer
-    phases of the high words (`_phase_words`) through each frequency's
-    wave tables (`_wave_values`), so max |k|_1 over f must stay below
-    analysis.MC_PHASE_LIMIT.
+    byte-identical for any thread count. The orbit is `_torus_orbit`'s,
+    exact integer arithmetic on 128-bit fixed-point coordinates; every
+    40 steps the bits below 2^-40 are redrawn, which perturbs the law by
+    at most 2^-40 per coordinate but prevents the mod-1 dynamics from
+    collapsing onto short floating-point cycles. f is evaluated from
+    exact integer phases of the high words (`_phase_words`) through each
+    frequency's wave tables (`_wave_values`), so `_check_orbit` holds
+    max |k|_1 over f below analysis.MC_PHASE_LIMIT.
     """
     frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:
         raise InputError("Birkhoff sampling requires a real-valued function")
-    if any(abs(a) >= 2**31 for row in matrix.entries for a in row):
-        raise InputError("matrix entries must be below 2^31 for orbit arithmetic")
-    reach = max((sum(map(abs, k)) for k in f.coeffs), default=0)
-    if reach >= analysis.MC_PHASE_LIMIT:
-        raise InputError("max |k|_1 = %d reaches the sampler's phase precision limit %d"
-                         % (reach, analysis.MC_PHASE_LIMIT))
+    _check_orbit(matrix, f)
     sigma2 = sigma_squared(f, matrix)
-    d = matrix.dim
-    entries = matrix.entries
     terms = _phase_terms(f)  # sigma_squared has checked that f has mean zero
     tables = _wave_tables(terms)
 
     def worker(run):
-        draw_words = rng.run_draw(seed, run, lambda gen, count: rng.uniform64(gen, (count, d)))
-
-        def draw():  # (d, m) words; each block draws (count, d) as it always has
-            return np.ascontiguousarray(draw_words().T)
-
-        hi = draw()
-        lo = draw()
+        hi, lo, step, refresh = _torus_orbit(seed, run, matrix)
         m = hi.shape[1]
-        rows = _window_rows(m * d)  # no buffer holds more than WINDOW_BUDGET values
+        rows = _window_rows(hi.size)  # no buffer holds more than WINDOW_BUDGET values
         spare = np.empty((rows, m))
         small = np.empty((rows, m))
         f_values = np.zeros((rows, m))  # a zero f has no terms, and its sums stay 0
         # slots for a later term's values and, unless it is the last, its phase words
         extra = np.empty((min(2, max(0, len(terms) - 1)), rows, m))
-
-        spare_lo = [np.empty((d, m), np.uint64) for _ in range(2)]
-        term = np.empty((2, m), np.uint64)
-
-        def step(hi, lo, out):
-            new_lo = spare_lo[0] if lo is not spare_lo[0] else spare_lo[1]
-            return _orbit_step(hi, lo, entries, (out, new_lo), term)[1]
-
-        def refresh(hi, lo):
-            return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
 
         def evaluate(heads):  # heads: (d, n, m) high words; f's values, term after term
             n = heads.shape[1]

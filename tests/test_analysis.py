@@ -110,27 +110,75 @@ def test_correlation_input_checks():
             analysis.correlation(f, f, DOUBLE, 1, mc_samples=samples)
 
 
-def test_correlation_mc_refuses_powers_past_float_precision():
-    # from n = 53 on, A^n x mod 1 is 0 for every 53-bit draw x, and the
-    # estimate read 0.995 where the exact correlation is 0
+def _mc_bound(f, g, samples):
+    """5 standard errors of the Monte Carlo mean of f(x) g(y), at most."""
+    return 5.0 * spectral.norm(f, 2) * spectral.norm(g, 2) / math.sqrt(samples)
+
+
+def test_correlation_mc_walks_the_exact_orbit_past_float_precision():
+    # float draws on a 2^-53 grid made A^n x mod 1 = 0 from n = 53 on, and the
+    # estimate read 0.995 where the exact correlation is 0; the 128-bit orbit
+    # with its low-bit refresh keeps every step a uniform draw
     f = TrigPolynomial(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5})
     g = TrigPolynomial(1, {(0,): 1.0, (3,): 0.5, (-3,): 0.5})
-    assert analysis.correlation(f, g, DOUBLE, 53) == 0
-    # ||A^n||_inf max |k|_1 = 3 2^n passes MC_PHASE_LIMIT = 2^40 at n = 39
-    assert abs(analysis.correlation(f, g, DOUBLE, 38, mc_samples=20000, seed=1)) < 0.02
-    for n in (39, 53):
-        with pytest.raises(InputError):
-            analysis.correlation(f, g, DOUBLE, n, mc_samples=20000, seed=1)
+    steps = [39, 53, 60, 120]
+    exact = analysis.correlation(f, g, DOUBLE, steps)
+    assert exact == [0j] * 4
+    estimates = analysis.correlation(f, g, DOUBLE, steps, mc_samples=20000, seed=1)
+    assert all(abs(m - e) < _mc_bound(f, g, 20000) for m, e in zip(estimates, exact))
 
 
-def test_decay_report_checks_the_mc_limit_before_the_search(monkeypatch):
+def test_correlation_mc_on_the_twin_dragon_stays_within_the_bound():
+    # frequencies of f on the adjoint orbits of g's, so several steps have
+    # nonzero exact correlations
+    def image(n, k):
+        return lattice.mat_vec(lattice.mat_pow(TWIN.star(), n), k)
+
+    f = TrigPolynomial(2, {image(2, (1, 0)): 0.5, image(2, (-1, 0)): 0.5,
+                           image(5, (1, 1)): 0.4, image(5, (-1, -1)): 0.4})
+    g = TrigPolynomial(2, {(1, 0): 0.5, (-1, 0): 0.5, (1, 1): 0.5, (-1, -1): 0.5})
+    steps = range(91)
+    exact = analysis.correlation(f, g, TWIN, steps)
+    assert sum(1 for e in exact if e != 0) >= 2
+    for seed in range(4):
+        estimates = analysis.correlation(f, g, TWIN, steps, mc_samples=10000, seed=seed)
+        assert all(abs(m - e) < _mc_bound(f, g, 10000) for m, e in zip(estimates, exact))
+
+
+def test_correlation_mc_does_not_depend_on_grouping_or_the_last_step(monkeypatch):
+    f = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j, (0, 0): 0.3})
+    g = TrigPolynomial.cosine((1, 0))
+    samples = 3 * rng.BLOCK + 7  # a partial last block
+    walks = []
+    for run_blocks in (1, 16):
+        monkeypatch.setattr(rng, "RUN_BLOCKS", run_blocks)
+        walks.append(analysis.correlation(f, g, TWIN, range(91), mc_samples=samples, seed=2))
+    assert walks[0] == walks[1]
+    # a walk that stops at n, before or after a refresh, reads the same value there
+    for n in (0, 1, 39, 40, 41, 80):
+        assert analysis.correlation(f, g, TWIN, n, mc_samples=samples, seed=2) == walks[0][n]
+
+
+def test_correlation_takes_a_sequence_of_steps():
+    f = TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5, (2,): 0.5, (-2,): 0.5})
+    g = TrigPolynomial.cosine(1)
+    assert analysis.correlation(f, g, DOUBLE, [2, 1, 0]) == [
+        analysis.correlation(f, g, DOUBLE, n) for n in (2, 1, 0)]
+    for steps in ([], [1, -1]):
+        with pytest.raises(InputError, match="at least one count >= 0"):
+            analysis.correlation(f, g, DOUBLE, steps, mc_samples=10)
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_decay_report_checks_the_phase_limit_before_the_search(monkeypatch, which):
     def no_search(*args, **kwargs):
         raise AssertionError("the modulus search ran")
 
     monkeypatch.setattr(spectral, "modulus_value", no_search)
-    f, g = TrigPolynomial.cosine(1), TrigPolynomial.cosine(3)
-    with pytest.raises(InputError, match="n=60 reaches the Monte Carlo"):
-        analysis.decay_report(f, g, lattice.validate_expanding([[2]]), 60, mc_samples=20000)
+    functions = {"f": TrigPolynomial.cosine(1), "g": TrigPolynomial.cosine(3)}
+    functions[which] = TrigPolynomial.cosine(analysis.MC_PHASE_LIMIT)
+    with pytest.raises(InputError, match="phase precision limit"):
+        analysis.decay_report(functions["f"], functions["g"], DOUBLE, 2, mc_samples=2000)
 
 
 def test_decay_report_checks_the_sample_guard_before_the_search(monkeypatch):

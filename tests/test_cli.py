@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
-from toraldecay import analysis, cli, lattice, rng, spectral, stochastic
+from toraldecay import analysis, cli, lacunary, lattice, rng, spectral, stochastic
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -574,17 +574,26 @@ def test_decay_rejects_bad_mc_samples(capsys, rich_path, f1_path):
     assert code == 2
 
 
-def test_decay_mc_past_float_precision_exits_2(capsys, tmp_path, f1_path):
-    # the Monte Carlo rows turned into 0.995 from n = 53 on; the command
-    # used to print them and exit 0
+def test_decay_mc_past_float_precision_exits_0(capsys, tmp_path, f1_path):
+    # the float estimate turned into 0.995 from n = 53 on, so the command
+    # refused every n where 3 2^n reached 2^40; the 128-bit orbit serves them all
     path = tmp_path / "g.json"
-    TrigPolynomial(1, {(0,): 1.0, (3,): 0.5, (-3,): 0.5}).save(path)
+    TrigPolynomial.cosine(3).save(path)
+    code, out = run(capsys, ["decay", "--matrix", "2", "--f", f1_path, "--g", str(path),
+                             "--nmax", "60", "--mc-samples", "20000", "--seed", "1"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == list(range(1, 61))
+    # the exact correlation is 0 at every n; 5 ||f||_2 ||g||_2 / sqrt(N) bounds the noise
+    assert all(float(r[1]) < 5.0 * 0.5 / math.sqrt(20000) for r in rows)
+    # a frequency at the phase limit is still bad input
+    TrigPolynomial.cosine(analysis.MC_PHASE_LIMIT).save(path)
     code = cli.main(["decay", "--matrix", "2", "--f", f1_path, "--g", str(path),
-                     "--nmax", "60", "--mc-samples", "2000", "--seed", "1"])
+                     "--nmax", "3", "--mc-samples", "100"])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert "precision limit" in err
+    assert "phase precision limit" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -751,6 +760,25 @@ def test_lacunary_requires_similarity_for_prop2(capsys):
     assert code == 2
 
 
+def test_lacunary_row_guard_stops_before_the_build(capsys, monkeypatch):
+    # --nmax 3000 transferred 3032 terms 3001 times, for 67 s, and exited 0
+    argv = ["lacunary", "--matrix", "2", "--h", "1", "--family", "power", "--param", "2.5",
+            "--nmax", "3"]
+    monkeypatch.setattr(lacunary, "ROW_TERMS_GUARD", 4 * 64)
+    assert run(capsys, argv)[0] == 0
+
+    def no_build(spec):
+        raise AssertionError("built past the row guard")
+
+    monkeypatch.setattr(lacunary, "ROW_TERMS_GUARD", 4 * 64 - 1)
+    monkeypatch.setattr(lacunary, "lacunary_build", no_build)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert "row guard" in err
+
+
 def test_clt_json_and_samples(capsys, f1_path, tmp_path):
     samples_out = tmp_path / "samples.csv"
     code, out = run(
@@ -857,7 +885,7 @@ def test_ulam_lyapunov(capsys):
     assert abs(payload["mean_log_derivative"] - math.log(2.0)) < 0.02
 
 
-def test_exit_codes(capsys, f1_path):
+def test_exit_codes(capsys, monkeypatch, f1_path):
     code, _ = run(capsys, ["matrix-info", "--matrix", "1,0;0,1"])
     assert code == 2  # not expanding
     code, _ = run(capsys, ["clt", "--matrix", "2", "--f", f1_path,
@@ -869,6 +897,9 @@ def test_exit_codes(capsys, f1_path):
     code, _ = run(capsys, ["ulam", "--op", "decay", "--nmax", "40",
                            "--truncation", "1000"])
     assert code == 2  # truncation too small
+    monkeypatch.setattr(lacunary, "ROW_TERMS_GUARD", 4 * 64 - 1)
+    code, _ = run(capsys, ["lacunary", "--matrix", "2", "--h", "1", "--nmax", "3"])
+    assert code == 3  # (nmax + 1) * build terms = 4 * 64 past the row guard
     with pytest.raises(SystemExit) as exc:
         cli.main(["decay", "--matrix", "2", "--bogus"])
     assert exc.value.code == 2
