@@ -12,17 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice, rng, spectral, stochastic
+from . import lattice, spectral, stochastic
 from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
 MIN_FIT_ROWS = 8  # fewest nonzero rows any model is fitted to
-# Both Monte Carlo paths need max |k|_1 below this over each function they read:
-# - correlation reads f and g at the float value of the orbit's high words, a phase
-#   off by about 2 pi |k|_1 2^-53, below 1e-3 (under the sampling noise);
-# - stochastic.birkhoff_samples reads phase words without the orbit's low words,
-#   off by less than |k|_1 2^-64 turns, below 2^-24.
-MC_PHASE_LIMIT = 2**40
 
 
 def pairing(g, h):
@@ -42,7 +36,7 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
 
     Exact Fourier-side evaluation: sum over k != 0 of ghat(-k) fhat(A*^n k).
     Passing mc_samples switches to the Monte Carlo cross-check estimator
-    `_correlation_mc`, which is sampling-noisy and intended only for
+    `stochastic.correlation_walk`, which is sampling-noisy and intended only for
     validating the exact path. `threads` changes nothing.
     """
     if f.dim != matrix.dim or g.dim != matrix.dim:
@@ -52,7 +46,7 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
     if not steps or min(steps) < 0:
         raise InputError("steps must be at least one count >= 0")
     if mc_samples is not None:  # the walk's frame refuses a count below 1
-        walk = _correlation_mc(f, g, matrix, max(steps), int(mc_samples), seed)
+        walk = stochastic.correlation_walk(f, g, matrix, max(steps), int(mc_samples), seed)
         values = [walk[v] for v in steps]
     else:
         values = [_correlation_exact(f, g, matrix, v) for v in steps]
@@ -71,37 +65,6 @@ def _correlation_exact(f, g, matrix, n):
         if fk is not None:
             total += gm * fk
     return total
-
-
-def _correlation_mc(f, g, matrix, n_max, samples, seed):
-    """rho_{f,g}(n), n = 0..n_max, estimated on one walk of `stochastic._torus_orbit`:
-    f read at x_0 and g at every x_n, at the float value of the high words.
-
-    Products are summed per step and per block, so a value depends neither on
-    n_max nor on how blocks are grouped. The walk runs in the calling process:
-    a step is a few short numpy calls, too little to repay a forked worker.
-    """
-    rng.check_samples(samples)
-    frame = stochastic._SamplerFrame(n_max + 1, samples)
-    stochastic._check_orbit(matrix, f, g)
-
-    def worker(run):
-        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, matrix)
-        starts = [start - run[0][1] for _, start, _ in run]
-        f_start = f.evaluate(hi.T * 2.0**-64)
-        out = np.empty_like(hi)
-        sums = np.empty((frame.horizon, len(run)), complex)
-        for n in range(frame.horizon):
-            if n:
-                lo = step(hi, lo, out)
-                hi, out = out, hi
-            if n % stochastic.REFRESH_PERIOD == 0 and n:
-                hi, lo = refresh(hi, lo)
-            sums[n] = np.add.reduceat(f_start * g.evaluate(hi.T * 2.0**-64), starts)
-        return sums
-
-    sums = np.concatenate(rng.map_blocks(samples, worker, 1), axis=1)  # in block order
-    return (sums.sum(axis=1) / samples - f.mean() * g.mean()).tolist()
 
 
 @dataclass

@@ -22,6 +22,12 @@ ORBIT_GUARD = 10**9
 SERIES_CAP = 512
 NEGATIVE_TOL = 1e-10
 REFRESH_PERIOD = 40
+# Both orbit walks need max |k|_1 below this over each function they read:
+# - the correlation walk reads f and g at the float value of the orbit's high
+#   words, a phase off by about 2 pi |k|_1 2^-53, below 1e-3 (under the sampling noise);
+# - birkhoff_samples reads phase words without the orbit's low words, off by
+#   less than |k|_1 2^-64 turns, below 2^-24.
+MC_PHASE_LIMIT = 2**40
 # Most values one window buffer of an orbit sampler holds (1 MB of
 # float64); it bounds a worker's memory, and results do not depend on it.
 WINDOW_BUDGET = 2**17
@@ -256,13 +262,13 @@ def _wave_values(phase, tables, out, spare, small):
 
 
 def _check_orbit(matrix, *functions):
-    """InputError unless matrix entries < 2^31 and |k|_1 < analysis.MC_PHASE_LIMIT."""
+    """InputError unless matrix entries < 2^31 and |k|_1 < MC_PHASE_LIMIT."""
     if any(abs(a) >= 2**31 for row in matrix.entries for a in row):
         raise InputError("matrix entries must be below 2^31 for orbit arithmetic")
     reach = max((sum(map(abs, k)) for f in functions for k in f.coeffs), default=0)
-    if reach >= analysis.MC_PHASE_LIMIT:
+    if reach >= MC_PHASE_LIMIT:
         raise InputError("max |k|_1 = %d reaches the Monte Carlo phase precision limit %d"
-                         % (reach, analysis.MC_PHASE_LIMIT))
+                         % (reach, MC_PHASE_LIMIT))
 
 
 def _torus_orbit(seed, run, matrix):
@@ -313,25 +319,20 @@ def _window_rows(values_per_step):
     return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
 
 
-def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
-    """Birkhoff sums over `horizon` steps of a run of orbits, a window at a time.
+def _orbit_windows(horizon, head, tail, rows, step, refresh):
+    """The one orbit walk: `horizon` steps of a run of orbits, a window at a time.
 
-    An orbit state is a pair: `head` (shape (..., m), what the observable
-    reads) and `tail` (the rest). The window stacks the heads of a
-    window's steps along its second-to-last axis, shape (..., rows + 1,
-    m), so each coordinate's heads are one contiguous block; its step w
-    holds the head of the window's step w. `step(head, tail, out)`
-    writes the next head to `out` (the next step) and returns the next
-    tail, and `refresh(head, tail)` redraws low bits after every
-    REFRESH_PERIOD steps but the last. `evaluate(heads)` may overwrite a
-    window's heads and returns the observable on them, shape (steps, m);
-    its rows are added into the m sums step after step. A window holds
-    at most `rows` steps and never spans a refresh, so the orbit, the
-    draws and the order of the additions are those of a step-by-step
-    loop, bit for bit.
+    An orbit state is a pair: `head` (shape (..., m), what an observable
+    reads) and `tail` (the rest). `step(head, tail, out)` writes the next
+    head to `out` and returns the next tail, and `refresh(head, tail)`
+    redraws low bits after every REFRESH_PERIOD steps but the last.
+    Yields (first, heads) per window: heads has shape (..., n, m), its
+    step w holds the head of step first + w, each coordinate's heads are
+    one contiguous block, and a consumer may overwrite them. A window holds
+    at most `rows` steps and never spans a refresh, so the orbit and the
+    draws are those of a step-by-step loop, bit for bit.
     """
     window = np.empty(head.shape[:-1] + (rows + 1, head.shape[-1]), head.dtype)
-    acc = np.zeros(head.shape[-1])
     done = 0
     while done < horizon:
         if done % REFRESH_PERIOD == 0 and done:
@@ -340,11 +341,47 @@ def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
         window[..., 0, :] = head
         for w in range(n):
             tail = step(window[..., w, :], tail, window[..., w + 1, :])
-        for row in evaluate(window[..., :n, :]):
-            acc += row
+        yield done, window[..., :n, :]
         done += n
         head = window[..., n, :]
+
+
+def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
+    """Birkhoff sums over `_orbit_windows`: the rows of `evaluate(heads)`, the
+    observable on a window's heads (shape (steps, m)), added step after step."""
+    acc = np.zeros(head.shape[-1])
+    for _, heads in _orbit_windows(horizon, head, tail, rows, step, refresh):
+        for row in evaluate(heads):
+            acc += row
     return acc
+
+
+def correlation_walk(f, g, matrix, n_max, samples, seed):
+    """rho_{f,g}(n), n = 0..n_max, estimated on one `_orbit_windows` walk:
+    f read at x_0 and g at every x_n, at the float value of the high words.
+
+    Products are summed per step and per block, so a value depends neither on
+    n_max nor on how blocks are grouped. The walk runs in the calling process:
+    a step is a few short numpy calls, too little to repay a forked worker.
+    """
+    rng.check_samples(samples)
+    frame = _SamplerFrame(n_max + 1, samples)
+    _check_orbit(matrix, f, g)
+
+    def worker(run):
+        hi, lo, step, refresh = _torus_orbit(seed, run, matrix)
+        starts = [start - run[0][1] for _, start, _ in run]
+        f_start = f.evaluate(hi.T * 2.0**-64)
+        sums = np.empty((frame.horizon, len(run)), complex)
+        walk = _orbit_windows(frame.horizon, hi, lo, _window_rows(hi.size), step, refresh)
+        for first, heads in walk:
+            for w in range(heads.shape[1]):
+                sums[first + w] = np.add.reduceat(f_start * g.evaluate(heads[:, w].T * 2.0**-64),
+                                                  starts)
+        return sums
+
+    sums = np.concatenate(rng.map_blocks(samples, worker, 1), axis=1)  # in block order
+    return (sums.sum(axis=1) / samples - f.mean() * g.mean()).tolist()
 
 
 def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
@@ -360,7 +397,7 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     collapsing onto short floating-point cycles. f is evaluated from
     exact integer phases of the high words (`_phase_words`) through each
     frequency's wave tables (`_wave_values`), so `_check_orbit` holds
-    max |k|_1 over f below analysis.MC_PHASE_LIMIT.
+    max |k|_1 over f below MC_PHASE_LIMIT.
     """
     frame = _SamplerFrame(horizon, samples)
     if not f.real_valued:

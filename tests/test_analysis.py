@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import expanding_matrices
-from toraldecay import analysis, lattice, rng, spectral
+from toraldecay import analysis, lattice, rng, spectral, stochastic
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
 
@@ -176,7 +176,7 @@ def test_decay_report_checks_the_phase_limit_before_the_search(monkeypatch, whic
 
     monkeypatch.setattr(spectral, "modulus_value", no_search)
     functions = {"f": TrigPolynomial.cosine(1), "g": TrigPolynomial.cosine(3)}
-    functions[which] = TrigPolynomial.cosine(analysis.MC_PHASE_LIMIT)
+    functions[which] = TrigPolynomial.cosine(stochastic.MC_PHASE_LIMIT)
     with pytest.raises(InputError, match="phase precision limit"):
         analysis.decay_report(functions["f"], functions["g"], DOUBLE, 2, mc_samples=2000)
 

@@ -587,7 +587,7 @@ def test_decay_mc_past_float_precision_exits_0(capsys, tmp_path, f1_path):
     # the exact correlation is 0 at every n; 5 ||f||_2 ||g||_2 / sqrt(N) bounds the noise
     assert all(float(r[1]) < 5.0 * 0.5 / math.sqrt(20000) for r in rows)
     # a frequency at the phase limit is still bad input
-    TrigPolynomial.cosine(analysis.MC_PHASE_LIMIT).save(path)
+    TrigPolynomial.cosine(stochastic.MC_PHASE_LIMIT).save(path)
     code = cli.main(["decay", "--matrix", "2", "--f", f1_path, "--g", str(path),
                      "--nmax", "3", "--mc-samples", "100"])
     out, err = capsys.readouterr()

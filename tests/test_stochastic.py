@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from toraldecay import analysis, lattice, stochastic
+from toraldecay import lattice, stochastic
 from toraldecay import rng as rng_module
 from toraldecay.errors import InputError, NotMeanZero, TooLarge, ZeroVariance
 from toraldecay.spectral import TrigPolynomial
@@ -525,7 +525,7 @@ def test_birkhoff_refuses_frequencies_past_the_phase_limit():
     with pytest.raises(InputError, match="phase precision limit"):
         stochastic.birkhoff_samples(f, triple, 200, 4000, seed=1)
     # the limit is on max |k|_1 over the support
-    limit = analysis.MC_PHASE_LIMIT
+    limit = stochastic.MC_PHASE_LIMIT
     with pytest.raises(InputError, match="phase precision limit"):
         stochastic.birkhoff_samples(TrigPolynomial.cosine((limit // 2, -limit // 2)),
                                     TWIN, 10, 10, seed=1)
