@@ -49,22 +49,28 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
         walk = stochastic.correlation_walk(f, g, matrix, max(steps), int(mc_samples), seed)
         values = [walk[v] for v in steps]
     else:
-        values = [_correlation_exact(f, g, matrix, v) for v in steps]
+        values = _correlation_exact(f, g, matrix, steps)
     return values if many else values[0]
 
 
-def _correlation_exact(f, g, matrix, n):
-    star_n = lattice.mat_pow(matrix.star(), n)
-    zero = (0,) * matrix.dim
-    total = 0j
-    for m, gm in g.coeffs.items():
-        if m == zero:
-            continue
-        freq = lattice.mat_vec(star_n, tuple(-v for v in m))
-        fk = f.coeffs.get(freq)
-        if fk is not None:
-            total += gm * fk
-    return total
+def _correlation_exact(f, g, matrix, steps):
+    """The exact sums at `steps`, in their order. Across the sorted steps A*^n is
+    A* A*^(n-1), one product a row, or a fresh power after a gap."""
+    star = matrix.star()
+    power, at = lattice.identity(matrix.dim), 0
+    values = {}
+    for n in sorted(set(steps)):
+        power = lattice.mat_mul(star, power) if n == at + 1 else lattice.mat_pow(star, n)
+        at = n
+        total = 0j
+        for m, gm in g.coeffs.items():
+            if not any(m):
+                continue
+            fk = f.coeffs.get(lattice.mat_vec(power, tuple(-v for v in m)))
+            if fk is not None:
+                total += gm * fk
+        values[n] = total
+    return [values[n] for n in steps]
 
 
 @dataclass

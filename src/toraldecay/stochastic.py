@@ -356,17 +356,28 @@ def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
     return acc
 
 
+def _unit_function(f):
+    """(f 2^-e, e), e from `spectral._unit_scale` of f's coefficients: 0, so f
+    keeps its bits, unless their largest |c| leaves [2^-100, 2^100)."""
+    c, e = spectral._unit_scale(np.array(list(f.coeffs.values()), dtype=complex))
+    return spectral.TrigPolynomial(f.dim, dict(zip(f.coeffs, c.tolist()))), int(e)
+
+
 def correlation_walk(f, g, matrix, n_max, samples, seed):
     """rho_{f,g}(n), n = 0..n_max, estimated on one `_orbit_windows` walk:
     f read at x_0 and g at every x_n, at the float value of the high words.
 
     Products are summed per step and per block, so a value depends neither on
-    n_max nor on how blocks are grouped. The walk runs in the calling process:
-    a step is a few short numpy calls, too little to repay a forked worker.
+    n_max nor on how blocks are grouped. f and g are read as `_unit_function`
+    scales them, which keeps the block sums in float range, and the estimates
+    are scaled back exactly; one past float range reads inf. The walk runs in
+    the calling process: a step is a few short numpy calls, too little to
+    repay a forked worker.
     """
     rng.check_samples(samples)
     frame = _SamplerFrame(n_max + 1, samples)
     _check_orbit(matrix, f, g)
+    (f, f_exp), (g, g_exp) = _unit_function(f), _unit_function(g)
 
     def worker(run):
         hi, lo, step, refresh = _torus_orbit(seed, run, matrix)
@@ -381,7 +392,11 @@ def correlation_walk(f, g, matrix, n_max, samples, seed):
         return sums
 
     sums = np.concatenate(rng.map_blocks(samples, worker, 1), axis=1)  # in block order
-    return (sums.sum(axis=1) / samples - f.mean() * g.mean()).tolist()
+    values = sums.sum(axis=1) / samples - f.mean() * g.mean()
+    with np.errstate(over="ignore"):
+        values.real = np.ldexp(values.real, f_exp + g_exp)
+        values.imag = np.ldexp(values.imag, f_exp + g_exp)
+    return values.tolist()
 
 
 def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):

@@ -159,6 +159,77 @@ def test_correlation_mc_does_not_depend_on_grouping_or_the_last_step(monkeypatch
         assert analysis.correlation(f, g, TWIN, n, mc_samples=samples, seed=2) == walks[0][n]
 
 
+def _frozen_correlation(f, g, matrix, n_max, samples, seed):
+    """The Monte Carlo correlation as a step-by-step loop, before it walked
+    windows: each step advances the orbit, redraws the low bits every 40
+    steps, and adds f at the start times g at the step, per block."""
+    def worker(run):
+        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, matrix)
+        starts = [start - run[0][1] for _, start, _ in run]
+        f_start = f.evaluate(hi.T * 2.0**-64)
+        out = np.empty_like(hi)
+        sums = np.empty((n_max + 1, len(run)), complex)
+        for n in range(n_max + 1):
+            if n:
+                lo = step(hi, lo, out)
+                hi, out = out, hi
+            if n % 40 == 0 and n:
+                hi, lo = refresh(hi, lo)
+            sums[n] = np.add.reduceat(f_start * g.evaluate(hi.T * 2.0**-64), starts)
+        return sums
+
+    sums = np.concatenate(rng.map_blocks(samples, worker, 1), axis=1)
+    return sums.sum(axis=1) / samples - f.mean() * g.mean()
+
+
+@pytest.mark.parametrize("entries", [[[1, -1], [1, 1]], [[2, 1], [0, 3]]])
+def test_correlation_walk_matches_the_step_by_step_loop(monkeypatch, entries):
+    # runs of 1 block walk windows of 40 steps, runs of 16 windows of 16
+    matrix = lattice.validate_expanding(entries)
+    f = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j, (0, 0): 0.3})
+    g = TrigPolynomial(2, {(1, 0): 0.5j, (2, -1): 0.25, (0, 0): -0.7 + 0.1j})
+    samples = 3 * rng.BLOCK + 7  # a partial last block
+    for run_blocks in (1, 16):
+        monkeypatch.setattr(rng, "RUN_BLOCKS", run_blocks)
+        for horizon in (39, 40, 41, 80, 81):
+            want = _frozen_correlation(f, g, matrix, horizon - 1, samples, 4)
+            got = stochastic.correlation_walk(f, g, matrix, horizon - 1, samples, 4)
+            assert np.array_equal(got, want)
+
+
+def test_correlation_mc_scales_large_coefficients_back_exactly():
+    # f f summed over a block passed float range at 2^510 cos 2 pi x; the walk
+    # reads f at 2^-510 its size and scales the estimates back by 2^1020
+    f = TrigPolynomial.cosine(1)
+    big = TrigPolynomial(1, {(1,): 2.0**509, (-1,): 2.0**509})
+    small = analysis.correlation(f, f, DOUBLE, range(4), mc_samples=3000, seed=6)
+    large = analysis.correlation(big, big, DOUBLE, range(4), mc_samples=3000, seed=6)
+    assert large == [v * 2.0**1020 for v in small]
+
+
+def test_correlation_exact_takes_one_product_a_row(monkeypatch):
+    # A*^n = A* A*^(n-1) across the sorted steps, where each n took its own power
+    def image(n, k):
+        return lattice.mat_vec(lattice.mat_pow(TWIN.star(), n), k)
+
+    f = TrigPolynomial(2, {image(3, (1, 0)): 0.5, image(3, (-1, 0)): 0.5,
+                           image(7, (0, 1)): 0.25, image(7, (0, -1)): 0.25})
+    g = TrigPolynomial(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25 + 0.5j, (0, -1): 0.25 - 0.5j})
+    calls = {"mat_pow": 0, "mat_mul": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(lattice, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    steps = list(range(30, 0, -1))  # in the caller's order
+    values = analysis.correlation(f, g, TWIN, steps)
+    assert calls == {"mat_pow": 0, "mat_mul": 30}
+    monkeypatch.undo()
+    assert values == [analysis.correlation(f, g, TWIN, n) for n in steps]
+    assert [n for n, v in zip(steps, values) if v] == [7, 3]
+
+
 def test_correlation_takes_a_sequence_of_steps():
     f = TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5, (2,): 0.5, (-2,): 0.5})
     g = TrigPolynomial.cosine(1)

@@ -372,7 +372,8 @@ def test_transfer_and_decay_on_drawn_functions(data, matrix, steps):
     text = "--matrix=" + ";".join(",".join(map(str, row)) for row in matrix.entries)
     command = data.draw(st.sampled_from(
         [["transfer", "--emit", emit] for emit in ("norms", "modulus", "coeffs")]
-        + [["decay", "--mode", mode] for mode in ("correlation", "transfer_norm")]))
+        + [["decay", "--mode", mode] for mode in ("correlation", "transfer_norm")]
+        + [["decay", "--mc-samples", "200"]]))
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for name in ("f", "g"):
@@ -594,6 +595,28 @@ def test_decay_mc_past_float_precision_exits_0(capsys, tmp_path, f1_path):
     assert code == 2
     assert out == ""
     assert "phase precision limit" in err
+
+
+def test_decay_mc_on_large_coefficients_stays_in_float_range(capsys, tmp_path):
+    # f f is about 4e306 a sample, so the block sums of the row n = 0, which
+    # decay never prints, overflowed with a RuntimeWarning
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps([{"k": [1], "re": 1e153, "im": 0.0},
+                                {"k": [-1], "re": 1e153, "im": 0.0}]))
+    code, out = run(capsys, ["decay", "--matrix", "2", "--f", str(path), "--g", str(path),
+                             "--nmax", "3", "--mc-samples", "100"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
+    # a one-sample estimate of 4e153 (e(kx) + e(-kx)), k = 1..4, past float range
+    path.write_text(json.dumps([{"k": [k], "re": 4e153, "im": 0.0}
+                                for k in (1, 2, 3, 4, -1, -2, -3, -4)]))
+    code = cli.main(["decay", "--matrix", "2", "--f", str(path), "--g", str(path),
+                     "--nmax", "3", "--mc-samples", "1", "--seed", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "leaves float range" in err
 
 
 @pytest.mark.parametrize("argv", [
