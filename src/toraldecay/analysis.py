@@ -160,13 +160,13 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
         g_norm = spectral.norm(g, 2)
     omegas = spectral.modulus_value(fc, r, radii)
     rows = []
+    transferred = fc if mode == "transfer_norm" else None
     for n, omega in enumerate(omegas, start=1):
-        transferred = None
         if mode == "correlation":
             value = abs(values[n - 1])
             bound = g_norm * omega
-        else:
-            transferred = spectral.transfer_fourier(fc, matrix, n)
+        else:  # L^n f = L(L^(n-1) f)
+            transferred = spectral.transfer_fourier(transferred, matrix, 1)
             value = spectral.norm(transferred, r)
             bound = omega
         if mc_samples is None and bound <= 0.0 and value > 1e-12:

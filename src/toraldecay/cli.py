@@ -189,19 +189,14 @@ def cmd_lacunary(args):
     else:
         if len(args.param) != 1:
             raise InputError("--param of family %s must be one number" % args.family)
-        spec = lacunary.LacunarySpec(
-            args.h, matrix, args.family, args.param[0], truncation=args.truncation
-        )
+        spec = lacunary.LacunarySpec(args.h, matrix, args.family, args.param[0], args.truncation)
         family = args.family
-    build_k = (
-        spec.truncation
-        if spec.truncation is not None
-        else max(64, args.nmax + 32)
-    )
-    if (args.nmax + 1) * build_k > lacunary.ROW_TERMS_GUARD:
-        raise TooLarge("(nmax + 1) * build terms = %d exceeds the row guard %d"
-                       % ((args.nmax + 1) * build_k, lacunary.ROW_TERMS_GUARD))
-    built = lacunary.lacunary_build(dataclasses.replace(spec, truncation=build_k))
+    build_k = spec.truncation if spec.truncation is not None else max(64, args.nmax + 32)
+    row_terms = (args.nmax + 1) * max(build_k, args.nmax)  # row n brackets n head terms
+    if row_terms > lacunary.ROW_TERMS_GUARD:
+        raise TooLarge("(nmax + 1) * max(build terms, nmax) = %d exceeds the row guard %d"
+                       % (row_terms, lacunary.ROW_TERMS_GUARD))
+    transferred = lacunary.lacunary_build(dataclasses.replace(spec, truncation=build_k))
     config = {
         "subcommand": "lacunary",
         "matrix": args.matrix,
@@ -214,9 +209,11 @@ def cmd_lacunary(args):
     }
     rows = []
     for n in range(0, args.nmax + 1):
+        if n:  # L^n f = L(L^(n-1) f), from the built series L^0 f
+            transferred = spectral.transfer_fourier(transferred, matrix, 1)
         l2_tail, l1_tail = lacunary.tail_norms(spec, n)
         bounds = lacunary.modulus_bounds_prop2(spec, n)
-        measured = spectral.norm(spectral.transfer_fourier(built, matrix, n), 2)
+        measured = spectral.norm(transferred, 2)
         rows.append([n, l2_tail, l1_tail, bounds.sup_bound, bounds.l2_bound, measured])
     cols = ["n", "l2_tail", "l1_tail", "prop2_sup_bound", "prop2_l2_bound", "measured_l2_norm"]
     footer = _fit_footer(analysis.fit_if_possible([(r[0], r[1]) for r in rows]))

@@ -207,7 +207,7 @@ def uvn_decay_norms(n_max, truncation=10**6):
     if n_max < 0:
         raise InputError("n_max must be >= 0")
     k = int(truncation)
-    if k < 2 ** (n_max + 4):
+    if k >> (n_max + 4) <= 0:  # k < 2^(n_max+4), without forming 2^(n_max+4)
         top = TRUNCATION_GUARD.bit_length() - 5  # the largest n_max the guard leaves a truncation
         hint = "; the series guard %d allows n_max <= %d" % (TRUNCATION_GUARD, top)
         raise TruncationTooSmall("need truncation >= 2^(n_max+4) = 2^%d, got %d%s"

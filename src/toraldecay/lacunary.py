@@ -28,7 +28,7 @@ SUM_SPLIT = 512
 # lies in this range, where its square is normal and a sum of squares
 # stays far below overflow; outside it, the terms are scaled first
 SQUARE_RANGE = (2.0**-511, 2.0**500)
-# most (nmax + 1) rows * build terms the CLI transfers: 7.5-12.5 us each (d <= 3, 2 vCPUs)
+# most (nmax + 1) rows * max(build terms, nmax) the CLI runs: 3-8.5 us each (d <= 3, 2 vCPUs)
 ROW_TERMS_GUARD = 2**20
 
 
@@ -141,9 +141,8 @@ def tail_norms(spec, n):
         raise InputError("tail index must be >= 0")
     n = int(n)
     if spec.truncation is not None:
-        a = coefficients(spec, spec.truncation)[n:]
-        # ascending summation: smallest terms first
-        return TailNorms(math.sqrt(np.sum(a[::-1] ** 2)), float(np.sum(a[::-1])))
+        a = coefficients(spec, spec.truncation)[n:][::-1]  # ascending: smallest terms first
+        return TailNorms(_root_sum_squares(a), float(np.sum(a)))
     if spec.family == "geometric":
         t = spec.param
         return TailNorms(t ** (n + 1) / math.sqrt(1 - t * t), t ** (n + 1) / (1 - t))
@@ -220,10 +219,17 @@ def modulus_bounds_prop2(spec, n):
     top = float(terms.max())
     if top == 0.0 or SQUARE_RANGE[0] <= top < SQUARE_RANGE[1]:
         l2 = math.sqrt(float(np.sum(np.minimum(4.0, phase**2) * a**2)) + 4.0 * l2_tail**2)
-    else:  # square the terms scaled by top's exponent, as spectral._unit_scale scales rows
-        e = math.frexp(top)[1]
-        l2 = math.ldexp(math.sqrt(float(np.sum(np.ldexp(terms, -e) ** 2))), e)
+    else:
+        l2 = _root_sum_squares(terms)
     return Prop2Bounds(sup, l2, const)
+
+
+def _root_sum_squares(terms):
+    """sqrt(sum terms^2) of nonnegative terms, scaled first by the largest one's
+    exponent where it lies outside SQUARE_RANGE, as spectral._unit_scale scales rows."""
+    top = float(np.max(terms, initial=0.0))
+    e = 0 if top == 0.0 or SQUARE_RANGE[0] <= top < SQUARE_RANGE[1] else math.frexp(top)[1]
+    return math.ldexp(math.sqrt(float(np.sum(np.ldexp(terms, -e) ** 2))), e)
 
 
 def design_for_rate(targets, norm="sup"):

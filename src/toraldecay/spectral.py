@@ -167,25 +167,22 @@ class TrigPolynomial:
 def transfer_fourier(f, matrix, n):
     """Exact n-step transfer: ghat(k) = fhat(A*^n k).
 
-    For each stored frequency j the preimage k solves A*^n k = j; the
-    coefficient moves iff k is integral, decided by exact adjugate
-    arithmetic. No floating point touches the frequencies.
+    Each step moves a stored frequency j to the integral k with A* k = j,
+    or drops it, by exact adjugate arithmetic; survivors keep their order.
+    A nonzero j dies within about log_lambda |j| steps and A* 0 = 0, so the
+    steps stop once only k = 0 is left.
     """
     if n < 0:
         raise InputError("steps must be >= 0")
     if f.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
-    if n == 0:
-        return TrigPolynomial(f.dim, dict(f.coeffs))
-    # adj(A*^n) = (adj(A)^n)^T and det(A*^n) = det(A)^n, exactly
-    adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
-    det = matrix.det**n
-    out = {}
-    for j, c in f.coeffs.items():
-        k = lattice.exact_solve_integral(adj, det, j)
-        if k is not None:
-            out[k] = c
-    return TrigPolynomial(f.dim, out)
+    adj = lattice.transpose(matrix.adjugate)  # adj(A*), and det(A*) = det(A)
+    coeffs = f.coeffs
+    while n > 0 and any(map(any, coeffs)):
+        solved = ((lattice.exact_solve_integral(adj, matrix.det, j), c) for j, c in coeffs.items())
+        coeffs = {k: c for k, c in solved if k is not None}
+        n -= 1
+    return TrigPolynomial(f.dim, coeffs)
 
 
 def transfer_spatial_eval(f, matrix, digits, n, x):

@@ -104,11 +104,10 @@ def tile_points(matrix, digits, level):
     level = int(level)
     if level < 1:
         raise InputError("level must be >= 1")
-    q = matrix.det_abs
-    if q**level > lattice.CLOUD_GUARD:
-        raise TooLarge(
-            "q^level = %d exceeds the cloud guard %d" % (q**level, lattice.CLOUD_GUARD)
-        )
+    q = matrix.det_abs  # >= 2, so q^level exceeds the guard from level = its bit length
+    if level >= lattice.CLOUD_GUARD.bit_length() or q**level > lattice.CLOUD_GUARD:
+        raise TooLarge("q^level = %d^%d exceeds the cloud guard %d"
+                       % (q, level, lattice.CLOUD_GUARD))
     pts = lattice.branch_points(matrix, digits, level)
     tail, arr = neumann_tail(matrix), np.array(digits, dtype=float)
     diameter = float(np.sqrt(((arr[:, None] - arr[None]) ** 2).sum(axis=2)).max())

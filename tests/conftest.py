@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from toraldecay import lattice
 from toraldecay.errors import NotExpanding, SingularMatrix
+from toraldecay.spectral import TrigPolynomial
 
 CRITERION_LINES = []
 
@@ -41,3 +42,23 @@ def expanding_matrices():
         lambda m: m is not None
     )
 
+
+def transfer_by_powers(f, matrix, n):
+    """L^n f solved in one go: each term's preimage under A*^n from adj(A)^n
+    and det(A)^n, one solve a term. The reference for `transfer_fourier`."""
+    adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
+    det = matrix.det**n
+    solved = ((lattice.exact_solve_integral(adj, det, j), c) for j, c in f.coeffs.items())
+    return TrigPolynomial(f.dim, {k: c for k, c in solved if k is not None})
+
+
+def count_solves(monkeypatch):
+    """The list that collects the target of every `lattice.exact_solve_integral` call."""
+    solves, solve = [], lattice.exact_solve_integral
+
+    def counted(adj, det, target):
+        solves.append(target)
+        return solve(adj, det, target)
+
+    monkeypatch.setattr(lattice, "exact_solve_integral", counted)
+    return solves

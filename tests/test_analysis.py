@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanding_matrices
+from conftest import count_solves, expanding_matrices, transfer_by_powers
 from toraldecay import analysis, lattice, rng, spectral, stochastic
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
@@ -313,6 +313,20 @@ def test_decay_report_hands_back_transferred_functions():
         assert row.transferred.coeffs == want.coeffs
     report = analysis.decay_report(f, f, DOUBLE, 2)
     assert all(row.transferred is None for row in report.rows)
+
+
+def test_decay_report_steps_each_row_from_the_last(monkeypatch):
+    # row n takes one step from row n - 1, so each surviving term is solved once a
+    # row; every row solved all of f's terms afresh, 6 rows x 6 terms
+    f = TrigPolynomial(1, {(0,): 1.0, (1,): 0.5, (-1,): 0.5, (4,): 0.25, (-4,): 0.25,
+                           (24,): 0.125j, (-24,): -0.125j})
+    solves = count_solves(monkeypatch)
+    report = analysis.decay_report(f, f, DOUBLE, 6, mode="transfer_norm")
+    monkeypatch.undo()
+    rows = [transfer_by_powers(f.centered(), DOUBLE, n) for n in range(7)]
+    assert len(solves) == sum(len(g.coeffs) for g in rows[:6]) == 16
+    assert [list(r.transferred.coeffs.items()) for r in report.rows] == [
+        list(g.coeffs.items()) for g in rows[1:]]
 
 
 def test_decay_report_monte_carlo():

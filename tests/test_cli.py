@@ -8,6 +8,7 @@ import os
 import pathlib
 import shlex
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import expanding_matrices
-from toraldecay import analysis, cli, lacunary, lattice, rng, spectral, stochastic
+from conftest import _expanding_or_none, count_solves, expanding_matrices, transfer_by_powers
+from toraldecay import analysis, cli, interval, lacunary, lattice, rng, spectral, stochastic
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -461,6 +462,132 @@ def test_samplers_on_drawn_arguments(data, matrix, sizes, threads, seed):
         assert all(map(math.isfinite, numbers))
 
 
+def _similarities():
+    """Expanding similarities (A^T A = c I), which the prop2 bounds ask for: [[a]],
+    [[a, -b], [b, a]], [[a, b], [b, -a]] and c times a signed 3 x 3 permutation."""
+    small = st.integers(-3, 3)
+    forms = st.one_of(
+        st.integers(-12, 12).map(lambda a: [[a]]),
+        st.tuples(small, small).map(lambda t: [[t[0], -t[1]], [t[1], t[0]]]),
+        st.tuples(small, small).map(lambda t: [[t[0], t[1]], [t[1], -t[0]]]),
+        st.tuples(small, st.permutations(range(3)), st.lists(st.sampled_from([-1, 1]),
+                  min_size=3, max_size=3)).map(
+            lambda t: [[t[0] * t[2][i] * (j == t[1][i]) for j in range(3)] for i in range(3)]))
+    return forms.map(_expanding_or_none).filter(lambda m: m is not None)
+
+
+def _around(lo, hi):
+    """Floats in [lo, hi], the ends and their float neighbours, and non-finite values."""
+    ends = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+            math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf)]
+    return st.one_of(st.floats(lo, hi), st.sampled_from(ends + [math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def lacunary_argv(draw, matrix, tmp):
+    """`lacunary` arguments: h with entries up to 2^63 - 1, each family over its
+    parameter range, its ends and non-finite values, explicit lists and design
+    targets of 0 to 4 values (some all of one decade from 1e-323 to 1e199), and
+    --nmax and --truncation small, negative or past ROW_TERMS_GUARD."""
+    d = matrix.dim
+    h = draw(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from([2**63 - 1, -(2**63) + 1]),
+                                st.integers(-(2**63) + 1, 2**63 - 1)), min_size=d, max_size=d))
+    argv = ["lacunary", "--matrix=" + ";".join(",".join(map(str, r)) for r in matrix.entries),
+            "--h=" + ",".join(map(str, h))]
+    family = draw(st.sampled_from(lacunary.FAMILIES + ("design",)))
+    values = st.one_of(
+        st.lists(st.one_of(_around(0.0, 1.0), _coefficient_parts()), max_size=4),
+        st.builds(lambda e, units: [u * 10.0**e for u in units], st.integers(-323, 199),
+                  st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
+    if family == "design":
+        path = os.path.join(tmp, "targets.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join("%r\n" % v for v in draw(values)))
+        argv += ["--design", path, "--design-norm", draw(st.sampled_from(["sup", "l2"]))]
+    elif family == "explicit":
+        argv += ["--family=explicit", "--param=" + ",".join(map(repr, draw(values)))]
+    else:
+        lo, hi = {"power": (1.0, lacunary.POWER_MAX), "logpower": (1.0, lacunary.LOGPOWER_MAX),
+                  "geometric": (1.0 / matrix.lambda_min, 1.0)}[family]
+        argv += ["--family=" + family, "--param=%r" % draw(_around(lo, hi))]
+    past = st.integers(lacunary.ROW_TERMS_GUARD, 2**62)
+    argv.append("--nmax=%d" % draw(st.one_of(st.integers(-1, 30), past)))
+    truncation = draw(st.one_of(st.none(), st.integers(-1, 40), past))
+    return argv + ([] if truncation is None else ["--truncation=%d" % truncation])
+
+
+@st.composite
+def tile_argv(draw, matrix, tmp):
+    """`tile` arguments: a level whose cloud holds at most 4096 points, below 1, or
+    past lattice.CLOUD_GUARD up to 2^40; samples small, negative or past
+    rng.SAMPLE_GUARD."""
+    q = matrix.det_abs
+    small = max(n for n in range(13) if q**n <= 4096)
+    past = next(n for n in range(1, 64) if q**n > lattice.CLOUD_GUARD)
+    level = draw(st.one_of(st.integers(-1, small), st.integers(past, 2**40)))
+    samples = draw(st.one_of(st.integers(-1, 300), st.integers(rng.SAMPLE_GUARD + 1, 2**63)))
+    argv = ["tile", "--matrix=" + ";".join(",".join(map(str, r)) for r in matrix.entries),
+            "--level=%d" % level, "--samples=%d" % samples,
+            "--coverage-out", os.path.join(tmp, "coverage.json")]
+    if draw(st.booleans()):
+        argv += ["--points-out", os.path.join(tmp, "points.csv")]
+    return argv + (["--self-affinity"] if draw(st.booleans()) else [])
+
+
+@st.composite
+def ulam_argv(draw):
+    """`ulam --op decay` with --nmax and --truncation small, negative, or past
+    interval.TRUNCATION_GUARD, or `ulam --op modulus`."""
+    if draw(st.booleans()):
+        return ["ulam", "--op", "modulus"]
+    nmax = draw(st.one_of(st.integers(-1, 16), st.integers(17, 2**40)))
+    truncation = draw(st.one_of(st.none(), st.integers(-1, 2**20),
+                                st.integers(interval.TRUNCATION_GUARD + 1, 2**62)))
+    argv = ["ulam", "--op", "decay", "--nmax=%d" % nmax]
+    return argv + ([] if truncation is None else ["--truncation=%d" % truncation])
+
+
+def _all_numbers(text):
+    """Every number a report prints: CSV rows and its fit footer, or any JSON."""
+    if text.startswith(("[", "{")):
+        def walk(v):
+            if isinstance(v, dict):
+                return [x for item in v.values() for x in walk(item)]
+            if isinstance(v, list):
+                return [x for item in v for x in walk(item)]
+            return [v] if isinstance(v, (int, float)) and not isinstance(v, bool) else []
+        return walk(json.loads(text))
+    fit = [l for l in footer_lines(text) if l.startswith("# fit: ")]
+    fit = json.loads(fit[0][len("# fit: "):]) if fit else None
+    fit_numbers = [v for v in (fit or {}).values() if isinstance(v, float)]
+    return _printed_numbers(text) + fit_numbers
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.one_of(_similarities(), expanding_matrices()), st.sampled_from([1, 2]),
+       st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64])))
+def test_lacunary_tile_and_ulam_on_drawn_arguments(data, matrix, threads, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = data.draw(st.one_of(lacunary_argv(matrix, tmp), tile_argv(matrix, tmp),
+                                   ulam_argv()))
+        argv += ["--seed=%d" % seed, "--threads=%d" % threads] if argv[0] != "lacunary" else []
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        return
+    assert all(map(math.isfinite, _all_numbers(out.getvalue())))
+    if argv[0] == "lacunary":
+        for row in parse_csv(out.getvalue())[1]:
+            measured = float(row[5])
+            assert not (measured > 0 and (float(row[3]) == 0 or float(row[4]) == 0)), row
+
+
 def test_clt_variance_past_float_range_is_bad_input(capsys, tmp_path):
     # sum |c|^2 is finite, but sigma^2 = 2.9e308 and the sample variance are not;
     # clt printed "Infinity" and warned of an overflow in np.var
@@ -800,6 +927,64 @@ def test_lacunary_row_guard_stops_before_the_build(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "row guard" in err
+
+
+@pytest.mark.parametrize("text, h", [("2", (1,)), ("1,-1;1,1", (1, 0)), ("2,0;0,2", (1, 2))])
+def test_lacunary_steps_each_row_from_the_last(capsys, monkeypatch, text, h):
+    # row n takes one step from row n - 1 and the last row takes none, so the solves
+    # are the term counts of rows 0 to nmax - 1; every row solved all K build terms,
+    # nmax K in all. The k = 1 term lands on h at the first step, so the rows do not
+    # shrink by one term each
+    nmax, terms = 40, 72
+    solves = count_solves(monkeypatch)
+    code, out = run(capsys, ["lacunary", "--matrix=" + text, "--h", ",".join(map(str, h)),
+                             "--nmax", str(nmax)])
+    monkeypatch.undo()
+    assert code == 0
+    matrix = lattice.parse_matrix(text)
+    built = lacunary.lacunary_build(lacunary.LacunarySpec(h, matrix, "power", 2.0, terms))
+    rows = [transfer_by_powers(built, matrix, n) for n in range(nmax + 1)]
+    assert len(solves) == sum(len(g.coeffs) for g in rows[:nmax]) < nmax * terms
+    _, printed = parse_csv(out)
+    assert [float(r[5]) for r in printed] == [spectral.norm(g, 2) for g in rows]
+
+
+def test_lacunary_row_guard_counts_the_head_terms_of_a_row(capsys, monkeypatch):
+    # row n brackets its n head terms whatever the build holds: one explicit term
+    # passed the guard up to nmax = 2^20 - 1, and nmax = 32000 ran past 60 s
+    def no_build(spec):
+        raise AssertionError("built past the row guard")
+
+    argv = ["lacunary", "--matrix", "2", "--h", "1", "--family", "explicit", "--param", "0.5"]
+    monkeypatch.setattr(lacunary, "ROW_TERMS_GUARD", 11 * 10)
+    assert run(capsys, argv + ["--nmax", "10"])[0] == 0
+    monkeypatch.setattr(lacunary, "lacunary_build", no_build)
+    for extra in (["--param="], ["--family", "power", "--param", "2.0", "--truncation", "1"], []):
+        extra += ["--nmax", "11"]
+        code = cli.main(argv + extra)
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "row guard" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tile", "--matrix", "2", "--level", "20000", "--samples", "3"], 3),
+    (["tile", "--matrix", "2", "--level", str(2**28), "--samples", "3"], 3),
+    (["ulam", "--op", "decay", "--nmax", str(2**28)], 2),
+])
+def test_huge_levels_and_nmax_are_refused_without_their_powers(capsys, argv, want):
+    # tile formed q^level for its guard and printed it in the message, which fails
+    # past 4,300 digits (exit 4, ValueError); ulam formed 2^(nmax + 4), 32 MB here and
+    # 7 s at nmax = 1.3e9
+    tracemalloc.start()
+    code = cli.main(argv)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert "Traceback" not in err
+    assert peak < 2**20
 
 
 def test_clt_json_and_samples(capsys, f1_path, tmp_path):

@@ -208,6 +208,19 @@ def test_prop2_l2_bound_stays_positive_where_squares_underflow():
         assert abs(bound - want) <= 1e-15 * want
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+def test_truncated_l2_tail_past_the_square_range(scale):
+    # the squares of a truncated tail underflowed to an l2 tail of 0.0 at 1e-200 (and
+    # a prop2 L2 bound of 0.0 at n = 0, under a measured norm of 1e-200), or
+    # overflowed to inf at 1e200
+    coeffs = [3.0 * scale, 4.0 * scale, 12.0 * scale]
+    spec = lacunary.LacunarySpec((1,), DOUBLE, "explicit", coeffs)
+    for n, want in ((0, 13.0), (1, math.hypot(4.0, 12.0)), (2, 12.0), (3, 0.0)):
+        assert lacunary.tail_norms(spec, n).l2 == pytest.approx(want * scale, rel=1e-15, abs=0)
+    bound = lacunary.modulus_bounds_prop2(spec, 0).l2_bound
+    assert bound == pytest.approx(26.0 * scale, rel=1e-15, abs=0)
+
+
 def test_prop2_zero_steps_is_pure_tail():
     spec = lacunary.LacunarySpec((1,), DOUBLE, "power", 2.0)
     b = lacunary.modulus_bounds_prop2(spec, 0)

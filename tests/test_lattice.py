@@ -60,7 +60,7 @@ def test_mat_pow_matches_numpy():
         exact = lattice.mat_pow(tuple(map(tuple, a)), n)
         ref = np.linalg.matrix_power(np.array(a, dtype=object), n)
         assert np.array_equal(np.array(exact, dtype=object), ref)
-        # adj(A^n) = adj(A)^n, which transfer_fourier relies on
+        # adj(A^n) = adj(A)^n, which the reference conftest.transfer_by_powers relies on
         _, adj = lattice.char_poly_and_adjugate(tuple(map(tuple, a)))
         _, adj_n = lattice.char_poly_and_adjugate(exact)
         assert adj_n == lattice.mat_pow(adj, n)

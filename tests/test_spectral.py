@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import expanding_matrices
+from conftest import count_solves, expanding_matrices, transfer_by_powers
 from toraldecay import lattice, spectral
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
@@ -178,6 +178,61 @@ def test_transfer_fourier_is_a_semigroup(matrix, m, n, seed):
     f = random_poly(np.random.default_rng(seed), matrix.dim, span=40, terms=8)
     twice = spectral.transfer_fourier(spectral.transfer_fourier(f, matrix, n), matrix, m)
     assert twice.coeffs == spectral.transfer_fourier(f, matrix, m + n).coeffs
+
+
+@st.composite
+def integer_supports(draw, matrix):
+    """1 to 6 terms on k = 0, small frequencies, and det(A)^m v for small v and m up
+    to 12, which live at least m steps; the values are distinct, so order shows."""
+    d = matrix.dim
+    small = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    deep = st.builds(lambda v, m: [x * matrix.det**m for x in v], small, st.integers(0, 12))
+    keys = draw(st.lists(st.one_of(st.just([0] * d), small, deep), min_size=1, max_size=6))
+    return TrigPolynomial(d, {tuple(k): complex(i + 1, -i) for i, k in enumerate(keys)})
+
+
+def steps_to_the_mean(f, matrix):
+    """The fewest steps after which only k = 0, or nothing, is left (by the reference)."""
+    def done(n):
+        return not any(map(any, transfer_by_powers(f, matrix, n).coeffs))
+
+    lo, hi = 0, 1
+    while not done(hi):
+        lo, hi = hi, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if done(mid) else (mid + 1, hi)
+    return lo
+
+
+@settings(max_examples=60, deadline=None)
+@given(expanding_matrices(), st.data())
+def test_transfer_fourier_matches_the_power_solve(matrix, data):
+    # one adj(A) step at a time gives the terms, values and order of one solve
+    # with adj(A)^n and det(A)^n, up to and past every term's last step
+    f = data.draw(integer_supports(matrix))
+    n = data.draw(st.integers(0, steps_to_the_mean(f, matrix) + 2))
+    g = spectral.transfer_fourier(f, matrix, n)
+    assert list(g.coeffs.items()) == list(transfer_by_powers(f, matrix, n).coeffs.items())
+
+
+def test_transfer_fourier_stops_at_the_mean(monkeypatch):
+    # 10^18 steps take no power of adj(A), which the one-solve route raised to n, and
+    # at most one step past the last nonzero term: A* = A^T is sqrt(2) times a rotation,
+    # so a term lives at most 2 log2 |k| steps
+    f = TrigPolynomial(2, {(0, 0): 0.25, (1, 2): 0.5, (-1, -2): 0.5, (1024, 2048): 0.1j})
+    powers = []
+
+    def no_power(a, n):
+        powers.append(n)
+        raise AssertionError("a matrix raised to the power %d" % n)
+
+    monkeypatch.setattr(lattice, "mat_pow", no_power)
+    solves = count_solves(monkeypatch)
+    g = spectral.transfer_fourier(f, TWIN, 10**18)
+    assert powers == []
+    assert g.coeffs == {(0, 0): 0.25}
+    assert len(solves) <= len(f.coeffs) * (math.floor(2 * math.log2(math.hypot(1024, 2048))) + 1)
 
 
 def test_spatial_guard():
