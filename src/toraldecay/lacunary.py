@@ -1,11 +1,13 @@
 """Lacunary exponential series with exactly computable transfer-norm decay.
 
-The series is sum over k >= 1 of a_k * e(2 pi i <A*^k h, x>). Because the
-adjoint orbit A*^k h never revisits a frequency, every transfer step just
-drops the leading term, so L^p decay reduces to coefficient tails. The three
-coefficient families (power, logpower, geometric) realize polynomial,
-logarithmic, and exponential rates; the designer inverts the telescoping to
-hit an arbitrary prescribed decreasing rate.
+The series is sum over k >= 1 of a_k * e(2 pi i <A*^k h, x>) on an adjoint
+orbit that never revisits a frequency. For h outside A* Z^d, L^n f keeps
+the built terms k >= n, so its L^2 norm at n is the tail past n - 1 up to
+the truncation, and L^p decay reduces to coefficient tails; for h in
+A* Z^d more terms survive. The three coefficient families (power,
+logpower, geometric) realize polynomial, logarithmic, and exponential
+rates; the designer inverts the telescoping to hit an arbitrary
+prescribed decreasing rate.
 """
 
 import math
@@ -40,7 +42,7 @@ class LacunarySpec:
     logpower (beta > 1), theta for geometric (1/lambda < theta < 1), or the
     coefficient list itself for explicit. truncation=None means the ideal
     infinite series: tails are then true infinite tails, and
-    lacunary_build refuses it.
+    lacunary_build refuses it. An h in A* Z^d is allowed (module docstring).
     """
 
     h: tuple

@@ -19,7 +19,7 @@ PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
 GRID_WORK_GUARD = 10**8  # max grid points x frequencies per row of a sup scan
 ROOT_TABLE_GUARD = 2**28  # max bytes of a sup scan's root table: 2^24 points of 16 bytes
-GRID_CHUNK = 2**16  # max grid values (rows x points) one sup-norm grid call holds
+GRID_CHUNK = 2**14  # max grid values (rows x points) one sup-norm grid call holds: ~73 bytes each
 SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere

@@ -890,6 +890,24 @@ def test_lacunary_families_and_design(capsys, tmp_path):
         assert float(row[2]) == pytest.approx(want, abs=1e-15)
 
 
+def test_lacunary_tails_are_the_measured_norms_only_off_the_adjoint_lattice(capsys):
+    # h = 1 lies outside 2 Z, so L^n f keeps the terms k >= n and its norm at n is
+    # the tail at n - 1; h = 8 = 2^3 lies in 2 Z, so the terms k < n survive too
+    def columns(h):
+        code, out = run(capsys, ["lacunary", "--matrix", "2", "--h", h, "--family", "geometric",
+                                 "--param", "0.6", "--nmax", "6"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        return [float(r[1]) for r in rows], [float(r[5]) for r in rows]
+
+    tail, measured = columns("1")
+    assert measured[1:] == pytest.approx(tail[:-1], rel=1e-12)
+    tail, measured = columns("8")
+    assert measured[:5] == pytest.approx([0.75] * 5, rel=1e-15)
+    assert tail[0] == pytest.approx(0.75) and tail[4] == pytest.approx(0.0972)
+    assert measured[5:] == pytest.approx(tail[1:3], rel=1e-12)  # the tail at n - 4
+
+
 @pytest.mark.parametrize("matrix,h", [("2", "1"), ("1,-1;1,1", "1,0"), ("2,0,0;0,2,0;0,0,2", "1,1,0")])
 def test_lacunary_logpower_at_its_bound_stays_finite(capsys, matrix, h):
     from toraldecay.lacunary import LOGPOWER_MAX

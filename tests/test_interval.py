@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from toraldecay import interval, rng
+from toraldecay import analysis, interval, rng
 from toraldecay.errors import InputError, TooLarge, TruncationTooSmall
 
 
@@ -176,7 +176,59 @@ def test_uvn_decay_norms_truncation_guard():
         interval.uvn_decay_norms(-1)
 
 
-def test_uvn_decay_norms_memory_is_one_series_array():
+def _materialised_sum(top, count, step, alternating):
+    """np.sum of the slice the array route took: 1/i^2 for i = top, ..., 1 in
+    one array (odd i negated when alternating), read at `step` for count terms."""
+    i = np.arange(top, 0, -1, dtype=float)
+    terms = 1.0 / (i * i)
+    if alternating:
+        terms[(top + 1) % 2::2] *= -1.0
+    return np.sum(terms[::step][:count])
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1,
+                                   2**17 + 8, 10**6])
+def test_inverse_square_sum_follows_numpys_pairwise_split(count):
+    # the streamed sum splits as np.sum's pairwise tree does (n // 2, rounded down
+    # to a multiple of 8) down to SERIES_LEAF-term leaves; a numpy that splits
+    # otherwise fails here
+    for step in (1, 2):
+        for top in (step * count, step * count - step + 1, step * count + 3):
+            for alternating in (False, True):
+                got = interval._inverse_square_sum(top, count, step, alternating)
+                assert got == _materialised_sum(top, count, step, alternating), (top, step)
+
+
+def _frozen_uvn_decay_norms(n_max, k):
+    """The rows of `uvn_decay_norms` as the array route computed them: one
+    K-term array of 1/i^2, smallest first, summed by prefixes and stride-2 slices."""
+    i = np.arange(k, 0, -1, dtype=float)
+    np.multiply(i, i, out=i)
+    inv_sq = np.divide(1.0, i, out=i)
+    rows = []
+    for n in range(n_max + 1):
+        if n == 0:
+            value_sq = 0.5 * (float(np.sum(inv_sq)) + interval._trigamma(k + 1))
+        else:
+            j_max = k >> n
+            cos_sum = float(np.sum(inv_sq[k - j_max:])) + interval._trigamma(j_max + 1)
+            m_max = k >> (n - 1)
+            odd_top = m_max - 1 + m_max % 2
+            odd_sum = float(np.sum(inv_sq[k - odd_top::2]))
+            odd_sum += interval._odd_inverse_square_tail(odd_top + 2)
+            value_sq = 0.5 * (0.25**n * cos_sum + 4.0 * 0.25**n * odd_sum)
+        value = math.sqrt(value_sq)
+        rows.append(analysis.DecayRow(n, value, 2.0**-n, value / 2.0**-n))
+    return rows
+
+
+@pytest.mark.parametrize("k", [2**14, 10**6, 12_345_678])
+def test_uvn_decay_norms_match_the_array_route(k):
+    n_max = k.bit_length() - 5  # the deepest row the truncation serves
+    assert interval.uvn_decay_norms(n_max, k).rows == _frozen_uvn_decay_norms(n_max, k)
+
+
+def test_uvn_decay_norms_memory_is_one_series_leaf():
     interval.uvn_decay_norms(2, 64)  # first-call set-up stays out of the peak
     tracemalloc.start()
     try:
@@ -184,12 +236,12 @@ def test_uvn_decay_norms_memory_is_one_series_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 10**6 + 2**20  # 8 bytes a term; three such arrays before
+    # one leaf of at most 2^16 terms (8 bytes each); the K-term array took 8 MB
+    assert peak < 2**20
 
 
 def test_series_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(interval, "TRUNCATION_GUARD", 2**14)
-    assert len(interval._inverse_squares(2**14)) == 2**14
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge):
@@ -337,7 +389,9 @@ def test_lyapunov_sigma2_validation_and_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # two leaves of 50,000 terms for DEFAULT_TRUNCATION = 10^5, one at a time;
+    # the 10^5-term array took 800 KB
+    assert peak < 2**19
 
 
 def test_lyapunov_clt_recovers_log2():
