@@ -30,14 +30,14 @@ def pairing(g, h):
     return total
 
 
-def correlation(f, g, matrix, n, mc_samples=None, seed=0, threads=None):
+def correlation(f, g, matrix, n, mc_samples=None, seed=0):
     """rho_{f,g}(n) = integral of f * (g o A^n) minus the mean product; a list
     for a sequence of step counts n.
 
     Exact Fourier-side evaluation: sum over k != 0 of ghat(-k) fhat(A*^n k).
     Passing mc_samples switches to the Monte Carlo cross-check estimator
     `stochastic.correlation_walk`, which is sampling-noisy and intended only for
-    validating the exact path. `threads` changes nothing.
+    validating the exact path; its walk runs in the calling process.
     """
     if f.dim != matrix.dim or g.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
@@ -126,8 +126,7 @@ def modulus_radii(matrix, n_max):
     return [lam ** -n for n in range(1, n_max + 1)]
 
 
-def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, seed=0,
-                 threads=None):
+def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, seed=0):
     """Per-step decay values against the modulus bound.
 
     mode="correlation": value = |rho_{f,g}(n)|, bound = ||g||_2 *
@@ -136,7 +135,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     automatically; the constant C is the n=1 ratio, so later rows make
     the bound falsifiable rather than tautological. In correlation mode
     one `correlation` call, before the modulus search, gives every row's
-    value, and mc_samples, seed and threads are passed to it; the Monte
+    value, and mc_samples and seed are passed to it; the Monte
     Carlo values are noisy, so only exact values are checked against a
     vanishing bound. A row whose value, bound or ratio leaves float range
     is bad input. In transfer_norm mode each row also keeps the
@@ -156,7 +155,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     if mode == "correlation":
         # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0
         values = correlation(f, g, matrix, range(1, len(radii) + 1), mc_samples=mc_samples,
-                             seed=seed, threads=threads)
+                             seed=seed)
         g_norm = spectral.norm(g, 2)
     omegas = spectral.modulus_value(fc, r, radii)
     rows = []

@@ -9,6 +9,7 @@ they must never change results.
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
 import math
 import sys
@@ -44,7 +45,7 @@ def _emit_json(obj, path=None):
 def _emit_csv(cols, rows, config, path=None, seed=None, footer=None):
     text = serialize.render_csv(cols, rows, config, seed=seed, footer=footer)
     if path:
-        serialize.write_csv(path, cols, rows, config, seed=seed, footer=footer)
+        serialize.write_text(path, text)
     sys.stdout.write(text)
 
 
@@ -162,10 +163,8 @@ def cmd_decay(args):
         "mc_samples": args.mc_samples,
         "seed": args.seed,
     }
-    report = analysis.decay_report(
-        f, g, matrix, args.nmax, mode=args.mode, mc_samples=args.mc_samples,
-        seed=args.seed, threads=args.threads,
-    )
+    report = analysis.decay_report(f, g, matrix, args.nmax, mode=args.mode,
+                                   mc_samples=args.mc_samples, seed=args.seed)
     if args.plot_out:  # first, so a report it cannot plot leaves no --out file
         emit_plotdata(report, args.plot_out)
     rows = [[r.n, r.value, r.bound, r.ratio] for r in report.rows]
@@ -266,7 +265,8 @@ def cmd_clt(args):
 
 def cmd_ulam(args):
     if args.op == "decay":
-        truncation = args.truncation if args.truncation is not None else 10**6
+        default = inspect.signature(interval.uvn_decay_norms).parameters["truncation"].default
+        truncation = default if args.truncation is None else args.truncation
         report = interval.uvn_decay_norms(args.nmax, truncation)
         config = {
             "subcommand": "ulam",

@@ -163,24 +163,6 @@ def uvn_pullback_log(truncation=DEFAULT_TRUNCATION):
     return CosineSeries({j: -1.0 / j for j in range(1, k + 1)})
 
 
-def _trigamma(x):
-    """polygamma(1, x) = zeta(2, x) (DLMF 25.11.12)."""
-    return tails.hurwitz_zeta(2.0, x)
-
-
-def _odd_inverse_square_tail(first):
-    """sum of 1/m^2 over odd m >= first (first odd)."""
-    return 0.25 * _trigamma(0.5 * first)
-
-
-def _alternating_tail(j):
-    """sum over i > j of (-1)^i / i^2, split into even and odd trigamma tails."""
-    even_first = j + 2 if j % 2 == 0 else j + 1
-    odd_first = j + 1 if j % 2 == 0 else j + 2
-    even_tail = 0.25 * _trigamma(0.5 * even_first)
-    return even_tail - _odd_inverse_square_tail(odd_first)
-
-
 def _inverse_square_sum(top, count, step=1, alternating=False):
     """np.sum of the count terms 1/i^2, i = top, top - step, ... (odd i negated
     if alternating), bit for bit, holding at most SERIES_LEAF terms at once.
@@ -205,13 +187,29 @@ def _inverse_square_sum(top, count, step=1, alternating=False):
     return np.sum(i)
 
 
+def _completed_sum(top, count, step=1, alternating=False):
+    """`_inverse_square_sum(top, count, step, alternating)` plus its exact tail,
+    the terms i = top + step, top + 2 step, ... (alternating: step 1), so the
+    value is that of the infinite series. A tail of stride s is
+    s^-2 zeta(2, top/s + 1), the trigamma function psi'(top/s + 1) (DLMF 25.11.12).
+    """
+    def tail(last, stride):  # sum of 1/i^2 over i = last + stride, last + 2 stride, ...
+        return tails.hurwitz_zeta(2.0, last / stride + 1) / stride**2
+
+    head = float(_inverse_square_sum(top, count, step, alternating))
+    if not alternating:
+        return head + tail(top, step)
+    # tail(top, 2) holds the i of top's parity, tail(top - 1, 2) the others
+    return head + (-1) ** top * (tail(top, 2) - tail(top - 1, 2))
+
+
 def uvn_decay_norms(n_max, truncation=10**6):
     """||L_T^n (log|h| + log 2)||_2 for n = 0..n_max, with the 2^-n ratio.
 
     Surviving coefficients at step n sit at source indices k = 2^n j (cosines)
     and k = 2^(n-1) m, m odd (transient sines); their inverse-square sums are
-    streamed up to the truncation (`_inverse_square_sum`) and completed with
-    exact trigamma tails, so the reported values are those of the full
+    streamed up to the truncation and completed with exact trigamma tails
+    (`_completed_sum`), so the reported values are those of the full
     infinite series. The ratio value / 2^-n equals pi/sqrt(3) for every n >= 1.
     """
     n_max = int(n_max)
@@ -225,16 +223,13 @@ def uvn_decay_norms(n_max, truncation=10**6):
                                  % (n_max + 4, k, hint if n_max > top else ""))
     rows = []
     for n in range(n_max + 1):
-        if n == 0:
-            value_sq = 0.5 * (float(_inverse_square_sum(k, k)) + _trigamma(k + 1))
-        else:
-            j_max = k >> n
-            cos_sum = float(_inverse_square_sum(j_max, j_max)) + _trigamma(j_max + 1)
+        cos_sum = _completed_sum(k >> n, k >> n)
+        odd_sum = 0.0  # row 0 has no sine part
+        if n:
             m_max = k >> (n - 1)
             odd_top = m_max - 1 + m_max % 2  # the largest odd m <= m_max
-            odd_sum = float(_inverse_square_sum(odd_top, (odd_top + 1) // 2, 2))
-            odd_sum += _odd_inverse_square_tail(odd_top + 2)
-            value_sq = 0.5 * (0.25**n * cos_sum + 4.0 * 0.25**n * odd_sum)
+            odd_sum = _completed_sum(odd_top, (odd_top + 1) // 2, 2)
+        value_sq = 0.5 * (0.25**n * cos_sum + 4.0 * 0.25**n * odd_sum)
         value = math.sqrt(value_sq)
         bound = 2.0**-n
         rows.append(analysis.DecayRow(n, value, bound, value / bound))
@@ -276,15 +271,14 @@ def _lyapunov_terms(k, tol):
     which is -2^-j pi^2/24. Returns the terms through the first j > 0
     with |term_j| < tol.
     """
-    terms = [0.5 * (float(_inverse_square_sum(k, k)) + _trigamma(k + 1))]
+    terms = [0.5 * _completed_sum(k, k)]
     j = 0
     while j == 0 or abs(terms[-1]) >= tol:
         j += 1
         if j > 256:
             raise InternalError("Lyapunov variance series did not settle")
         surviving = k >> j
-        head = float(_inverse_square_sum(surviving, surviving, alternating=True))
-        terms.append(0.5 * 2.0**-j * (head + _alternating_tail(surviving)))
+        terms.append(0.5 * 2.0**-j * _completed_sum(surviving, surviving, alternating=True))
     return terms
 
 

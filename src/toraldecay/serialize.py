@@ -6,9 +6,7 @@ byte-identical files. Floats are written with repr (shortest round-trip
 form), which is stable across processes and thread counts.
 """
 
-import csv
 import hashlib
-import io
 import json
 
 from ._version import __version__
@@ -30,20 +28,19 @@ def format_value(v):
 
 
 def render_csv(columns, rows, config, seed=None, footer=None):
-    """CSV text: '#' config, seed and version lines, header row, data rows, optional footer."""
-    buf = io.StringIO()
-    buf.write("# config: %s\n" % config_hash(config))
+    """CSV text: '#' config, seed and version lines, header row, data rows, optional footer.
+
+    Fields are joined with commas as they are: each is a number, a
+    boolean or a fixed column name, none of which needs CSV quoting.
+    """
+    lines = ["# config: %s" % config_hash(config)]
     if seed is not None:
-        buf.write("# seed: %d\n" % seed)
-    buf.write("# version: %s\n" % __version__)
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    if footer:
-        for line in footer:
-            buf.write("# %s\n" % line)
-    return buf.getvalue()
+        lines.append("# seed: %d" % seed)
+    lines.append("# version: %s" % __version__)
+    lines.append(",".join(columns))
+    lines += [",".join(map(format_value, row)) for row in rows]
+    lines += ["# %s" % line for line in footer or ()]
+    return "\n".join(lines) + "\n"
 
 
 def write_csv(path, columns, rows, config, seed=None, footer=None):

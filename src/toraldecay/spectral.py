@@ -24,6 +24,7 @@ SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
 MODULUS_RADII_STEPS = 32  # d >= 2: radii per shift direction
+MODULUS_SCAN_CHUNK = 2**20  # max shift x frequency values one start-scan call holds
 MODULUS_EXPLORE_TOL = 1e-3  # r = 2 pattern search stops once its step is this * delta
 MODULUS_EXPLORE_SWEEPS = 30  # ... or after this many sweeps
 MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 search
@@ -671,7 +672,8 @@ def _omega_l2(f, radii):
     Each radius starts at the best point of a fixed grid of shifts (the
     segment (0, delta] for d = 1, MODULUS_DIRECTIONS directions times
     MODULUS_RADII_STEPS radii for d >= 2; F is even, so in d = 2 only the
-    directions with angle in [0, pi) are scanned). A lockstep pattern
+    directions with angle in [0, pi) are scanned), evaluated in slabs of at
+    most MODULUS_SCAN_CHUNK shift x frequency values. A lockstep pattern
     search runs from there while its step exceeds MODULUS_EXPLORE_TOL *
     delta, for at most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent`
     finishes.
@@ -692,9 +694,11 @@ def _omega_l2(f, radii):
     fracs = np.arange(1, steps + 1) / steps
     delta = np.array(radii, dtype=float)
     v0 = np.empty((len(delta), d))
+    slab = max(1, MODULUS_SCAN_CHUNK // len(w))  # shifts per objective call
     for i, rad in enumerate(delta):
         pts = (dirs[:, None, :] * (rad * fracs)[None, :, None]).reshape(-1, d)
-        v0[i] = pts[int(np.argmax(objective(pts)))]
+        values = np.concatenate([objective(pts[s:s + slab]) for s in range(0, len(pts), slab)])
+        v0[i] = pts[int(np.argmax(values))]
     best, v = _pattern_search(objective, v0, delta, delta / steps, MODULUS_EXPLORE_TOL,
                               MODULUS_EXPLORE_SWEEPS)
     best = _newton_ascent(k, w, objective, v, best, delta)

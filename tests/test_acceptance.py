@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from toraldecay import analysis, interval, lacunary, lattice, spectral, stochastic, tiling
+from toraldecay import analysis, cli, interval, lacunary, lattice, spectral, stochastic, tiling
 
 A2 = lattice.validate_expanding([[2]])
 A3 = lattice.validate_expanding([[3]])
@@ -342,10 +342,12 @@ def test_criterion_09_sqrt_delta_modulus():
     assert dt < 30.0
 
 
-def test_criterion_10_thread_determinism():
+def test_criterion_10_thread_determinism(capsys, tmp_path):
     t0 = time.time()
     f = spectral.TrigPolynomial.cosine(1)
     g = spectral.TrigPolynomial.cosine(2)
+    f.save(tmp_path / "f.json")
+    g.save(tmp_path / "g.json")
     digits = lattice.digit_set(TWIN)
     tile = tiling.tile_points(TWIN, digits, 12)
     same = []
@@ -358,14 +360,19 @@ def test_criterion_10_thread_determinism():
     la = interval.lyapunov_clt(300, 2500, seed=9, threads=1)
     lb = interval.lyapunov_clt(300, 2500, seed=9, threads=4)
     same.append(la.samples.tobytes() == lb.samples.tobytes())
-    ca = analysis.correlation(f, g, A2, 3, mc_samples=20000, seed=5, threads=1)
-    cb = analysis.correlation(f, g, A2, 3, mc_samples=20000, seed=5, threads=4)
-    same.append(ca == cb)
+    decay = ["decay", "--matrix", "2", "--f", str(tmp_path / "f.json"),
+             "--g", str(tmp_path / "g.json"), "--nmax", "3", "--mc-samples", "20000",
+             "--seed", "5"]
+    outputs = []
+    for threads in ("1", "4"):
+        assert cli.main(decay + ["--threads", threads]) == 0
+        outputs.append(capsys.readouterr().out)
+    same.append(outputs[0] == outputs[1])
     dt = time.time() - t0
     ok = all(same)
     record_criterion(
         "criterion 10: %s - byte-identical results with 1 vs 4 threads "
         "(orbit sampler, tiling census, interval sampler, Monte Carlo "
-        "correlation): %s, %.1fs" % ("PASS" if ok else "FAIL", same, dt)
+        "decay output): %s, %.1fs" % ("PASS" if ok else "FAIL", same, dt)
     )
     assert all(same)

@@ -94,8 +94,8 @@ def test_correlation_mc_agrees():
 
 def test_correlation_mc_deterministic():
     f = TrigPolynomial.cosine((1, 0))
-    a = analysis.correlation(f, f, TWIN, 1, mc_samples=5000, seed=3, threads=1)
-    b = analysis.correlation(f, f, TWIN, 1, mc_samples=5000, seed=3, threads=4)
+    a = analysis.correlation(f, f, TWIN, 1, mc_samples=5000, seed=3)
+    b = analysis.correlation(f, f, TWIN, 1, mc_samples=5000, seed=3)
     assert a == b
 
 

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _expanding_or_none, count_solves, expanding_matrices, transfer_by_powers
-from toraldecay import analysis, cli, interval, lacunary, lattice, rng, spectral, stochastic
+from toraldecay import analysis, cli, interval, lacunary, lattice, rng, serialize, spectral
+from toraldecay import stochastic
 from toraldecay.spectral import TrigPolynomial
 
 
@@ -1212,6 +1213,18 @@ def test_output_file_holds_the_printed_bytes(capsys, tmp_path, f1_path, rich_pat
     # a longer stale file is overwritten whole, with no old tail left behind
     path.write_bytes(b"stale line\n" * (len(printed) // 4 + 100))
     assert run(capsys, argv + [flag, str(path)]) == (0, printed)
+    assert path.read_bytes() == printed.encode("utf-8")
+
+
+def test_csv_output_is_rendered_once(capsys, tmp_path, monkeypatch, f1_path, rich_path):
+    calls = []
+    render = serialize.render_csv
+    monkeypatch.setattr(serialize, "render_csv", lambda *a, **k: calls.append(1) or render(*a, **k))
+    path = tmp_path / "decay.csv"
+    code, printed = run(capsys, ["decay", "--matrix", "2", "--f", rich_path, "--g", f1_path,
+                                 "--nmax", "4", "--out", str(path)])
+    assert code == 0
+    assert len(calls) == 1  # one text for stdout and for the file
     assert path.read_bytes() == printed.encode("utf-8")
 
 

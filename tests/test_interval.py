@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from toraldecay import analysis, interval, rng
+from toraldecay import analysis, interval, rng, tails
 from toraldecay.errors import InputError, TooLarge, TruncationTooSmall
 
 
@@ -199,6 +199,23 @@ def test_inverse_square_sum_follows_numpys_pairwise_split(count):
                 assert got == _materialised_sum(top, count, step, alternating), (top, step)
 
 
+def _trigamma(x):
+    """psi'(x) = zeta(2, x) (DLMF 25.11.12)."""
+    return tails.hurwitz_zeta(2.0, x)
+
+
+def _odd_inverse_square_tail(first):
+    """sum of 1/m^2 over odd m >= first (first odd)."""
+    return 0.25 * _trigamma(0.5 * first)
+
+
+def _alternating_tail(j):
+    """sum over i > j of (-1)^i / i^2, split into even and odd trigamma tails."""
+    even_first = j + 2 if j % 2 == 0 else j + 1
+    odd_first = j + 1 if j % 2 == 0 else j + 2
+    return 0.25 * _trigamma(0.5 * even_first) - _odd_inverse_square_tail(odd_first)
+
+
 def _frozen_uvn_decay_norms(n_max, k):
     """The rows of `uvn_decay_norms` as the array route computed them: one
     K-term array of 1/i^2, smallest first, summed by prefixes and stride-2 slices."""
@@ -208,14 +225,14 @@ def _frozen_uvn_decay_norms(n_max, k):
     rows = []
     for n in range(n_max + 1):
         if n == 0:
-            value_sq = 0.5 * (float(np.sum(inv_sq)) + interval._trigamma(k + 1))
+            value_sq = 0.5 * (float(np.sum(inv_sq)) + _trigamma(k + 1))
         else:
             j_max = k >> n
-            cos_sum = float(np.sum(inv_sq[k - j_max:])) + interval._trigamma(j_max + 1)
+            cos_sum = float(np.sum(inv_sq[k - j_max:])) + _trigamma(j_max + 1)
             m_max = k >> (n - 1)
             odd_top = m_max - 1 + m_max % 2
             odd_sum = float(np.sum(inv_sq[k - odd_top::2]))
-            odd_sum += interval._odd_inverse_square_tail(odd_top + 2)
+            odd_sum += _odd_inverse_square_tail(odd_top + 2)
             value_sq = 0.5 * (0.25**n * cos_sum + 4.0 * 0.25**n * odd_sum)
         value = math.sqrt(value_sq)
         rows.append(analysis.DecayRow(n, value, 2.0**-n, value / 2.0**-n))
@@ -263,14 +280,14 @@ def test_uvn_decay_norms_vs_symbolic_transfer():
     for n in range(7):
         sym = interval.tent_transfer(g, n).norm_l2()
         if n == 0:
-            completion = 0.5 * interval._trigamma(k + 1)
+            completion = 0.5 * _trigamma(k + 1)
         else:
             j_max = k >> n
             m_max = k >> (n - 1)
             odd_first = m_max + 1 if m_max % 2 == 0 else m_max + 2
             completion = 0.5 * (
-                0.25**n * interval._trigamma(j_max + 1)
-                + 4.0 * 0.25**n * interval._odd_inverse_square_tail(odd_first)
+                0.25**n * _trigamma(j_max + 1)
+                + 4.0 * 0.25**n * _odd_inverse_square_tail(odd_first)
             )
         assert report.rows[n].value**2 == pytest.approx(
             sym**2 + completion, abs=1e-13
@@ -278,9 +295,25 @@ def test_uvn_decay_norms_vs_symbolic_transfer():
 
 
 def test_alternating_tail_matches_direct_sum():
+    # with an empty head the completed sum is the tail past top alone
     for j in (0, 1, 2, 7, 100):
         direct = sum((-1) ** i / i**2 for i in range(j + 1, 200000))
-        assert interval._alternating_tail(j) == pytest.approx(direct, abs=1e-9)
+        assert interval._completed_sum(j, 0, alternating=True) == pytest.approx(direct, abs=1e-9)
+        assert interval._completed_sum(j, 0, alternating=True) == _alternating_tail(j)
+        # sum over i >= 1 of (-1)^i / i^2 = -pi^2/12
+        full = interval._completed_sum(j, j, alternating=True)
+        assert full == pytest.approx(-math.pi**2 / 12, abs=1e-15)
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_completed_sum_is_the_series_from_its_smallest_term(step):
+    # sum of 1/i^2 over i = first, first + step, ... is step^-2 zeta(2, first / step)
+    mp = pytest.importorskip("mpmath")
+    for top, count in ((1, 1), (9, 3), (101, 40), (2**17 + 1, 2**16)):
+        first = top - (count - 1) * step
+        with mp.workdps(30):
+            exact = mp.zeta(2, mp.mpf(first) / step) / step**2
+        assert abs(interval._completed_sum(top, count, step) - exact) <= 4e-16 * exact
 
 
 def test_sqrt_modulus_closed_form_vs_series():
@@ -343,9 +376,9 @@ def _symbolic_lyapunov_terms(k, count):
         stored = math.fsum(0.5 * c * g.coeffs[i] for i, c in current.coeffs.items()
                            if i and i in g.coeffs)
         if j == 0:
-            terms.append(stored + 0.5 * interval._trigamma(k + 1))
+            terms.append(stored + 0.5 * _trigamma(k + 1))
         else:
-            terms.append(stored + 0.5 * 2.0**-j * interval._alternating_tail(k >> j))
+            terms.append(stored + 0.5 * 2.0**-j * _alternating_tail(k >> j))
         current = interval.tent_transfer(current, 1)
     return terms
 
@@ -357,9 +390,9 @@ def _symbolic_lyapunov_total(k, tol=interval.SERIES_TOL):
     while True:
         stored = current.inner(g)
         if j == 0:
-            term = stored + 0.5 * interval._trigamma(k + 1)
+            term = stored + 0.5 * _trigamma(k + 1)
         else:
-            term = stored + 0.5 * 2.0**-j * interval._alternating_tail(k >> j)
+            term = stored + 0.5 * 2.0**-j * _alternating_tail(k >> j)
         total += term if j == 0 else 2.0 * term
         if j > 0 and abs(term) < tol:
             return total, j + 1

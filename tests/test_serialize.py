@@ -1,6 +1,7 @@
 """Deterministic emission: config hashes, CSV/JSON layout, target reader."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toraldecay import serialize
+from toraldecay._version import __version__
 from toraldecay.errors import InputError
 
 
@@ -113,3 +115,32 @@ def test_read_targets_csv_reads_the_benchmark_layout(tmp_path_factory, targets):
     path = tmp_path_factory.mktemp("targets") / "targets.csv"
     path.write_text("target\n" + "".join("%r\n" % float(t) for t in targets))
     assert float_bits(serialize.read_targets_csv(path)) == float_bits(targets)
+
+
+def _frozen_render_csv(columns, rows, config, seed=None, footer=None):
+    """render_csv as it wrote through csv.writer and io.StringIO."""
+    buf = io.StringIO()
+    buf.write("# config: %s\n" % serialize.config_hash(config))
+    if seed is not None:
+        buf.write("# seed: %d\n" % seed)
+    buf.write("# version: %s\n" % __version__)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([serialize.format_value(v) for v in row])
+    if footer:
+        for line in footer:
+            buf.write("# %s\n" % line)
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.floats(), st.integers(), st.booleans()),
+                         min_size=1, max_size=4), max_size=6),
+       st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+       st.one_of(st.none(), st.lists(st.sampled_from(["fit: null", "centered: true"]))))
+def test_render_csv_equals_the_csv_writer_route(rows, seed, footer):
+    # every field is a number, a boolean or a column name, so none needs quoting
+    columns = ["c%d" % i for i in range(max((len(r) for r in rows), default=1))]
+    text = serialize.render_csv(columns, rows, {"t": 1}, seed=seed, footer=footer)
+    assert text == _frozen_render_csv(columns, rows, {"t": 1}, seed=seed, footer=footer)

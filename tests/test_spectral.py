@@ -755,6 +755,45 @@ def test_sup_scan_memory_is_the_root_table_and_one_slab():
     assert peak < 16 * (8 * 2**16 + 1) + 96 * 2**14
 
 
+def _many_term_poly(d, pairs, seed):
+    """A real polynomial of 2 * pairs distinct frequencies in [1, 4000]^d and their negatives."""
+    rng = np.random.default_rng(seed)
+    coeffs = {}
+    while len(coeffs) < 2 * pairs:
+        k = tuple(int(v) for v in rng.integers(1, 4000, d))
+        c = complex(rng.normal(), rng.normal())
+        coeffs[k], coeffs[tuple(-v for v in k)] = c, c.conjugate()
+    return TrigPolynomial(d, coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_modulus_l2_start_scan_memory_is_one_slab(d):
+    # 1,024 start shifts x 5,000 terms: the one-shot scan held two 41 MB float
+    # temporaries (82 MB peak); a slab of MODULUS_SCAN_CHUNK values holds two of 8.4 MB
+    f = _many_term_poly(d, 2500, 8)
+    spectral.modulus_value(TrigPolynomial.cosine((1,) * d), 2, 0.1)  # first-call set-up
+    tracemalloc.start()
+    try:
+        spectral.modulus_value(f, 2, [0.25, 0.01])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * spectral.MODULUS_SCAN_CHUNK
+
+
+def test_modulus_l2_start_scan_slabs_keep_every_value(monkeypatch):
+    # F of a shift does not depend on the other shifts of its call, and argmax over
+    # the joined slabs keeps the first maximum, so the slab size changes no bit
+    radii = [0.5, 0.1, 0.003]
+    for d in (1, 2, 3):
+        f = _many_term_poly(d, 20, d)
+        values = []
+        for chunk in (2**40, 40 * 37 + 5, 39):  # one call; slabs of 37 shifts; one shift
+            monkeypatch.setattr(spectral, "MODULUS_SCAN_CHUNK", chunk)
+            values.append(spectral.modulus_value(f, 2, radii))
+        assert values[1] == values[0] and values[2] == values[0], d
+
+
 @settings(max_examples=10, deadline=None)
 @given(hermitian_polys(), st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3))
 def test_modulus_sup_value_does_not_depend_on_other_radii(f, radii):

@@ -71,10 +71,12 @@ def test_add128_matches_python_ints():
 
 
 def test_orbit_step_exact():
-    # entries 0, +-1, +-2, 3 and 2^31 - 1, rows led by a negative entry
+    # entries 0, +-1, +-2, 3 and 2^31 - 1, rows led by a negative entry, and rows
+    # made of a single 1, which copy their input row
     rng = np.random.default_rng(33)
     for entries in ([[2]], [[-3]], TWIN.entries, [[2, 1], [-1, 3]], [[0, -2], [3, 0]],
-                    [[3, 0, 1], [-2, 1, 2**31 - 1], [-1, -2, 0]]):
+                    [[3, 0, 1], [-2, 1, 2**31 - 1], [-1, -2, 0]], [[0, 1], [2, 0]],
+                    [[0, -1], [3, 0]], [[0, 1, 0], [0, 0, 1], [2, 0, 0]]):
         d = len(entries)
         hi = rand_u64(rng, (d, 12))
         lo = rand_u64(rng, (d, 12))
