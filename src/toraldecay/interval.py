@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, rng, stochastic, tails
+from . import analysis, lattice, stochastic, tails
 from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
 from .spectral import ModulusCurve
 
@@ -25,7 +25,6 @@ SERIES_LEAF = 2**16  # most series terms held at once: 512 KB
 SERIES_TOL = 1e-12
 ZERO_VARIANCE_TOL = 1e-10
 LOG_FLOOR = 1e-300
-REFRESH_SCALE = 2.0**-40
 LEGENDRE_NODES = 100
 
 
@@ -312,48 +311,45 @@ class LyapunovReport(stochastic.SampleMoments):
     ks_stat: float = field(init=False)
 
 
+def _log_sin(hi):
+    """log max(|sin 2 pi theta|, LOG_FLOOR) at theta's phase words hi, as sin(pi m 2^-64)
+    with m = min(2 hi, -2 hi) mod 2^64: folded exactly, so no digit is lost near 0 or 1/2."""
+    twice = hi << np.uint64(1)
+    return np.log(np.maximum(np.sin(np.minimum(twice, -twice) * (math.pi * 2.0**-64)), LOG_FLOOR))
+
+
 def lyapunov_clt(horizon, samples, seed, threads=None):
     """Sample (1/sqrt(n)) [log|(U^n)'(y)| - n log 2] from mu-distributed starts.
 
-    Starting points are y = sin(pi x / 2) with x uniform; the orbit iterates
-    U in double precision with the same low-bit refresh policy as the toral
-    sampler, and a worker advances its run of blocks as one array through
-    the shared window loop (`stochastic._window_sums`).
-    log|U'(y)| = log(4|y|) is clamped away from the y = 0
-    singularity (measure-zero, log-integrable). The limit variance is
-    zero (coboundary), so the KS column is skipped exactly as in the
-    degenerate toral case.
+    y = -cos 2 pi theta conjugates U to the doubling map, so the orbit is
+    `stochastic._torus_orbit`'s on [[2]], refresh included. Between refreshes
+    prod_j 2 cos(2^j x) = sin(2^n x) / sin x telescopes the sum of
+    log|U'(y_j)| - log 2 to log|sin 2 pi theta_n| - log|sin 2 pi theta_0|: a
+    segment is one 128-bit shift and `_log_sin` at its ends, which clamps
+    the y = 0 singularity (measure-zero, log-integrable). The limit variance
+    is zero (coboundary), so the KS column is skipped as in the degenerate
+    toral case.
     """
     frame = stochastic._SamplerFrame(horizon, samples)
     sigma2 = lyapunov_sigma2()
-    shift = frame.horizon * math.log(2.0)
+    doubling = lattice.validate_expanding([[2]])
 
     def worker(run):
-        draw = rng.run_draw(seed, run, lambda gen, count: gen.random(count))
-        y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
-        rows = stochastic._window_rows(len(y))
-        logs = np.empty((rows, len(y)))
+        hi, lo, _, refresh = stochastic._torus_orbit(seed, run, doubling)
+        jumped = np.empty_like(hi), np.empty_like(lo)  # one buffer: refresh returns new arrays
+        tele = np.zeros(hi.shape[1])
+        for done in range(0, frame.horizon, stochastic.REFRESH_PERIOD):
+            if done:
+                hi, lo = refresh(hi, lo)
+            n = min(stochastic.REFRESH_PERIOD, frame.horizon - done)
+            tele -= _log_sin(hi[0])
+            hi, lo = stochastic._scale(hi, lo, 1 << n, jumped)
+            tele += _log_sin(hi[0])
+        return tele
 
-        def step(y, _, out):  # out = 1 - 2 y y
-            np.multiply(y, 2.0, out=out)
-            np.multiply(out, y, out=out)
-            np.subtract(1.0, out, out=out)
-
-        def refresh(y, _):
-            return np.clip(y + (draw() - 0.5) * REFRESH_SCALE, -1.0, 1.0), None
-
-        def evaluate(points):  # log(4 max(|y|, LOG_FLOOR))
-            values = np.abs(points, out=logs[:len(points)])
-            np.maximum(values, LOG_FLOOR, out=values)
-            np.multiply(values, 4.0, out=values)
-            return np.log(values, out=values)
-
-        return stochastic._window_sums(frame.horizon, y, None, rows, step, refresh, evaluate)
-
-    sums = frame.sums(worker, threads)
-    fluct = (sums - shift) * frame.scale
-    mean_log = float(np.mean(sums)) / frame.horizon
-    return LyapunovReport(frame.horizon, seed, sigma2, fluct, mean_log)
+    tele = frame.sums(worker, threads)
+    mean_log = math.log(2.0) + float(np.mean(tele)) / frame.horizon
+    return LyapunovReport(frame.horizon, seed, sigma2, tele * frame.scale, mean_log)
 
 
 def log_abs_mean():

@@ -24,7 +24,7 @@ SUP_NEWTON_STEPS = 16  # damped Newton steps that polish a sup-norm grid peak
 MODULUS_LINE_STEPS = 1024  # d = 1: grid points on the shift segment (0, delta]
 MODULUS_DIRECTIONS = 64  # d >= 2: shift directions on the sphere
 MODULUS_RADII_STEPS = 32  # d >= 2: radii per shift direction
-MODULUS_SCAN_CHUNK = 2**20  # max shift x frequency values one start-scan call holds
+MODULUS_SCAN_CHUNK = 2**20  # max values of one r = 2 start-scan slab or search group
 MODULUS_EXPLORE_TOL = 1e-3  # r = 2 pattern search stops once its step is this * delta
 MODULUS_EXPLORE_SWEEPS = 30  # ... or after this many sweeps
 MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 search
@@ -153,9 +153,14 @@ class TrigPolynomial:
         for e in entries:
             try:
                 k = tuple(int(v) for v in e["k"])
-                coeffs[k] = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+                c = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
             except (KeyError, TypeError, OverflowError) as exc:  # an int past float range
                 raise InputError("bad function file entry %r" % (e,)) from exc
+            if any(isinstance(v, float) and not v.is_integer() for v in e["k"]):
+                raise InputError("frequency of entry %r is not an integer" % (e,))
+            if k in coeffs:
+                raise InputError("frequency %r is listed twice" % (k,))
+            coeffs[k] = c
             dim = dim or len(k)
         if dim is None:
             raise InputError("cannot infer dimension from an empty function file")
@@ -676,7 +681,8 @@ def _omega_l2(f, radii):
     most MODULUS_SCAN_CHUNK shift x frequency values. A lockstep pattern
     search runs from there while its step exceeds MODULUS_EXPLORE_TOL *
     delta, for at most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent`
-    finishes.
+    finishes, both on groups of radii whose Hessian terms (radii x d^2 x
+    frequencies) fit in MODULUS_SCAN_CHUNK values; no value depends on the group.
     Every phase keeps only points that raise F, so each value is F at a
     feasible shift: a certified lower bound. The search runs on the
     coefficients as `_unit_scale` leaves them, and the values are scaled
@@ -699,10 +705,15 @@ def _omega_l2(f, radii):
         pts = (dirs[:, None, :] * (rad * fracs)[None, :, None]).reshape(-1, d)
         values = np.concatenate([objective(pts[s:s + slab]) for s in range(0, len(pts), slab)])
         v0[i] = pts[int(np.argmax(values))]
-    best, v = _pattern_search(objective, v0, delta, delta / steps, MODULUS_EXPLORE_TOL,
-                              MODULUS_EXPLORE_SWEEPS)
-    best = _newton_ascent(k, w, objective, v, best, delta)
-    return [math.ldexp(math.sqrt(b), int(e)) for b in best]
+    group = max(1, MODULUS_SCAN_CHUNK // (d * d * len(w)))  # radii per search
+    omega = []
+    for s in range(0, len(delta), group):
+        part = delta[s:s + group]
+        best, v = _pattern_search(objective, v0[s:s + group], part, part / steps,
+                                  MODULUS_EXPLORE_TOL, MODULUS_EXPLORE_SWEEPS)
+        best = _newton_ascent(k, w, objective, v, best, part)
+        omega += [math.ldexp(math.sqrt(b), int(e)) for b in best]
+    return omega
 
 
 def modulus_value(f, r, delta):

@@ -107,12 +107,12 @@ class CltExperiment(SampleMoments):
 
 
 def _scale(hi, lo, a, out):
-    """out = (hi, lo) * a mod 2^128 for 1 <= a < 2^31, as cheaply as `a` allows.
+    """out = (hi, lo) * a mod 2^128, as cheaply as `a` allows.
 
-    A power of two is a shift (1 a copy: numpy shifts a word by 64 bits
-    to 0), anything else is a wrapping product on each word plus the high
-    half of lo * a as the carry. `out` is a pair of word arrays that
-    share no memory with hi and lo; it is returned.
+    A power of two up to 2^63 is a shift (1 a copy: numpy shifts a word by
+    64 bits to 0); any other a < 2^31 is a wrapping product on each word
+    plus the high half of lo * a as the carry. `out` is a pair of word
+    arrays that share no memory with hi and lo; it is returned.
     """
     out_hi, out_lo = out
     shift = a.bit_length() - 1
@@ -346,16 +346,6 @@ def _orbit_windows(horizon, head, tail, rows, step, refresh):
         head = window[..., n, :]
 
 
-def _window_sums(horizon, head, tail, rows, step, refresh, evaluate):
-    """Birkhoff sums over `_orbit_windows`: the rows of `evaluate(heads)`, the
-    observable on a window's heads (shape (steps, m)), added step after step."""
-    acc = np.zeros(head.shape[-1])
-    for _, heads in _orbit_windows(horizon, head, tail, rows, step, refresh):
-        for row in evaluate(heads):
-            acc += row
-    return acc
-
-
 def _unit_function(f):
     """(f 2^-e, e), e from `spectral._unit_scale` of f's coefficients: 0, so f
     keeps its bits, unless their largest |c| leaves [2^-100, 2^100)."""
@@ -431,9 +421,9 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
         f_values = np.zeros((rows, m))  # a zero f has no terms, and its sums stay 0
         # slots for a later term's values and, unless it is the last, its phase words
         extra = np.empty((min(2, max(0, len(terms) - 1)), rows, m))
-
-        def evaluate(heads):  # heads: (d, n, m) high words; f's values, term after term
-            n = heads.shape[1]
+        sums = np.zeros(m)
+        for _, heads in _orbit_windows(frame.horizon, hi, lo, rows, step, refresh):
+            n = heads.shape[1]  # heads: (d, n, m) high words; f's values, term after term
             out = f_values[:n]
             for t, (k, _, _) in enumerate(terms):
                 # a term's phase words go where nothing reads any more: a spare
@@ -444,9 +434,9 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
                                     spare[:n], small[:n])
                 if t:
                     np.add(out, wave, out=out)
-            return out
-
-        return _window_sums(frame.horizon, hi, lo, rows, step, refresh, evaluate)
+            for row in out:  # the Birkhoff sums, added step after step
+                sums += row
+        return sums
 
     values = frame.sums(worker, threads) * frame.scale
     return CltExperiment(frame.horizon, seed, sigma2, values)

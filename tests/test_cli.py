@@ -266,7 +266,11 @@ def test_transfer_modulus_below_lambda_two_matches_norms(capsys, tmp_path):
     [{"k": [1], "re": 1e308, "im": 1e308}, {"k": [-1], "re": 1e308, "im": -1e308}],
     [{"k": [1], "re": float("nan"), "im": 0.0}, {"k": [-1], "re": 0.5, "im": 0.0}],
     [{"k": [1], "re": 10**400, "im": 0}, {"k": [-1], "re": 1.0, "im": 0}],
-], ids=["sum-overflows", "parts-overflow-abs", "nan", "int-past-float"])
+    [{"k": [1.9], "re": 1.0, "im": 0.0}, {"k": [-1.9], "re": 1.0, "im": 0.0}],
+    [{"k": [1], "re": 1.0, "im": 0.0}, {"k": [-1], "re": 1.0, "im": 0.0},
+     {"k": [1.0], "re": 2.0, "im": 0.0}],
+], ids=["sum-overflows", "parts-overflow-abs", "nan", "int-past-float", "fractional-k",
+        "repeated-k"])
 def test_non_finite_function_file_is_bad_input(capsys, tmp_path, entries):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(entries), encoding="utf-8")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev
 
-from toraldecay import analysis, interval, rng, tails
+from toraldecay import analysis, interval, lattice, rng, spectral, stochastic, tails
 from toraldecay.errors import InputError, TooLarge, TruncationTooSmall
 
 
@@ -148,6 +148,47 @@ def test_conjugacy_transports_transfer():
             interval.chebyshev_pullback(gc)
         )
         assert upstairs == pytest.approx(downstairs, abs=1e-12)
+
+
+def _on_the_circle(series):
+    """A CosineSeries as a TrigPolynomial(1) in theta, where x = 4||theta|| - 1 and
+    ||.|| is the distance to the nearest integer: cos(pi k x) = (-1)^k cos(2 pi 2k theta)
+    and, for odd m, sin(pi m x / 2) = -(-1)^((m-1)/2) cos(2 pi m theta)."""
+    coeffs = {}
+
+    def add(k, c):  # c cos(2 pi k theta)
+        for key in {(k,), (-k,)}:
+            coeffs[key] = coeffs.get(key, 0.0) + (c if k == 0 else 0.5 * c)
+
+    for k, c in series.coeffs.items():
+        add(2 * k, -c if k % 2 else c)
+    for m, s in series.sine_part.items():
+        add(m, s if (m - 1) // 2 % 2 else -s)
+    return spectral.TrigPolynomial(1, coeffs)
+
+
+def test_tent_transfer_is_transfer_fourier_on_the_doubling_map():
+    # x = 4||theta|| - 1 conjugates the tent map to theta -> 2 theta and carries
+    # d theta to dx/2, so the cosine calculus and the torus engine are two routes
+    # to one operator
+    gen = np.random.default_rng(27)
+    doubling = lattice.validate_expanding([[2]])
+    theta = np.arange(257) / 256
+    x = 4.0 * np.minimum(theta, 1.0 - theta) - 1.0
+    for _ in range(200):
+        cosines = {int(k): float(gen.normal()) for k in gen.choice(200, 8, replace=False)}
+        sines = {int(2 * m + 1): float(gen.normal()) for m in gen.choice(100, 3, replace=False)}
+        f = interval.CosineSeries(cosines, sines)
+        torus_f = _on_the_circle(f)
+        # the basis map is the conjugacy; phases of frequency up to 397 round near 1e-13
+        assert np.max(np.abs(torus_f.evaluate(theta).real - f.evaluate(x))) <= 1e-11
+        for n in (1, 2, 5):
+            calculus = interval.tent_transfer(f, n)
+            torus = spectral.transfer_fourier(torus_f, doubling, n)
+            mapped = _on_the_circle(calculus).coeffs
+            for k in set(mapped) | set(torus.coeffs):
+                assert abs(mapped.get(k, 0.0) - torus.coeffs.get(k, 0.0)) <= 1e-15
+            assert abs(calculus.norm_l2() - spectral.norm(torus, 2)) <= 1e-15
 
 
 def test_uvn_pullback_log_pointwise():
@@ -444,37 +485,50 @@ def test_lyapunov_clt_recovers_log2():
         assert one.mean_log_derivative == many.mean_log_derivative
 
 
-def _frozen_lyapunov_sums(horizon, samples, seed, threads):
-    """Orbit sums of log|U'(y)| from the per-step loop lyapunov_clt ran
-    before the window loop; low bits are perturbed every 40 steps."""
+def _exact_orbit_lyapunov_sums(horizon, samples, seed, threads):
+    """Orbit sums of log|U'(y_j)| - log 2 = log|2 cos 2 pi theta_j|, step by step, on
+    the exact [[2]] orbit of the toral sampler, with y_j = -cos 2 pi theta_j.
+
+    |cos 2 pi theta| = |sin(pi s 2^-64)|, where s is the word of 2 theta + 1/2
+    read as a signed integer, so |pi s 2^-64| <= pi/2 and the zeros of cos,
+    theta = 1/4 and 3/4, sit at s = 0, where a float keeps every digit."""
+    doubling = lattice.validate_expanding([[2]])
+    half = np.uint64(2**63)
+
     def worker(run):
-        blocks = [(rng.substream(seed, b), stop - start) for b, start, stop in run]
-
-        def draw():
-            return np.concatenate([gen.random(count) for gen, count in blocks])
-
-        y = np.sin(0.5 * math.pi * (2.0 * draw() - 1.0))
-        acc = np.zeros(len(y))
-        for step in range(horizon):
-            acc += np.log(4.0 * np.maximum(np.abs(y), 1e-300))
-            y = 1.0 - 2.0 * y * y
-            if (step + 1) % 40 == 0 and step + 1 < horizon:
-                y = np.clip(y + (draw() - 0.5) * 2.0**-40, -1.0, 1.0)
+        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, doubling)
+        acc = np.zeros(hi.shape[1])
+        rows = stochastic._window_rows(hi.size)
+        for _, heads in stochastic._orbit_windows(horizon, hi, lo, rows, step, refresh):
+            for word in heads[0]:
+                s = ((word << np.uint64(1)) + half).view(np.int64)
+                acc += np.log(2.0 * np.maximum(np.abs(np.sin(s * (math.pi * 2.0**-64))), 1e-300))
         return acc
 
     return np.concatenate(rng.map_blocks(samples, worker, threads))
 
 
-def test_lyapunov_window_loop_matches_per_step_loop_bit_for_bit():
+def test_lyapunov_clt_matches_the_per_step_sum_on_the_exact_orbit():
+    # the telescoped segments against every step's log|U'(y_j)|, refreshes included
     wide = (3 * rng.RUN_BLOCKS + 1) * rng.BLOCK + 7  # more blocks than RUN_BLOCKS * threads
     cases = [(h, 1100) for h in (1, 39, 40, 41, 97)] + [(41, wide)]
     for horizon, count in cases:
-        scale = 1.0 / math.sqrt(horizon)
         for threads in (1, 3):
-            sums = _frozen_lyapunov_sums(horizon, count, 5, threads)
+            sums = _exact_orbit_lyapunov_sums(horizon, count, 5, threads)
             got = interval.lyapunov_clt(horizon, count, 5, threads=threads)
-            assert np.array_equal(got.samples, (sums - horizon * math.log(2.0)) * scale)
-            assert got.mean_log_derivative == float(np.mean(sums)) / horizon
+            assert np.max(np.abs(got.samples * math.sqrt(horizon) - sums)) <= 1e-10
+            assert got.mean_log_derivative == pytest.approx(
+                math.log(2.0) + float(np.mean(sums)) / horizon, abs=1e-12)
+
+
+def test_lyapunov_clt_has_the_exact_coboundary_law():
+    # sqrt(N) sample = log|sin 2 pi theta_N| - log|sin 2 pi theta_0| up to the refreshes'
+    # 2^-40 moves; from N = 80 on theta_N holds only bits the refresh at step 40 drew,
+    # so theta_0 and theta_N are independent uniforms, and Var log|sin pi u| = pi^2/12.
+    # 0.25 is about 4 sd of N sample_var at M = 5,000
+    for seed in range(4):
+        report = interval.lyapunov_clt(80, 5000, seed)
+        assert abs(80 * report.sample_var - math.pi**2 / 6.0) <= 0.25, seed
 
 
 def test_lyapunov_clt_rejects_bad_sizes():

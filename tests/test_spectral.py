@@ -794,6 +794,35 @@ def test_modulus_l2_start_scan_slabs_keep_every_value(monkeypatch):
         assert values[1] == values[0] and values[2] == values[0], d
 
 
+def test_modulus_l2_search_groups_keep_every_value(monkeypatch):
+    # a value does not depend on the other radii, so the groups of radii the
+    # search and the Newton finish run on change no bit
+    radii = list(np.geomspace(0.5, 1e-3, 7))
+    for d in (1, 2, 3):
+        f = _many_term_poly(d, 20, d)
+        values = []
+        for group in (10**9, 3, 1):  # one group; groups of 3 radii (the last of 1); single radii
+            monkeypatch.setattr(spectral, "MODULUS_SCAN_CHUNK", group * d * d * 40)
+            values.append(spectral.modulus_value(f, 2, radii))
+        assert values[1] == values[0] and values[2] == values[0], d
+
+
+@pytest.mark.parametrize("d, count", [(2, 256), (3, 128)])
+def test_modulus_l2_search_memory_is_one_group(monkeypatch, d, count):
+    # the Newton finish holds radii x d^2 x terms values; over all radii at once
+    # the peak read 23 chunks (750-770 KB, numpy 2.4.6), in groups of radii 6-8
+    monkeypatch.setattr(spectral, "MODULUS_SCAN_CHUNK", 2**12)
+    f = _many_term_poly(d, 20, 8)
+    spectral.modulus_value(TrigPolynomial.cosine((1,) * d), 2, 0.1)  # first-call set-up
+    tracemalloc.start()
+    try:
+        spectral.modulus_value(f, 2, list(np.geomspace(0.5, 1e-4, count)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * spectral.MODULUS_SCAN_CHUNK
+
+
 @settings(max_examples=10, deadline=None)
 @given(hermitian_polys(), st.lists(st.floats(1e-4, 0.5), min_size=1, max_size=3))
 def test_modulus_sup_value_does_not_depend_on_other_radii(f, radii):
