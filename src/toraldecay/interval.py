@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import analysis, lattice, stochastic, tails
+from . import analysis, stochastic, tails
 from .errors import InputError, InternalError, TooLarge, TruncationTooSmall
 from .spectral import ModulusCurve
 
@@ -332,10 +332,9 @@ def lyapunov_clt(horizon, samples, seed, threads=None):
     """
     frame = stochastic._SamplerFrame(horizon, samples)
     sigma2 = lyapunov_sigma2()
-    doubling = lattice.validate_expanding([[2]])
 
     def worker(run):
-        hi, lo, _, refresh = stochastic._torus_orbit(seed, run, doubling)
+        hi, lo, refresh = stochastic._torus_orbit(seed, run, 1)
         jumped = np.empty_like(hi), np.empty_like(lo)  # one buffer: refresh returns new arrays
         tele = np.zeros(hi.shape[1])
         for done in range(0, frame.horizon, stochastic.REFRESH_PERIOD):

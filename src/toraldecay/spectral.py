@@ -152,12 +152,16 @@ class TrigPolynomial:
         coeffs = {}
         for e in entries:
             try:
-                k = tuple(int(v) for v in e["k"])
-                c = complex(float(e.get("re", 0.0)), float(e.get("im", 0.0)))
+                k, re, im = e["k"], e.get("re", 0.0), e.get("im", 0.0)
+                # JSON numbers load as exactly int or float; a boolean is a bool
+                if type(k) is not list or any(type(v) not in (int, float) for v in k + [re, im]):
+                    raise TypeError("k must be a list of numbers, and re and im numbers")
+                c = complex(float(re), float(im))
             except (KeyError, TypeError, OverflowError) as exc:  # an int past float range
                 raise InputError("bad function file entry %r" % (e,)) from exc
-            if any(isinstance(v, float) and not v.is_integer() for v in e["k"]):
+            if any(isinstance(v, float) and not v.is_integer() for v in k):
                 raise InputError("frequency of entry %r is not an integer" % (e,))
+            k = tuple(map(int, k))
             if k in coeffs:
                 raise InputError("frequency %r is listed twice" % (k,))
             coeffs[k] = c

@@ -271,29 +271,19 @@ def _check_orbit(matrix, *functions):
                          % (reach, MC_PHASE_LIMIT))
 
 
-def _torus_orbit(seed, run, matrix):
-    """(hi, lo, step, refresh) for a run: its uniform 128-bit starts as (d, m)
-    high and low words; `step(hi, lo, out)` writes Ax mod 1's high words to
-    `out`, which shares no memory with hi, and returns its low words; and
-    `refresh(hi, lo)` returns (hi, lo) with the bits below 2^-40 redrawn."""
-    draw_words = rng.run_draw(seed, run, lambda gen, n: rng.uniform64(gen, (n, matrix.dim)))
+def _torus_orbit(seed, run, d):
+    """(hi, lo, refresh) for a run: its uniform 128-bit starts in d dimensions as
+    (d, m) high and low words, and `refresh(hi, lo)`, which returns (hi, lo)
+    with the bits below 2^-40 redrawn."""
+    draw_words = rng.run_draw(seed, run, lambda gen, n: rng.uniform64(gen, (n, d)))
 
     def draw():  # (d, m) words; a block of n samples draws (n, d) as it always has
         return np.ascontiguousarray(draw_words().T)
 
-    hi = draw()
-    lo = draw()
-    spare_lo = [np.empty_like(lo) for _ in range(2)]
-    term = np.empty((2, hi.shape[1]), np.uint64)
-
-    def step(hi, lo, out):
-        new_lo = spare_lo[0] if lo is not spare_lo[0] else spare_lo[1]
-        return _orbit_step(hi, lo, matrix.entries, (out, new_lo), term)[1]
-
     def refresh(hi, lo):
         return (hi & ~_MASK24) | (draw() >> _SHIFT40), draw()
 
-    return hi, lo, step, refresh
+    return draw(), draw(), refresh
 
 
 class _SamplerFrame:
@@ -319,31 +309,34 @@ def _window_rows(values_per_step):
     return max(1, min(REFRESH_PERIOD, WINDOW_BUDGET // max(1, values_per_step)))
 
 
-def _orbit_windows(horizon, head, tail, rows, step, refresh):
-    """The one orbit walk: `horizon` steps of a run of orbits, a window at a time.
+def _orbit_windows(seed, run, matrix, horizon, rows):
+    """The one orbit walk: `horizon` steps of the run's `_torus_orbit` under
+    `matrix`, a window at a time.
 
-    An orbit state is a pair: `head` (shape (..., m), what an observable
-    reads) and `tail` (the rest). `step(head, tail, out)` writes the next
-    head to `out` and returns the next tail, and `refresh(head, tail)`
-    redraws low bits after every REFRESH_PERIOD steps but the last.
-    Yields (first, heads) per window: heads has shape (..., n, m), its
-    step w holds the head of step first + w, each coordinate's heads are
-    one contiguous block, and a consumer may overwrite them. A window holds
-    at most `rows` steps and never spans a refresh, so the orbit and the
-    draws are those of a step-by-step loop, bit for bit.
+    Yields (first, heads) per window: heads has shape (d, n, m), its step w
+    holds the high words of step first + w (step 0 is the start), each
+    coordinate's heads are one contiguous block, and a consumer may
+    overwrite them. A window holds at most `rows` steps and never spans a
+    refresh, which redraws the low bits after every REFRESH_PERIOD steps but
+    the last, so the orbit and the draws are those of a step-by-step loop,
+    bit for bit.
     """
-    window = np.empty(head.shape[:-1] + (rows + 1, head.shape[-1]), head.dtype)
+    hi, lo, refresh = _torus_orbit(seed, run, matrix.dim)
+    window = np.empty((hi.shape[0], rows + 1, hi.shape[1]), np.uint64)
+    lows = np.empty((2,) + lo.shape, np.uint64)  # step s writes lows[s % 2], reads s - 1's
+    term = np.empty((2, hi.shape[1]), np.uint64)
     done = 0
     while done < horizon:
         if done % REFRESH_PERIOD == 0 and done:
-            head, tail = refresh(head, tail)
+            hi, lo = refresh(hi, lo)
         n = min(rows, horizon - done, REFRESH_PERIOD - done % REFRESH_PERIOD)
-        window[..., 0, :] = head
+        window[:, 0] = hi
         for w in range(n):
-            tail = step(window[..., w, :], tail, window[..., w + 1, :])
-        yield done, window[..., :n, :]
+            out = window[:, w + 1], lows[(done + w) % 2]
+            lo = _orbit_step(window[:, w], lo, matrix.entries, out, term)[1]
+        yield done, window[:, :n]
         done += n
-        head = window[..., n, :]
+        hi = window[:, n]
 
 
 def _unit_function(f):
@@ -370,12 +363,12 @@ def correlation_walk(f, g, matrix, n_max, samples, seed):
     (f, f_exp), (g, g_exp) = _unit_function(f), _unit_function(g)
 
     def worker(run):
-        hi, lo, step, refresh = _torus_orbit(seed, run, matrix)
         starts = [start - run[0][1] for _, start, _ in run]
-        f_start = f.evaluate(hi.T * 2.0**-64)
         sums = np.empty((frame.horizon, len(run)), complex)
-        walk = _orbit_windows(frame.horizon, hi, lo, _window_rows(hi.size), step, refresh)
-        for first, heads in walk:
+        rows = _window_rows(matrix.dim * (run[-1][2] - run[0][1]))
+        for first, heads in _orbit_windows(seed, run, matrix, frame.horizon, rows):
+            if not first:
+                f_start = f.evaluate(heads[:, 0].T * 2.0**-64)
             for w in range(heads.shape[1]):
                 sums[first + w] = np.add.reduceat(f_start * g.evaluate(heads[:, w].T * 2.0**-64),
                                                   starts)
@@ -413,16 +406,15 @@ def birkhoff_samples(f, matrix, horizon, samples, seed, threads=None):
     tables = _wave_tables(terms)
 
     def worker(run):
-        hi, lo, step, refresh = _torus_orbit(seed, run, matrix)
-        m = hi.shape[1]
-        rows = _window_rows(hi.size)  # no buffer holds more than WINDOW_BUDGET values
+        m = run[-1][2] - run[0][1]
+        rows = _window_rows(matrix.dim * m)  # no buffer holds more than WINDOW_BUDGET values
         spare = np.empty((rows, m))
         small = np.empty((rows, m))
         f_values = np.zeros((rows, m))  # a zero f has no terms, and its sums stay 0
         # slots for a later term's values and, unless it is the last, its phase words
         extra = np.empty((min(2, max(0, len(terms) - 1)), rows, m))
         sums = np.zeros(m)
-        for _, heads in _orbit_windows(frame.horizon, hi, lo, rows, step, refresh):
+        for _, heads in _orbit_windows(seed, run, matrix, frame.horizon, rows):
             n = heads.shape[1]  # heads: (d, n, m) high words; f's values, term after term
             out = f_values[:n]
             for t, (k, _, _) in enumerate(terms):

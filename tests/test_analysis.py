@@ -164,15 +164,16 @@ def _frozen_correlation(f, g, matrix, n_max, samples, seed):
     windows: each step advances the orbit, redraws the low bits every 40
     steps, and adds f at the start times g at the step, per block."""
     def worker(run):
-        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, matrix)
+        hi, lo, refresh = stochastic._torus_orbit(seed, run, matrix.dim)
         starts = [start - run[0][1] for _, start, _ in run]
         f_start = f.evaluate(hi.T * 2.0**-64)
-        out = np.empty_like(hi)
+        out = np.empty_like(hi), np.empty_like(lo)
+        term = np.empty((2, hi.shape[1]), np.uint64)
         sums = np.empty((n_max + 1, len(run)), complex)
         for n in range(n_max + 1):
             if n:
-                lo = step(hi, lo, out)
-                hi, out = out, hi
+                stochastic._orbit_step(hi, lo, matrix.entries, out, term)
+                (hi, lo), out = out, (hi, lo)
             if n % 40 == 0 and n:
                 hi, lo = refresh(hi, lo)
             sums[n] = np.add.reduceat(f_start * g.evaluate(hi.T * 2.0**-64), starts)
@@ -182,12 +183,24 @@ def _frozen_correlation(f, g, matrix, n_max, samples, seed):
     return sums.sum(axis=1) / samples - f.mean() * g.mean()
 
 
-@pytest.mark.parametrize("entries", [[[1, -1], [1, 1]], [[2, 1], [0, 3]]])
+# f and g for the walk on each dimension, every one with a mean
+WALK_FUNCTIONS = {
+    1: (TrigPolynomial(1, {(2,): 0.25 - 0.5j, (-2,): 0.25 + 0.5j, (0,): -0.4}),
+        TrigPolynomial(1, {(1,): 0.5, (-3,): 0.125j, (0,): 0.6 - 0.2j})),
+    2: (TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j, (0, 0): 0.3}),
+        TrigPolynomial(2, {(1, 0): 0.5j, (2, -1): 0.25, (0, 0): -0.7 + 0.1j})),
+    3: (TrigPolynomial(3, {(1, 0, -1): 0.5 - 0.5j, (-1, 0, 1): 0.5 + 0.5j, (0, 0, 0): 0.2}),
+        TrigPolynomial(3, {(0, 1, 2): 0.25j, (1, -1, 0): 0.5, (0, 0, 0): -0.3 + 0.4j})),
+}
+
+
+@pytest.mark.parametrize("entries", [[[1, -1], [1, 1]], [[2, 1], [0, 3]], [[-3]],
+                                     [[2, -1, 0], [0, 2, 1], [1, 0, -3]]])
 def test_correlation_walk_matches_the_step_by_step_loop(monkeypatch, entries):
-    # runs of 1 block walk windows of 40 steps, runs of 16 windows of 16
+    # runs of 1 block walk windows of 40 steps; a run of 16 holds all 3,079 samples,
+    # so its windows are 21 steps in d = 2 and 14 in d = 3 (WINDOW_BUDGET)
     matrix = lattice.validate_expanding(entries)
-    f = TrigPolynomial(2, {(1, 2): 0.5 + 0.25j, (-1, -2): 0.5 - 0.25j, (0, 0): 0.3})
-    g = TrigPolynomial(2, {(1, 0): 0.5j, (2, -1): 0.25, (0, 0): -0.7 + 0.1j})
+    f, g = WALK_FUNCTIONS[matrix.dim]
     samples = 3 * rng.BLOCK + 7  # a partial last block
     for run_blocks in (1, 16):
         monkeypatch.setattr(rng, "RUN_BLOCKS", run_blocks)

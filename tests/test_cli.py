@@ -269,8 +269,14 @@ def test_transfer_modulus_below_lambda_two_matches_norms(capsys, tmp_path):
     [{"k": [1.9], "re": 1.0, "im": 0.0}, {"k": [-1.9], "re": 1.0, "im": 0.0}],
     [{"k": [1], "re": 1.0, "im": 0.0}, {"k": [-1], "re": 1.0, "im": 0.0},
      {"k": [1.0], "re": 2.0, "im": 0.0}],
+    # each of these loaded at k = 3, 1 and 3 and re = 1.5: a string or an object
+    # was read item by item and each item passed to int, and a string re to float
+    [{"k": "3", "re": 1.0, "im": 0.0}, {"k": [-3], "re": 1.0, "im": 0.0}],
+    [{"k": [True], "re": 1.0, "im": 0.0}, {"k": [-1], "re": 1.0, "im": 0.0}],
+    [{"k": {"3": 0}, "re": 1.0, "im": 0.0}, {"k": [-3], "re": 1.0, "im": 0.0}],
+    [{"k": [1], "re": "1.5", "im": 0.0}, {"k": [-1], "re": 1.5, "im": 0.0}],
 ], ids=["sum-overflows", "parts-overflow-abs", "nan", "int-past-float", "fractional-k",
-        "repeated-k"])
+        "repeated-k", "string-k", "boolean-k", "object-k", "string-re"])
 def test_non_finite_function_file_is_bad_input(capsys, tmp_path, entries):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(entries), encoding="utf-8")

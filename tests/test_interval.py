@@ -496,10 +496,9 @@ def _exact_orbit_lyapunov_sums(horizon, samples, seed, threads):
     half = np.uint64(2**63)
 
     def worker(run):
-        hi, lo, step, refresh = stochastic._torus_orbit(seed, run, doubling)
-        acc = np.zeros(hi.shape[1])
-        rows = stochastic._window_rows(hi.size)
-        for _, heads in stochastic._orbit_windows(horizon, hi, lo, rows, step, refresh):
+        acc = np.zeros(run[-1][2] - run[0][1])
+        rows = stochastic._window_rows(acc.size)
+        for _, heads in stochastic._orbit_windows(seed, run, doubling, horizon, rows):
             for word in heads[0]:
                 s = ((word << np.uint64(1)) + half).view(np.int64)
                 acc += np.log(2.0 * np.maximum(np.abs(np.sin(s * (math.pi * 2.0**-64))), 1e-300))
