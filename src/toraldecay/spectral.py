@@ -469,17 +469,47 @@ def _sup_lower(k, c):
     return np.ldexp(np.maximum(best, _polish(k, c, x, 1.0 / n_pts)), e)
 
 
+def _independent_real(f):
+    """True if f is exactly real and its pair frequencies are linearly independent.
+
+    Exactly real: each coefficient at k != 0 has its exact conjugate at
+    -k, and the one at k = 0 is real. The pair frequencies (one of each
+    +-k, k != 0) are independent when their Gram matrix, formed in exact
+    integers, has a nonzero determinant (1 for no pairs). One pair always
+    is, and more pairs than d never are.
+    """
+    coeffs = f.coeffs
+    if coeffs.get(f.zero_key, 0j).imag != 0.0:
+        return False
+    pairs = []
+    for k, c in coeffs.items():
+        neg = tuple(-v for v in k)
+        if any(k) and coeffs.get(neg) != c.conjugate():
+            return False
+        if k > neg:
+            pairs.append(k)
+    if len(pairs) > f.dim:
+        return False
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in pairs] for p in pairs]
+    return lattice.char_poly_and_adjugate(gram)[0][-1] != 0  # +-det(gram)
+
+
 def sup_norm_bracket(f):
     """(certified lower, l1 upper) bracket for the sup norm.
 
-    The lower bound is the one-row case of `_sup_lower`: a grid scan with
-    at least 8 points per unit frequency per axis, polished by a damped
-    Newton ascent. The upper bound is the coefficient l1 norm. The true
-    sup norm lies in between.
+    The upper bound is the coefficient l1 norm. Where `_independent_real`
+    holds, f = c_0 + sum_j 2 |c_j| cos(2 pi (k_j.x + phi_j)) and x -> (k_j.x)_j
+    maps the torus onto every phase combination, so the sup is the l1
+    norm and the bracket is (l1, l1), with no grid. Otherwise the lower
+    bound is the one-row case of `_sup_lower`: a grid scan with at least 8
+    points per unit frequency per axis, polished by a damped Newton
+    ascent. The true sup norm lies in between.
     """
     if not f.coeffs:
         return 0.0, 0.0
     upper = float(sum(abs(c) for c in f.coeffs.values()))
+    if _independent_real(f):
+        return upper, upper
     k, c = f.freq_array()
     lower = float(_sup_lower(k, c[None, :])[0])
     return min(lower, upper), upper
@@ -569,6 +599,15 @@ def _dot_last(a, b):
     return out
 
 
+def _onto_ball(v, rad):
+    """v with each row longer than its radius in `rad` scaled back onto that sphere (in place)."""
+    nrm = _row_norms(v)
+    out = nrm > rad
+    if out.any():
+        v[out] *= (rad[out] / nrm[out])[:, None]
+    return v
+
+
 def _pattern_search(objective, v0, delta, step0, tol_factor, iters):
     """Coordinate pattern searches inside the balls |v| <= delta, one per row of v0.
 
@@ -593,11 +632,7 @@ def _pattern_search(objective, v0, delta, step0, tol_factor, iters):
             for s in (h, -h):
                 cand = x.copy()
                 cand[:, i] += s
-                nrm = _row_norms(cand)
-                out = nrm > rad
-                if out.any():
-                    cand[out] *= (rad[out] / nrm[out])[:, None]
-                val = objective(cand)
+                val = objective(_onto_ball(cand, rad))
                 up = val > val_x
                 if up.any():
                     val_x = np.where(up, val, val_x)
@@ -691,18 +726,30 @@ def _omega_l2(f, radii):
     feasible shift: a certified lower bound. The search runs on the
     coefficients as `_unit_scale` leaves them, and the values are scaled
     back; a weight that underflows there only lowers F.
+
+    A function with one nonzero frequency k up to sign (k = 0 ignored) has
+    F(v) = 4 (w_k + w_-k) sin^2(pi k.v), whose maximum over the ball is at
+    v* = min(delta, 1/(2|k|)) k/|k|. There each value is F at v*, pulled
+    back onto the ball as the pattern search does, with no scan or search:
+    still a certified lower bound, and the exact maximum up to rounding.
     """
     k, c = f.freq_array()
     c, e = _unit_scale(c)
     w = np.abs(c) ** 2
     objective = _l2_objective(k, w)
     d = f.dim
+    delta = np.array(radii, dtype=float)
+    freqs = {key for key in f.coeffs if any(key)}
+    top = max(freqs, default=None)
+    if top is not None and freqs <= {top, tuple(-v for v in top)}:
+        length = math.hypot(*top)
+        v = np.minimum(delta, 0.5 / length)[:, None] * (np.array(top, dtype=float) / length)
+        return [math.ldexp(math.sqrt(b), int(e)) for b in objective(_onto_ball(v, delta))]
     dirs = _directions(d, MODULUS_DIRECTIONS)
     steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
     if d == 2:  # F(-v) = F(v), and the directions come in antipodal pairs
         dirs = dirs[:len(dirs) // 2]
     fracs = np.arange(1, steps + 1) / steps
-    delta = np.array(radii, dtype=float)
     v0 = np.empty((len(delta), d))
     slab = max(1, MODULUS_SCAN_CHUNK // len(w))  # shifts per objective call
     for i, rad in enumerate(delta):
@@ -723,17 +770,19 @@ def _omega_l2(f, radii):
 def modulus_value(f, r, delta):
     """Certified lower estimate of Omega_{f,r}(delta); a list for a sequence of radii.
 
-    Shifts live on the torus, so the scan radius is capped at sqrt(d)/2,
-    beyond which the ball of shifts already covers every torus
-    displacement and the modulus is constant. All radii of one call are
-    searched together; a value does not depend on the other radii in
-    the call.
+    Every radius must be > 0 (a NaN is refused too). Shifts live on the
+    torus, so the scan radius is capped at sqrt(d)/2, beyond which the
+    ball of shifts already covers every torus displacement and the
+    modulus is constant. All radii of one call are searched together; a
+    value does not depend on the other radii in the call. For r = 2 and
+    a function with one nonzero frequency up to sign, the value is the
+    closed form of `_omega_l2`, exact to rounding.
     """
     many = np.ndim(delta) > 0
     radii = list(np.ravel(delta)) if many else [delta]
     if not radii:
         raise InputError("need at least one radius")
-    if any(x <= 0 for x in radii):
+    if not all(x > 0 for x in radii):  # a NaN radius is refused too
         raise InputError("delta must be positive")
     l2 = _is_l2(r)
     if not f.coeffs:

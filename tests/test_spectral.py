@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,17 +289,21 @@ def test_sup_norm_bracket():
 
 
 def test_sup_norm_bracket_three_dimensional():
-    # the d = 3 grid takes the same axis-by-axis route as d = 1 and 2;
-    # cos 2pi x + 0.5 cos 2pi(y + z) peaks at 0
+    # the d = 3 grid takes the same axis-by-axis route as d = 1 and 2; each
+    # function has dependent frequencies, so the bracket scans its grid.
+    # cos 2pi x + 0.5 cos 2pi(y + z) + 0.25 cos 2pi(x + y + z) peaks at 0
     f = TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (0, 1, 1): 0.25,
-                           (0, -1, -1): 0.25})
+                           (0, -1, -1): 0.25, (1, 1, 1): 0.125, (-1, -1, -1): 0.125})
+    assert not spectral._independent_real(f)
     lo, hi = spectral.sup_norm_bracket(f)
-    assert abs(lo - 1.5) < 1e-9
-    assert hi == 1.5
-    g = TrigPolynomial(3, {(0, 2, -1): 1j, (0, -2, 1): -1j})  # -2 sin 2pi(2y - z)
+    assert abs(lo - 1.75) < 1e-9
+    assert hi == 1.75
+    # -2 sin t - 0.5 cos 2t with t = 2pi(2y - z) peaks at sin t = -1
+    g = TrigPolynomial(3, {(0, 2, -1): 1j, (0, -2, 1): -1j, (0, 4, -2): -0.25, (0, -4, 2): -0.25})
+    assert not spectral._independent_real(g)
     lo, hi = spectral.sup_norm_bracket(g)
-    assert abs(lo - 2.0) < 1e-9
-    assert lo <= hi == 2.0
+    assert abs(lo - 2.5) < 1e-9
+    assert lo <= hi == 2.5
 
 
 def _reference_bracket(f):
@@ -412,8 +417,10 @@ def test_modulus_saturation():
     big = spectral.modulus_value(f, 2, 5.0)
     at_cap = spectral.modulus_value(f, 2, 0.5)
     assert big == at_cap
-    with pytest.raises(InputError):
-        spectral.modulus_value(f, 2, -0.1)
+    for r in (2, "inf"):
+        for delta in (-0.1, math.nan, [0.1, math.nan], np.array([math.nan])):
+            with pytest.raises(InputError, match="positive"):
+                spectral.modulus_value(f, r, delta)
 
 
 def test_modulus_rejects_other_r_for_an_empty_function():
@@ -628,7 +635,8 @@ def test_sup_root_table_guard_refuses_before_the_table(monkeypatch):
     assert 16 * spectral.GRID_WORK_GUARD > spectral.ROOT_TABLE_GUARD
     # the frequency-2^20 function of the CI memory step still scans
     assert 16 * (8 * 2**20 + 1) <= spectral.ROOT_TABLE_GUARD
-    f = TrigPolynomial.cosine(100)
+    # cos 2pi 100x + 0.5 cos 2pi 99x: dependent frequencies, so the bracket scans a grid
+    f = TrigPolynomial(1, {(100,): 0.5, (-100,): 0.5, (99,): 0.25, (-99,): 0.25})
     table_bytes = 16 * (8 * 100 + 1)
     lower, _ = spectral.sup_norm_bracket(f)
     monkeypatch.setattr(spectral, "ROOT_TABLE_GUARD", table_bytes)
@@ -641,6 +649,157 @@ def test_sup_root_table_guard_refuses_before_the_table(monkeypatch):
     monkeypatch.setattr(spectral, "_root_table", fail)
     with pytest.raises(TooLarge, match="root table"):
         spectral.sup_norm_bracket(f)
+
+
+def _pair_coeff(draw):
+    """A coefficient in hundredths, so no |c|^2 lands among the subnormals."""
+    return complex(draw(st.integers(-300, 300)), draw(st.integers(-300, 300))) / 100.0
+
+
+@st.composite
+def independent_real_polys(draw):
+    """An exactly real f whose pair frequencies are linearly independent, with a real mean."""
+    d = draw(st.integers(1, 3))
+    span = (40, 12, 4)[d - 1]  # the grid bound the test compares with stays small
+    pairs = draw(st.lists(st.lists(st.integers(-span, span), min_size=d, max_size=d)
+                          .map(tuple).filter(any), min_size=1, max_size=d))
+    assume(np.linalg.matrix_rank(np.array(pairs, dtype=float)) == len(pairs))
+    coeffs = {(0,) * d: float(draw(st.integers(-300, 300))) / 100.0}
+    for k in pairs:
+        c = _pair_coeff(draw)
+        assume(c != 0)
+        coeffs[k], coeffs[tuple(-v for v in k)] = c, c.conjugate()
+    return TrigPolynomial(d, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_real_polys())
+def test_sup_bracket_is_exact_for_independent_real_frequencies(f):
+    # x -> (k_j . x)_j reaches every phase combination, so sup |f| = l1;
+    # the grid bound is |f| at a point, so it stays below l1 to rounding
+    l1 = float(sum(abs(c) for c in f.coeffs.values()))
+    assert spectral.sup_norm_bracket(f) == (l1, l1)
+    k, c = f.freq_array()
+    grid = spectral._sup_lower(k, c[None, :])[0]
+    assert l1 * (1.0 + 4 * 2.0**-52) >= grid >= spectral.norm(f, 2) * (1.0 - 1e-12)
+
+
+@st.composite
+def grid_route_polys(draw):
+    """An f outside the exact case: one pair at k made complex, given a complex mean or a
+    conjugate off by 1e-14, or two real pairs at k and a multiple of k (dependent)."""
+    d = draw(st.integers(1, 3))
+    span = (12, 6, 3)[d - 1]
+    k = tuple(draw(st.lists(st.integers(-span, span), min_size=d, max_size=d).filter(any)))
+    minus = tuple(-v for v in k)
+    c = _pair_coeff(draw)
+    assume(c != 0)
+    coeffs = {k: c, minus: c.conjugate()}
+    kind = draw(st.sampled_from(["dependent", "complex", "complex mean", "near-hermitian"]))
+    if kind == "dependent":
+        j, b = draw(st.integers(2, 3)), _pair_coeff(draw)
+        assume(b != 0)
+        coeffs[tuple(j * v for v in k)], coeffs[tuple(j * v for v in minus)] = b, b.conjugate()
+    elif kind == "complex":
+        coeffs[k] += 0.5j
+    elif kind == "complex mean":
+        coeffs[(0,) * d] = 1.0 + 0.25j
+    else:
+        coeffs[k] *= 1.0 + 1e-14
+    return TrigPolynomial(d, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_route_polys())
+def test_sup_bracket_outside_the_exact_case_is_the_grid_bound(f):
+    assert not spectral._independent_real(f)
+    k, c = f.freq_array()
+    l1 = float(sum(abs(v) for v in f.coeffs.values()))
+    grid = float(spectral._sup_lower(k, c[None, :])[0])
+    assert spectral.sup_norm_bracket(f) == (min(grid, l1), l1)
+
+
+def test_sup_bracket_decides_independence_in_exact_integers(monkeypatch):
+    def fail(n_pts):
+        raise AssertionError("sup-norm grid built")
+
+    monkeypatch.setattr(spectral, "_root_table", fail)
+    assert spectral.sup_norm_bracket(TrigPolynomial.cosine(3**40)) == (1.0, 1.0)
+    # (2^60, 2^60 + 1) and (2^60 + 1, 2^60 + 2) have determinant -1, and both round
+    # to (2^60, 2^60) in floats
+    big = 2**60
+    f = TrigPolynomial(2, {(big, big + 1): 0.5, (-big, -big - 1): 0.5,
+                           (big + 1, big + 2): 0.25j, (-big - 1, -big - 2): -0.25j})
+    assert spectral.sup_norm_bracket(f) == (1.5, 1.5)
+    # twice the first pair is dependent, so the bracket goes to the grid (and its guard)
+    g = TrigPolynomial(2, {(big, big + 1): 0.5, (-big, -big - 1): 0.5,
+                           (2 * big, 2 * big + 2): 0.5, (-2 * big, -2 * big - 2): 0.5})
+    with pytest.raises(TooLarge):
+        spectral.sup_norm_bracket(g)
+
+
+@st.composite
+def one_pair_polys(draw):
+    """f with one nonzero frequency k up to sign: arbitrary c_k and c_-k (either may be
+    absent), any mean, and coefficients scaled by 2^-400, 1 or 2^400."""
+    d = draw(st.integers(1, 3))
+    k = tuple(draw(st.lists(st.integers(-50, 50), min_size=d, max_size=d).filter(any)))
+    scale = draw(st.sampled_from([2.0**-400, 1.0, 2.0**400]))
+    coeffs = {}
+    for key in (k, tuple(-v for v in k), (0,) * d):
+        if draw(st.booleans()):
+            coeffs[key] = scale * _pair_coeff(draw)
+    coeffs[k] = scale * (_pair_coeff(draw) or 1.0)  # k itself is always there
+    return TrigPolynomial(d, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_pair_polys(), st.lists(st.floats(0.01, 3.0), min_size=1, max_size=4))
+def test_one_pair_modulus_is_the_closed_form(f, fracs):
+    # F(v) = 4 (w_k + w_-k) sin^2(pi k.v) peaks over |v| <= delta at |k.v| = min(|k| delta, 1/2)
+    mp = pytest.importorskip("mpmath")
+    k = max(key for key in f.coeffs if any(key))
+    length = math.hypot(*k)
+    radii = [u / (2.0 * length) for u in fracs]  # on both sides of 1/(2|k|)
+    shifts = []
+    objective = spectral._l2_objective
+
+    def recorded(freqs, w):
+        inner = objective(freqs, w)
+        return lambda v: shifts.append(v.copy()) or inner(v)
+
+    def no_search(*args):
+        raise AssertionError("pattern search ran")
+
+    with mock.patch.object(spectral, "_l2_objective", recorded), \
+            mock.patch.object(spectral, "_pattern_search", no_search):
+        values = spectral.modulus_value(f, 2, radii)
+    (v,) = shifts
+    # pulled back onto the ball as the pattern search pulls back: |v| ends within an ulp of delta
+    assert np.all(np.linalg.norm(v, axis=1) <= np.array(radii) * (1.0 + 2.0**-52))
+    with mp.workdps(40):
+        w = sum(mp.mpf(c.real) ** 2 + mp.mpf(c.imag) ** 2
+                for key, c in f.coeffs.items() if any(key))
+        norm_k = mp.sqrt(sum(mp.mpf(a) ** 2 for a in k))
+        for delta, value in zip(radii, values):
+            want = float(2 * mp.sqrt(w) * mp.sin(mp.pi * min(norm_k * mp.mpf(delta), mp.mpf(0.5))))
+            assert abs(value - want) <= 4 * math.ulp(want), (delta, value, want)
+    curve = spectral.ModulusCurve(radii, values)
+    assert curve.check_invariants(spectral.norm(f, 2))
+
+
+def test_two_pair_modulus_still_searches(monkeypatch):
+    calls = []
+    search = spectral._pattern_search
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(spectral, "_pattern_search", recorded)
+    f = TrigPolynomial(1, {(3,): 0.5, (-3,): 0.5, (5,): 0.25, (-5,): 0.25})
+    spectral.modulus_value(f, 2, [0.1, 0.01])
+    assert len(calls) == 1
 
 
 def _frozen_grid_values(k, c, n_pts):
