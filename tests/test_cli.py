@@ -287,18 +287,44 @@ def test_non_finite_function_file_is_bad_input(capsys, tmp_path, entries):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("matrix, steps, k, c", [
-    ("2", 2, 1, 8e153),  # the r = 2 objective left float range: omega_L2 read inf
-    ("2", 2, 3, 1e150),  # the r = 2 Newton step squared a gradient past float range
-    ("3", 1, 3, 1e100),  # ... and so did the sup-norm polish of L f
-    ("2", 2, 2, 1e-200),  # every |c|^2 underflowed: norm_L2 and omega_L2 read 0
-], ids=["objective-overflows", "newton-overflows", "polish-overflows", "weights-underflow"])
-def test_extreme_coefficients_keep_norms_and_modulus_finite(capsys, tmp_path, matrix, steps, k, c):
-    f = TrigPolynomial(1, {(k,): c, (-k,): c})
+def _spy(monkeypatch, *names):
+    """Wrap the named `spectral` functions; the returned set gains each name when it runs."""
+    called = set()
+
+    def wrap(name, fn):
+        return lambda *args, **kwargs: called.add(name) or fn(*args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(spectral, name, wrap(name, getattr(spectral, name)))
+    return called
+
+
+# Each function is c cos 2pi kx + (third c) cos 6pi kx: with third > 0 it has two
+# dependent frequency pairs, so the r = 2 modulus runs its search and a transfer
+# row of two pairs scans the sup-norm grid; both pairs peak at kx = 1/2, so
+# Omega = 2 ||f||_2 at a radius >= 1/(2k). With third = 0 the modulus is the
+# one-frequency closed form.
+@pytest.mark.parametrize("matrix, steps, k, c, third, searched", [
+    # the r = 2 objective left float range: omega_L2 read inf
+    ("2", 2, 1, 8e153, 0.25, {"_newton_ascent"}),
+    # the r = 2 Newton step squared a gradient past float range
+    ("2", 2, 3, 1e150, 0.25, {"_newton_ascent"}),
+    # ... and so did the sup-norm polish of L f
+    ("3", 1, 3, 1e153, 0.25, {"_newton_ascent", "_polish"}),
+    # every |c|^2 underflowed: norm_L2 and omega_L2 read 0
+    ("2", 2, 2, 1e-200, 0.25, {"_newton_ascent", "_polish"}),
+    # one pair: the closed form on the scaled coefficients
+    ("2", 2, 3, 1e150, 0.0, set()),
+], ids=["objective-overflows", "newton-overflows", "polish-overflows", "weights-underflow",
+        "one-pair"])
+def test_extreme_coefficients_keep_norms_and_modulus_finite(capsys, monkeypatch, tmp_path, matrix,
+                                                            steps, k, c, third, searched):
+    f = TrigPolynomial(1, {(k,): c, (-k,): c, (3 * k,): third * c, (-3 * k,): third * c})
     path = tmp_path / "f.json"
     f.save(path)
     two_norm = 2.0 * spectral.norm(f, 2)
-    assert two_norm == pytest.approx(2.0 * math.sqrt(2.0) * c, rel=1e-15)
+    assert two_norm == pytest.approx(2.0 * math.sqrt(2.0 * (1.0 + third**2)) * c, rel=1e-15)
+    called = _spy(monkeypatch, "_pattern_search", "_newton_ascent", "_polish")
     base = ["transfer", "--matrix", matrix, "--function", str(path), "--steps", str(steps)]
     for emit, column in (("norms", "omega_L2"), ("modulus", "omega")):
         with warnings.catch_warnings():
@@ -312,6 +338,9 @@ def test_extreme_coefficients_keep_norms_and_modulus_finite(capsys, tmp_path, ma
         assert all(0.0 < w <= two_norm * (1.0 + 1e-12) for w in omegas)
         # the first radius reaches a shift with k.v = 1/2 mod 1, where Omega = 2 ||f||_2
         assert omegas[0] == pytest.approx(two_norm, rel=1e-12)
+    # the guards each case was written for run only on the search and grid routes
+    assert searched <= called
+    assert bool(third) == ("_pattern_search" in called)
 
 
 def test_decay_row_past_float_range_is_bad_input(capsys, tmp_path):
@@ -617,15 +646,25 @@ def test_clt_variance_past_float_range_is_bad_input(capsys, tmp_path):
     assert not samples_out.exists()
 
 
-def test_decay_at_radii_past_the_norms_underflow_warns_of_nothing(capsys, f1_path):
+def test_decay_at_radii_past_the_norms_underflow_warns_of_nothing(capsys, monkeypatch, tmp_path):
     # at n = 537 the Newton trial norms of [[2]] underflow to 0: the projection
-    # onto the ball divided by 0, which exited 4 under -W error
+    # onto the ball divided by 0, which exited 4 under -W error. f has two
+    # dependent frequency pairs, so each radius runs the search (one pair
+    # would take the closed form, which builds no Newton trial)
+    path = str(tmp_path / "f.json")
+    TrigPolynomial(1, {(1,): 0.5, (-1,): 0.5, (3,): 0.125, (-3,): 0.125}).save(path)
+    radii = []
+    newton = spectral._newton_ascent
+    monkeypatch.setattr(spectral, "_newton_ascent",
+                        lambda k, w, objective, v, best, delta:
+                        radii.extend(delta) or newton(k, w, objective, v, best, delta))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = cli.main(["decay", "--matrix", "2", "--f", f1_path, "--g", f1_path,
+        code = cli.main(["decay", "--matrix", "2", "--f", path, "--g", path,
                          "--nmax", "600"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
+    assert min(radii) == 2.0**-600
     _, rows = parse_csv(captured.out)
     assert len(rows) == 600
     assert all(math.isfinite(float(v)) for row in rows for v in row)

@@ -384,23 +384,51 @@ def test_grid_phases_exact_on_lacunary_series():
             assert abs(vals[0, i] - float(want)) <= 1e-15 * l1, i
 
 
-def test_modulus_value_exact_cosine_1d():
-    # || cos(2 pi k (x+v)) - cos(2 pi k x) ||_2 = sqrt(2) |sin(pi k v)|
+def _faint_pair(f):
+    """f plus 2^-39 cos 2pi(3k.x), with k the frequency of f.
+
+    The pair adds at most 2^-77 to F, so Omega moves by under 1e-20 at the
+    radii below, but f now has two frequency pairs: its modulus comes from
+    the search, not the one-frequency closed form.
+    """
+    (k,) = [key for key in f.coeffs if key > tuple(-v for v in key)]
+    return TrigPolynomial(f.dim, {**f.coeffs, tuple(3 * v for v in k): 2.0**-40,
+                                  tuple(-3 * v for v in k): 2.0**-40})
+
+
+def _count_searches(monkeypatch):
+    """A list that gains an entry each time `_pattern_search` runs."""
+    calls = []
+    search = spectral._pattern_search
+    monkeypatch.setattr(spectral, "_pattern_search", lambda *a: calls.append(a) or search(*a))
+    return calls
+
+
+def test_modulus_value_exact_cosine_1d(monkeypatch):
+    # || cos(2 pi k (x+v)) - cos(2 pi k x) ||_2 = sqrt(2) |sin(pi k v)|: the closed
+    # form gives it, and so does the search on f with a faint second pair
+    calls = _count_searches(monkeypatch)
     for k in (1, 2, 5):
         f = TrigPolynomial.cosine(k)
         for delta in (0.01, 0.05, 0.5 / k):
-            got = spectral.modulus_value(f, 2, delta)
             want = math.sqrt(2.0) * abs(math.sin(math.pi * k * delta))
-            assert abs(got - want) < 1e-10
+            for g in (f, _faint_pair(f)):
+                got = spectral.modulus_value(g, 2, delta)
+                assert abs(got - want) < 1e-10
+    assert len(calls) == 9
 
 
-def test_modulus_value_exact_diagonal_2d():
-    # the best shift direction for cos(2 pi (x1+x2)) is the diagonal
+def test_modulus_value_exact_diagonal_2d(monkeypatch):
+    # the best shift direction for cos(2 pi (x1+x2)) is the diagonal; the search
+    # has to find it on f with a faint second pair
+    calls = _count_searches(monkeypatch)
     f = TrigPolynomial.cosine((1, 1))
     for delta in (0.02, 0.1, 0.3):
-        got = spectral.modulus_value(f, 2, delta)
         want = math.sqrt(2.0) * abs(math.sin(math.pi * math.sqrt(2.0) * delta))
-        assert abs(got - want) < 1e-8
+        for g in (f, _faint_pair(f)):
+            got = spectral.modulus_value(g, 2, delta)
+            assert abs(got - want) < 1e-8
+    assert len(calls) == 3
 
 
 def test_modulus_value_sup_norm():
@@ -789,14 +817,7 @@ def test_one_pair_modulus_is_the_closed_form(f, fracs):
 
 
 def test_two_pair_modulus_still_searches(monkeypatch):
-    calls = []
-    search = spectral._pattern_search
-
-    def recorded(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(spectral, "_pattern_search", recorded)
+    calls = _count_searches(monkeypatch)
     f = TrigPolynomial(1, {(3,): 0.5, (-3,): 0.5, (5,): 0.25, (-5,): 0.25})
     spectral.modulus_value(f, 2, [0.1, 0.01])
     assert len(calls) == 1
@@ -1011,6 +1032,9 @@ def test_modulus_curve_invariants():
 ])
 def test_modulus_curve_values_in_each_dimension(r, k):
     f = TrigPolynomial.cosine(k)
+    if r == 2:  # a second, dependent pair: the search over `_directions` runs, not the closed form
+        twice = {tuple(2 * v for v in key): 0.25 for key in f.coeffs}
+        f = TrigPolynomial(f.dim, {**f.coeffs, **twice})
     curve = spectral.ModulusCurve([0.1, 0.05], spectral.modulus_value(f, r, [0.1, 0.05]))
     assert curve.check_invariants(spectral.norm(f, 2 if r == 2 else math.inf))
     assert all(v > 0 for v in curve.values)
