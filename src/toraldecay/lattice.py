@@ -2,8 +2,9 @@
 
 Everything here that decides anything (determinants, coset membership,
 digit selection, frequency preimages) runs in exact integer arithmetic.
-Floating point only enters for eigenvalue moduli, where the roots of the
-exact characteristic polynomial are located numerically.
+Floating point enters for eigenvalue moduli, where the roots of the
+exact characteristic polynomial are located numerically, and as one
+rounding per entry of A^-n (`inverse_power`).
 """
 
 import itertools
@@ -271,6 +272,12 @@ def digit_set(matrix):
     raise InternalError(
         "found %d of %d cosets within sup-norm %d" % (len(digits), q, bound)
     )
+
+
+def inverse_power(matrix, n):
+    """A^-n in floats, each entry adj(A)^n_ij / det(A)^n as one correctly rounded int quotient."""
+    det_n = matrix.det**n
+    return np.array([[v / det_n for v in row] for row in mat_pow(matrix.adjugate, n)])
 
 
 def branch_points(matrix, digits, n):

@@ -211,8 +211,7 @@ def transfer_spatial_eval(f, matrix, digits, n, x):
         raise TooLarge("one point needs %d elements, over the spatial guard %d"
                        % (row, SPATIAL_GUARD))
     pts, single = _as_points(x, matrix.dim)
-    a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
-    base = np.linalg.solve(a_n, pts.T).T  # A^-n x, well conditioned via exact A^n
+    base = pts @ lattice.inverse_power(matrix, n).T
     cloud = lattice.branch_points(matrix, digits, n)
     out = np.zeros(pts.shape[0], dtype=complex)
     chunk = SPATIAL_GUARD // row
@@ -842,6 +841,6 @@ def inv_norm_sup(matrix):
 
 
 def min_singular_power(matrix, n):
-    """Smallest singular value of A^n (equals that of A*^n)."""
-    a_n = np.array(lattice.mat_pow(matrix.entries, n), dtype=float)
-    return float(np.linalg.svd(a_n, compute_uv=False)[-1])
+    """Smallest singular value of A^n (equals that of A*^n), as 1 / ||A^-n||_2:
+    an SVD of a float A^n has it only to about eps ||A^n||_2 (Weyl's bound)."""
+    return 1.0 / float(np.linalg.svd(lattice.inverse_power(matrix, n), compute_uv=False)[0])

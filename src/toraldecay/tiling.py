@@ -148,7 +148,7 @@ class _Residues:
         self.hermite, self.unimodular = lattice.hermite(power)
         keys = tile.keys
         self.power = np.array(power, dtype=float)
-        self.inverse = np.linalg.inv(self.power)
+        self.inverse = lattice.inverse_power(tile.matrix, tile.level)
         count = len(keys)
         self.owner = np.full(count, -1, dtype=np.intp)
         self.shift = np.empty((tile.matrix.dim, count), dtype=np.int64)
@@ -251,9 +251,11 @@ def _lattice_census(tile):
     # (measured, plus the error of measuring it), A^n x, and the test itself.
     eps = np.finfo(float).eps
     extent = np.abs(tile.points).max() + 1.0
-    drift = residues.drift + 4.0 * d * eps * np.linalg.cond(power) * extent
+    inverse_norm = np.linalg.norm(inverse, 2)
+    # cond(A^n) <= ||A^n||_F ||A^-n||_2, with no SVD of the float A^n
+    drift = residues.drift + 4.0 * d * eps * np.linalg.norm(power) * inverse_norm * extent
     frac_error = 2.0 * d * eps * np.abs(power).sum(axis=1).max()
-    slack = np.sqrt(d) * (drift + frac_error * np.linalg.norm(inverse, 2))
+    slack = np.sqrt(d) * (drift + frac_error * inverse_norm)
     slack += 64.0 * eps * (window + extent)
     radius = (tile.cell_radius + slack) * (1.0 + 1e-6)
     offsets = _offsets(power, gram, radius * (1.0 + 1e-9))  # covers the prefilter's rounding
@@ -396,23 +398,20 @@ def check_self_affinity(tile):
 
     The subdivision identity b_(g1..gn) = b_(g1..g(n-1)) + A^-n g_n
     builds the level-n cloud from level n-1 by appending the deepest
-    digit. A^-n = adj(A)^n / det(A)^n comes once from exact integers, so
-    the last level is not built by the A^-1 step of lattice.branch_points
-    that tile.points came from. Both clouds list the digit strings in the
-    same order, first digit most significant, so each point is compared
-    with the row of the same digit string in tile.points; it counts as
-    matched within 1e-12 in the max norm. The fraction must be exactly 0.
-    A match also confirms the row order that the digit-tree census
-    relies on.
+    digit. A^-n = adj(A)^n / det(A)^n comes once from exact integers
+    (lattice.inverse_power), so the last level is not built by the A^-1
+    step of lattice.branch_points that tile.points came from. Both clouds
+    list the digit strings in the same order, first digit most
+    significant, so each point is compared with the row of the same digit
+    string in tile.points; it counts as matched within 1e-12 in the max
+    norm. The fraction must be exactly 0. A match also confirms the row
+    order that the digit-tree census relies on.
     """
     if tile.level < 2:
         raise InputError("self-affinity check needs level >= 2")
     n = tile.level
-    inv_n = np.array(lattice.mat_pow(tile.matrix.adjugate, n), dtype=float) / float(
-        tile.matrix.det**n
-    )
     prev = lattice.branch_points(tile.matrix, tile.digits, n - 1)
-    deepest = np.array(tile.digits, dtype=float) @ inv_n.T
+    deepest = np.array(tile.digits, dtype=float) @ lattice.inverse_power(tile.matrix, n).T
     independent = (prev[:, None, :] + deepest[None, :, :]).reshape(-1, tile.matrix.dim)
     gap = np.abs(np.subtract(independent, tile.points, out=independent), out=independent)
     return int((gap.max(axis=1) > 1e-12).sum()) / len(independent)

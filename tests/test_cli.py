@@ -1129,6 +1129,19 @@ def test_tile_census_pinned(capsys, tmp_path, matrix, level, want):
     assert payload["self_affinity_mismatch"] == 0.0
 
 
+@pytest.mark.parametrize("matrix, level, window", [
+    ("1,1,1;-1,2,-1;0,-1,2", 3, 7),  # a float A^k radius needed 1.3e69 translates: exit 3
+    ("-1,-2,-1;0,-1,2;2,2,0", 1, 9),  # sigma_min of a float A^k read 0.0: exit 4
+])
+def test_tile_on_ill_conditioned_powers(capsys, matrix, level, window):
+    code, out = run(capsys, ["tile", "--matrix=" + matrix, "--level", str(level),
+                             "--samples", "100", "--seed", "3"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["window"] == window
+    assert sum(payload["histogram"].values()) == 100
+
+
 def test_ulam_decay(capsys):
     code, out = run(capsys, ["ulam", "--op", "decay", "--nmax", "10",
                              "--truncation", "1000000"])

@@ -1,6 +1,8 @@
 """Exact integer linear algebra: char poly, adjugate, cosets, digits."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +66,28 @@ def test_mat_pow_matches_numpy():
         _, adj = lattice.char_poly_and_adjugate(tuple(map(tuple, a)))
         _, adj_n = lattice.char_poly_and_adjugate(exact)
         assert adj_n == lattice.mat_pow(adj, n)
+
+
+@pytest.mark.parametrize("entries, n", [
+    ([[2]], 0),
+    ([[1, -1], [1, 1]], 7),
+    ([[-1, -2, -1], [0, -1, 2], [2, 2, 0]], 5),
+    ([[-1, -2, -1], [0, -1, 2], [2, 2, 0]], 1100),  # det^n and adj(A)^n pass float range
+    ([[3]], 700),  # 3^-700 is subnormal
+])
+def test_inverse_power_is_correctly_rounded(entries, n):
+    m = lattice.validate_expanding(entries)
+    got = lattice.inverse_power(m, n)
+    power = lattice.mat_pow(m.entries, n)
+    det_n = m.det**n
+    exact = [[Fraction(v, det_n) for v in row] for row in lattice.mat_pow(m.adjugate, n)]
+    if n < 10:  # A^n times the exact quotients is the identity
+        d = m.dim
+        assert all(sum(power[i][k] * exact[k][j] for k in range(d)) == (i == j)
+                   for i in range(d) for j in range(d))
+    for row, want in zip(got, exact):
+        for x, r in zip(row, want):
+            assert abs(Fraction(float(x)) - r) <= Fraction(math.ulp(float(x))) / 2
 
 
 def test_validate_expanding_accepts_and_annotates():

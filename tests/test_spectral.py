@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_solves, expanding_matrices, transfer_by_powers
+from conftest import count_solves, expanding_matrices, mp_min_singular, transfer_by_powers
 from toraldecay import lattice, spectral
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
@@ -1084,3 +1084,17 @@ def test_min_singular_power():
     for n in range(5):
         assert spectral.min_singular_power(DOUBLE, n) == pytest.approx(2.0**n)
         assert spectral.min_singular_power(TWIN, n) == pytest.approx(2.0 ** (n / 2.0))
+
+
+@pytest.mark.parametrize("entries", [
+    [[-1, -2, -1], [0, -1, 2], [2, 2, 0]],  # an SVD of the float A^n read 0.0 at n = 51
+    [[2, 1, 0], [0, 2, 1], [1, 0, 2]],  # normal: singular values 3^n and 3^(n/2)
+])
+def test_min_singular_power_past_float_conditioning_vs_mpmath(entries):
+    # cond(A^n) passes 2^53 among these powers, where the smallest singular
+    # value of a float A^n keeps no digit; 1 / ||A^-n||_2 keeps them all
+    pytest.importorskip("mpmath")
+    m = lattice.validate_expanding(entries)
+    for n in (20, 40, 48, 52, 60):
+        want = float(mp_min_singular(m, n))
+        assert spectral.min_singular_power(m, n) == pytest.approx(want, rel=1e-14, abs=0)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import mp_min_singular
+
 from toraldecay import lattice, stochastic
 from toraldecay import rng as rng_module
 from toraldecay.errors import InputError, NotMeanZero, TooLarge, ZeroVariance
@@ -472,6 +474,38 @@ def test_sigma_squared_keeps_term_at_threshold():
     f = TrigPolynomial(2, {(12, 0): 1.0, (-12, 0): 1.0, (0, 144): 1.0, (0, -144): 1.0})
     assert stochastic.analysis.correlation(f, f, matrix, 3) == 2.0
     assert stochastic.sigma_squared(f, matrix) == 8.0
+
+
+def test_sigma_squared_stop_is_certified_past_float_conditioning(monkeypatch):
+    # The series may stop once sigma_min(A^n) passes G kmax / kmin = G 2^100; with
+    # sigma_min and G from mpmath's SVD of the exact A^n, that first happens at
+    # some N, and every term before it must be summed. An SVD of the float A^n,
+    # whose cond passes 2^53 early, stopped the series at 166 terms.
+    mp = pytest.importorskip("mpmath")
+    matrix = lattice.validate_expanding([[-1, -2, -1], [0, -1, 2], [2, 2, 0]])
+    f = TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5,
+                           (2**100, 0, 0): 0.5, (-(2**100), 0, 0): 0.5})
+    with mp.workdps(40):
+        g, j = mp.mpf(1), 0
+        while True:  # spectral.inv_norm_sup's scan
+            j += 1
+            inv = 1 / mp_min_singular(matrix, j)
+            g = max(g, inv)
+            if inv <= 1:
+                break
+        threshold = g * 2**100 * (1 + mp.mpf(1e-9))
+        first = 0
+        while mp_min_singular(matrix, first) <= threshold:
+            first += 1
+    steps, correlation = [], stochastic.analysis.correlation
+
+    def counted(f, g, matrix, n, *args, **kwargs):
+        steps.append(n)
+        return correlation(f, g, matrix, n, *args, **kwargs)
+
+    monkeypatch.setattr(stochastic.analysis, "correlation", counted)
+    stochastic.sigma_squared(f, matrix)
+    assert not set(range(first)) - set(steps)
 
 
 def test_sigma_squared_matches_cesaro_variance():

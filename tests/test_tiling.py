@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from conftest import mp_min_singular
 from toraldecay import lattice, rng, tiling
 from toraldecay.errors import InputError, NotExpanding, SingularMatrix, TooLarge
 
@@ -22,6 +23,34 @@ def test_neumann_tail_geometric():
     want = sum(2.0 ** (-k / 2.0) for k in range(1, 200))
     assert tiling.neumann_tail(TWIN) == pytest.approx(want, rel=1e-10)
     assert tiling.neumann_tail(DOUBLE) == pytest.approx(1.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("entries, level, window", [
+    ([[0, 1, 1], [2, -2, 1], [-1, -1, -1]], 3, 54),  # float A^k read a radius 6.7 % short
+    ([[1, 1, 1], [-1, 2, -1], [0, -1, 2]], 3, 7),  # ... and a window of 1.3e69 translates
+    ([[-1, -2, -1], [0, -1, 2], [2, 2, 0]], 1, 9),  # ... and sigma_min(A^k) = 0.0
+])
+def test_neumann_tail_and_cell_radius_vs_mpmath(entries, level, window):
+    # the same sum, stopped by the same rule, with each term 1 / sigma_min(A^k)
+    # from mpmath's SVD of the exact A^k
+    mp = pytest.importorskip("mpmath")
+    m = lattice.validate_expanding(entries)
+    tile = tiling.tile_points(m, lattice.digit_set(m), level)
+    digits = np.array(tile.digits, dtype=float)
+    diameter = float(np.sqrt(((digits[:, None] - digits[None]) ** 2).sum(axis=2)).max())
+    with mp.workdps(30):
+        tail, k = mp.mpf(0), 0
+        while True:
+            k += 1
+            term = 1 / mp_min_singular(m, k)
+            tail += term
+            if k >= 4 and term < tiling.NEUMANN_REL_TOL * tail:
+                break
+        radius = tail * diameter / mp_min_singular(m, level)
+        assert tile.window == int(mp.ceil(tail * np.sqrt((digits**2).sum(axis=1)).max())) + 1
+    assert tile.window == window
+    assert tiling.neumann_tail(m) == pytest.approx(float(tail), rel=1e-12, abs=0)
+    assert tile.cell_radius == pytest.approx(float(radius), rel=1e-12, abs=0)
 
 
 def test_tile_points_counts_and_radius():
@@ -249,6 +278,7 @@ def census_by_each_path(tile, samples, seed):
     ([[-2, 0, -1], [1, -1, 2], [1, -2, 2]], 4),  # cell radius 7.2: about 2,800 translates
     ([[3, 1], [1, 2]], 5),  # 16,542 lattice offsets a sample
     ([[1, -1], [1, 1]], 14),  # 32 lattice offsets a sample
+    ([[-1, -2, -1], [0, -1, 2], [2, 2, 0]], 2),  # sigma_min of a float A^k read 0.0
 ])
 def test_census_matches_all_translates_where_the_cell_is_wide(entries, level):
     m = lattice.validate_expanding(entries)
