@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lattice, spectral, stochastic
+from . import spectral, stochastic
 from .errors import DegenerateBound, InputError
 
 LOG_FIT_MIN_N = 10  # log log n is too flat (and near 0) below this
@@ -34,7 +34,9 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0):
     """rho_{f,g}(n) = integral of f * (g o A^n) minus the mean product; a list
     for a sequence of step counts n.
 
-    Exact Fourier-side evaluation: sum over k != 0 of ghat(-k) fhat(A*^n k).
+    Exact Fourier-side evaluation: sum over m != 0 of ghat(m) (L^n f)^(-m),
+    where (L^n f)^(-m) = fhat(A*^n (-m)). One `spectral.transfer_fourier`
+    walk steps L^n f across the sorted steps, and stops once only k = 0 is left.
     Passing mc_samples switches to the Monte Carlo cross-check estimator
     `stochastic.correlation_walk`, which is sampling-noisy and intended only for
     validating the exact path; its walk runs in the calling process.
@@ -49,28 +51,17 @@ def correlation(f, g, matrix, n, mc_samples=None, seed=0):
         walk = stochastic.correlation_walk(f, g, matrix, max(steps), int(mc_samples), seed)
         values = [walk[v] for v in steps]
     else:
-        values = _correlation_exact(f, g, matrix, steps)
+        transferred, at, exact = f, 0, {}
+        for step in sorted(set(steps)):
+            transferred, at = spectral.transfer_fourier(transferred, matrix, step - at), step
+            total = 0j
+            for m, gm in g.coeffs.items():
+                fk = transferred.coeffs.get(tuple(-v for v in m)) if any(m) else None
+                if fk is not None:
+                    total += gm * fk
+            exact[step] = total
+        values = [exact[step] for step in steps]
     return values if many else values[0]
-
-
-def _correlation_exact(f, g, matrix, steps):
-    """The exact sums at `steps`, in their order. Across the sorted steps A*^n is
-    A* A*^(n-1), one product a row, or a fresh power after a gap."""
-    star = matrix.star()
-    power, at = lattice.identity(matrix.dim), 0
-    values = {}
-    for n in sorted(set(steps)):
-        power = lattice.mat_mul(star, power) if n == at + 1 else lattice.mat_pow(star, n)
-        at = n
-        total = 0j
-        for m, gm in g.coeffs.items():
-            if not any(m):
-                continue
-            fk = f.coeffs.get(lattice.mat_vec(power, tuple(-v for v in m)))
-            if fk is not None:
-                total += gm * fk
-        values[n] = total
-    return [values[n] for n in steps]
 
 
 @dataclass
@@ -153,7 +144,7 @@ def decay_report(f, g, matrix, n_max, mode="correlation", r=2, mc_samples=None, 
     centered = abs(f.mean()) > 0
     fc = f.centered() if centered else f
     if mode == "correlation":
-        # the exact sum never reads fhat(0), since A*^n m != 0 for m != 0
+        # f need not be centered: L keeps its mean at k = 0, which the exact sum skips
         values = correlation(f, g, matrix, range(1, len(radii) + 1), mc_samples=mc_samples,
                              seed=seed)
         g_norm = spectral.norm(g, 2)

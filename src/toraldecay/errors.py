@@ -63,4 +63,4 @@ class TooLarge(GuardError):
 
 
 class DegenerateBound(InternalError):
-    """A bound evaluated to zero (or failed to converge) where that is impossible."""
+    """A bound evaluated to zero where that is impossible."""

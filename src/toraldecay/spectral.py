@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import lattice, serialize
-from .errors import DegenerateBound, InputError, TooLarge
+from .errors import InputError, TooLarge
 
 PRUNE_TOL = 1e-300  # exact-zero removal only; Parseval stays exact
 SPATIAL_GUARD = 2**22  # max points x q^n x (d + |support|) elements per spatial chunk
@@ -31,7 +31,7 @@ MODULUS_NEWTON_STEPS = 40  # safeguarded Newton steps that finish an r = 2 searc
 SUP_SHIFT_SCAN = 48  # d = 1: shifts scanned for the sup-norm modulus
 SUP_SHIFT_DIRECTIONS = 16  # d >= 2: shift directions of the sup-norm modulus scan
 SUP_SHIFT_RADII = 8  # d >= 2: radii per direction of that scan
-INV_NORM_CAP = 512  # powers of A^-1 scanned before giving up on ||A^-j|| <= 1
+INV_NORM_CAP = 2048  # powers A^-k any scan of ||A^-k||_2 reads before TooLarge
 # Coefficient rows whose largest |c| lies in [2^-SCALE_EXP, 2^SCALE_EXP) are searched
 # as they are; others are rescaled by a power of two (`_unit_scale`), since their
 # squares and the Newton gradients leave float range.
@@ -829,7 +829,7 @@ def inv_norm_sup(matrix):
     Scans j upward; once some ||A^-j|| <= 1 every later value is bounded
     by the running max, so the scan can stop. Used to certify when the
     frequency support of a transferred polynomial has fully escaped a
-    bounded window.
+    bounded window. TooLarge where the scan passes INV_NORM_CAP powers.
     """
     g = 1.0
     for j in range(1, INV_NORM_CAP + 1):
@@ -837,7 +837,8 @@ def inv_norm_sup(matrix):
         g = max(g, val)
         if val <= 1.0:
             return g
-    raise DegenerateBound("||A^-j|| did not fall below 1 within %d powers" % INV_NORM_CAP)
+    raise TooLarge("||A^-j|| did not fall below 1 within the scan guard of %d powers"
+                   % INV_NORM_CAP)
 
 
 def min_singular_power(matrix, n):

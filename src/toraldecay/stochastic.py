@@ -19,7 +19,6 @@ from . import analysis, rng, spectral
 from .errors import InputError, InternalError, NotMeanZero, TooLarge, ZeroVariance
 
 ORBIT_GUARD = 10**9
-SERIES_CAP = 512
 NEGATIVE_TOL = 1e-10
 REFRESH_PERIOD = 40
 # Both orbit walks need max |k|_1 below this over each function they read:
@@ -49,7 +48,8 @@ def sigma_squared(f, matrix):
     Each autocorrelation comes from the exact correlation routine. The series
     terminates: once sigma_min(A*^n) exceeds G' * kmax/kmin, where G' is a
     certified bound on sup_j ||A^-j||, no support frequency can map back into
-    the support, so all later terms vanish identically.
+    the support, so all later terms vanish identically. TooLarge where it
+    needs more than spectral.INV_NORM_CAP terms.
     """
     if f.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
@@ -67,11 +67,12 @@ def sigma_squared(f, matrix):
     # stop only past a relative margin: a float sigma_min may round just above
     # a threshold it equals exactly, and the term at that n need not vanish
     while spectral.min_singular_power(matrix, n) <= threshold * (1.0 + 1e-9):
+        if n == spectral.INV_NORM_CAP:
+            raise TooLarge("variance series needs more than the scan guard of %d terms"
+                           % spectral.INV_NORM_CAP)
         term = analysis.correlation(f, f, matrix, n)
         total += term if n == 0 else 2.0 * term
         n += 1
-        if n > SERIES_CAP:
-            raise InternalError("variance series did not terminate")
     if abs(total.imag) > 1e-12 * (1.0 + abs(total.real)):
         raise InternalError("variance series has a non-real value %r" % (total,))
     sigma2 = total.real

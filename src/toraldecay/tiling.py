@@ -23,29 +23,29 @@ from functools import cached_property
 import numpy as np
 
 from . import lattice, rng, spectral
-from .errors import DegenerateBound, InputError, InternalError, TooLarge
+from .errors import InputError, InternalError, TooLarge
 
 KEY_LIMIT = 2**62 // lattice.CLOUD_GUARD  # keys and A^n: exact in float64, residue products inside int64
 CENSUS_BUDGET = 2**15  # candidates one census batch holds; results do not depend on it
 LATTICE_OFFSETS = 2**11  # past this many lattice offsets a sample, the census uses the digit tree
 TRANSLATE_GUARD = 2**24  # max window translates the digit-tree census tests for one sample
 NEUMANN_REL_TOL = 1e-12  # the tail sum stops at a term this small relative to the total
-NEUMANN_CAP = 2048  # terms summed before the tail is declared divergent
 
 
 def neumann_tail(matrix):
     """sum over k >= 1 of ||A^-k||_2, summed to relative convergence.
 
-    Converges because the spectral radius of A^-1 is below 1. Failure to
-    converge within the cap signals a degenerate input, not a guard.
+    Converges because the spectral radius of A^-1 is below 1. TooLarge
+    where it needs more than spectral.INV_NORM_CAP terms.
     """
     total = 0.0
-    for k in range(1, NEUMANN_CAP + 1):
+    for k in range(1, spectral.INV_NORM_CAP + 1):
         term = 1.0 / spectral.min_singular_power(matrix, k)
         total += term
         if k >= 4 and term < NEUMANN_REL_TOL * total:
             return total
-    raise DegenerateBound("Neumann tail sum did not converge within %d terms" % NEUMANN_CAP)
+    raise TooLarge("Neumann tail sum did not converge within the scan guard of %d terms"
+                   % spectral.INV_NORM_CAP)
 
 
 @dataclass

@@ -71,15 +71,26 @@ def test_correlation_vs_transfer_pairing():
 
 
 @settings(max_examples=40, deadline=None)
-@given(expanding_matrices(), st.integers(0, 3), st.integers(0, 2**32 - 1))
-def test_correlation_is_the_transferred_pairing(matrix, n, seed):
+@given(expanding_matrices(), st.lists(st.integers(0, 4), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_correlation_is_the_transferred_pairing(matrix, steps, seed):
+    # steps in the caller's order, with a repeat and 0; the forward sum
+    # sum_{m != 0} ghat(m) fhat(A*^n (-m)) shares no code with transfer_fourier
     rng = np.random.default_rng(seed)
     f = random_real_poly(rng, matrix.dim, span=9, terms=6)
     g = random_real_poly(rng, matrix.dim, span=9, terms=6)
-    via_transfer = (
-        analysis.pairing(spectral.transfer_fourier(f, matrix, n), g) - f.mean() * g.mean()
-    )
-    assert abs(analysis.correlation(f, g, matrix, n) - via_transfer) < 1e-12
+    steps = steps + [0, steps[0]]
+    for n, value in zip(steps, analysis.correlation(f, g, matrix, steps)):
+        via_transfer = (
+            analysis.pairing(spectral.transfer_fourier(f, matrix, n), g) - f.mean() * g.mean()
+        )
+        assert abs(value - via_transfer) < 1e-12
+        power, forward = lattice.mat_pow(matrix.star(), n), 0j
+        for m, gm in g.coeffs.items():
+            fk = f.coeffs.get(lattice.mat_vec(power, tuple(-v for v in m))) if any(m) else None
+            if fk is not None:
+                forward += gm * fk
+        assert value == forward  # bit for bit: the same terms in the same order
 
 
 def test_correlation_mc_agrees():
@@ -220,24 +231,26 @@ def test_correlation_mc_scales_large_coefficients_back_exactly():
     assert large == [v * 2.0**1020 for v in small]
 
 
-def test_correlation_exact_takes_one_product_a_row(monkeypatch):
-    # A*^n = A* A*^(n-1) across the sorted steps, where each n took its own power
+def test_correlation_exact_takes_one_transfer_a_step(monkeypatch):
+    # L^n f = L(L^(n-1) f) across the sorted steps: one transfer_fourier call a
+    # distinct step, and no power of A*
     def image(n, k):
         return lattice.mat_vec(lattice.mat_pow(TWIN.star(), n), k)
 
     f = TrigPolynomial(2, {image(3, (1, 0)): 0.5, image(3, (-1, 0)): 0.5,
                            image(7, (0, 1)): 0.25, image(7, (0, -1)): 0.25})
     g = TrigPolynomial(2, {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.25 + 0.5j, (0, -1): 0.25 - 0.5j})
-    calls = {"mat_pow": 0, "mat_mul": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(lattice, name)):
-            calls[_name] += 1
+    calls = {"mat_pow": [], "mat_mul": [], "transfer_fourier": []}
+    for module, name in ((lattice, "mat_pow"), (lattice, "mat_mul"),
+                         (spectral, "transfer_fourier")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name].append(args[-1])
             return _fn(*args)
 
-        monkeypatch.setattr(lattice, name, counted)
+        monkeypatch.setattr(module, name, counted)
     steps = list(range(30, 0, -1))  # in the caller's order
     values = analysis.correlation(f, g, TWIN, steps)
-    assert calls == {"mat_pow": 0, "mat_mul": 30}
+    assert calls == {"mat_pow": [], "mat_mul": [], "transfer_fourier": [1] * 30}
     monkeypatch.undo()
     assert values == [analysis.correlation(f, g, TWIN, n) for n in steps]
     assert [n for n, v in zip(steps, values) if v] == [7, 3]

@@ -1195,6 +1195,20 @@ def test_exit_codes(capsys, monkeypatch, f1_path):
     capsys.readouterr()
 
 
+def test_slow_expansion_past_the_scan_guard_exits_3(capsys, tmp_path):
+    # lambda_min = 1.0105: the tile's Neumann tail needs 2,149 powers of A^-1 and the
+    # variance series of a 2^30 frequency 2,075 terms, both past spectral.INV_NORM_CAP
+    matrix = "-3,3,-1;3,-1,1;-3,1,0"
+    code, out = run(capsys, ["tile", "--matrix=" + matrix, "--level", "1", "--samples", "10"])
+    assert (code, out) == (3, "")
+    path = tmp_path / "f.json"
+    TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5,
+                       (2**30, 0, 0): 0.5, (-(2**30), 0, 0): 0.5}).save(path)
+    code, out = run(capsys, ["clt", "--matrix=" + matrix, "--f", str(path), "--horizon", "10",
+                             "--samples", "10"])
+    assert (code, out) == (3, "")
+
+
 def test_ulam_decay_truncation_zero_is_too_small(capsys):
     # 0 is a truncation like any other, not a request for the default
     code, out = run(capsys, ["ulam", "--op", "decay", "--nmax", "4", "--truncation", "0"])

@@ -508,6 +508,20 @@ def test_sigma_squared_stop_is_certified_past_float_conditioning(monkeypatch):
     assert not set(range(first)) - set(steps)
 
 
+def test_sigma_squared_scan_guard():
+    # lambda_min = 1.0105: with frequencies 1 and 4096 the series needs 881 terms,
+    # which a cap of 512 refused as an internal error; 2^30 needs 2,075, past the
+    # scan guard, and is refused as a guard
+    matrix = lattice.validate_expanding([[-3, 3, -1], [3, -1, 1], [-3, 1, 0]])
+
+    def cosines(k):
+        return TrigPolynomial(3, {(1, 0, 0): 0.5, (-1, 0, 0): 0.5, (k, 0, 0): 0.5, (-k, 0, 0): 0.5})
+
+    assert stochastic.sigma_squared(cosines(4096), matrix) == 1.0
+    with pytest.raises(TooLarge, match="scan guard of 2048"):
+        stochastic.sigma_squared(cosines(2**30), matrix)
+
+
 def test_sigma_squared_matches_cesaro_variance():
     # Var(S_n)/n = rho(0) + 2 sum (1 - k/n) rho(k), exact for finite range
     rng = np.random.default_rng(35)
