@@ -280,6 +280,15 @@ def inverse_power(matrix, n):
     return np.array([[v / det_n for v in row] for row in mat_pow(matrix.adjugate, n)])
 
 
+def inverse_powers(matrix):
+    """A^-1, A^-2, ... with the bits of `inverse_power`: adj(A)^k and det(A)^k
+    each take one exact product per step."""
+    power, det_k = identity(matrix.dim), 1
+    while True:
+        power, det_k = mat_mul(matrix.adjugate, power), det_k * matrix.det
+        yield np.array([[v / det_k for v in row] for row in power])
+
+
 def branch_points(matrix, digits, n):
     """Float branch points b_gamma = S_gamma 0 for gamma in D^n.
 

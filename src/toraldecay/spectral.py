@@ -832,16 +832,24 @@ def inv_norm_sup(matrix):
     bounded window. TooLarge where the scan passes INV_NORM_CAP powers.
     """
     g = 1.0
-    for j in range(1, INV_NORM_CAP + 1):
-        val = 1.0 / min_singular_power(matrix, j)
+    for sigma in min_singular_powers(matrix):
+        val = 1.0 / sigma
         g = max(g, val)
         if val <= 1.0:
             return g
-    raise TooLarge("||A^-j|| did not fall below 1 within the scan guard of %d powers"
-                   % INV_NORM_CAP)
 
 
 def min_singular_power(matrix, n):
     """Smallest singular value of A^n (equals that of A*^n), as 1 / ||A^-n||_2:
     an SVD of a float A^n has it only to about eps ||A^n||_2 (Weyl's bound)."""
     return 1.0 / float(np.linalg.svd(lattice.inverse_power(matrix, n), compute_uv=False)[0])
+
+
+def min_singular_powers(matrix):
+    """min_singular_power(matrix, k) for k = 1, ..., INV_NORM_CAP, one step of
+    `lattice.inverse_powers` each: every scan of ||A^-k||_2 reads this one
+    sequence, and TooLarge where it reads past INV_NORM_CAP."""
+    for _, inverse in zip(range(INV_NORM_CAP), lattice.inverse_powers(matrix)):
+        yield 1.0 / float(np.linalg.svd(inverse, compute_uv=False)[0])
+    raise TooLarge("the scan of ||A^-k||_2 needs more than the scan guard of %d powers"
+                   % INV_NORM_CAP)

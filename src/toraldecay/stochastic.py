@@ -45,11 +45,11 @@ _SHIFT40 = np.uint64(40)
 def sigma_squared(f, matrix):
     """Exact CLT variance: -integral(f^2) + 2 sum_{n>=0} integral(f * f o A^n).
 
-    Each autocorrelation comes from the exact correlation routine. The series
-    terminates: once sigma_min(A*^n) exceeds G' * kmax/kmin, where G' is a
-    certified bound on sup_j ||A^-j||, no support frequency can map back into
-    the support, so all later terms vanish identically. TooLarge where it
-    needs more than spectral.INV_NORM_CAP terms.
+    The series terminates: once sigma_min(A*^n) exceeds G' * kmax/kmin, where
+    G' is a certified bound on sup_j ||A^-j||, no support frequency can map back
+    into the support, so all later terms vanish identically. The terms before
+    that n come from one exact `analysis.correlation` walk over n = 0, 1, ....
+    TooLarge where it needs more than spectral.INV_NORM_CAP terms.
     """
     if f.dim != matrix.dim:
         raise InputError("function and matrix dimensions differ")
@@ -62,17 +62,14 @@ def sigma_squared(f, matrix):
         return 0.0
     norms = [math.sqrt(sum(v * v for v in k)) for k in support]
     threshold = spectral.inv_norm_sup(matrix) * max(norms) / min(norms)
+    # n = 0 is summed, as sigma_min(A^0) = 1 <= threshold; stop only past a
+    # relative margin: a float sigma_min may round just above a threshold it
+    # equals exactly, and the term at that n need not vanish
+    count = next(n for n, sigma in enumerate(spectral.min_singular_powers(matrix), 1)
+                 if sigma > threshold * (1.0 + 1e-9))
     total = 0j
-    n = 0
-    # stop only past a relative margin: a float sigma_min may round just above
-    # a threshold it equals exactly, and the term at that n need not vanish
-    while spectral.min_singular_power(matrix, n) <= threshold * (1.0 + 1e-9):
-        if n == spectral.INV_NORM_CAP:
-            raise TooLarge("variance series needs more than the scan guard of %d terms"
-                           % spectral.INV_NORM_CAP)
-        term = analysis.correlation(f, f, matrix, n)
+    for n, term in enumerate(analysis.correlation(f, f, matrix, range(count))):
         total += term if n == 0 else 2.0 * term
-        n += 1
     if abs(total.imag) > 1e-12 * (1.0 + abs(total.real)):
         raise InternalError("variance series has a non-real value %r" % (total,))
     sigma2 = total.real

@@ -39,13 +39,11 @@ def neumann_tail(matrix):
     where it needs more than spectral.INV_NORM_CAP terms.
     """
     total = 0.0
-    for k in range(1, spectral.INV_NORM_CAP + 1):
-        term = 1.0 / spectral.min_singular_power(matrix, k)
+    for k, sigma in enumerate(spectral.min_singular_powers(matrix), 1):
+        term = 1.0 / sigma
         total += term
         if k >= 4 and term < NEUMANN_REL_TOL * total:
             return total
-    raise TooLarge("Neumann tail sum did not converge within the scan guard of %d terms"
-                   % spectral.INV_NORM_CAP)
 
 
 @dataclass

@@ -90,6 +90,14 @@ def test_inverse_power_is_correctly_rounded(entries, n):
             assert abs(Fraction(float(x)) - r) <= Fraction(math.ulp(float(x))) / 2
 
 
+@settings(max_examples=25, deadline=None)
+@given(expanding_matrices())
+def test_inverse_powers_have_the_bits_of_inverse_power(m):
+    # the stepped sequence rounds the same exact quotients as one binary power
+    for k, got in zip(range(1, 201), lattice.inverse_powers(m)):
+        assert got.tobytes() == lattice.inverse_power(m, k).tobytes()
+
+
 def test_validate_expanding_accepts_and_annotates():
     m = lattice.validate_expanding(TWIN)
     assert m.det_abs == 2

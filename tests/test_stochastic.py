@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import mp_min_singular
+from conftest import count_solves, mp_min_singular
 
-from toraldecay import lattice, stochastic
+from toraldecay import lattice, spectral, stochastic, tiling
 from toraldecay import rng as rng_module
 from toraldecay.errors import InputError, NotMeanZero, TooLarge, ZeroVariance
 from toraldecay.spectral import TrigPolynomial
@@ -500,7 +500,7 @@ def test_sigma_squared_stop_is_certified_past_float_conditioning(monkeypatch):
     steps, correlation = [], stochastic.analysis.correlation
 
     def counted(f, g, matrix, n, *args, **kwargs):
-        steps.append(n)
+        steps.extend(int(v) for v in np.ravel(n))  # one count or a sequence of them
         return correlation(f, g, matrix, n, *args, **kwargs)
 
     monkeypatch.setattr(stochastic.analysis, "correlation", counted)
@@ -508,7 +508,27 @@ def test_sigma_squared_stop_is_certified_past_float_conditioning(monkeypatch):
     assert not set(range(first)) - set(steps)
 
 
-def test_sigma_squared_scan_guard():
+# cos 2 pi x1 + cos 2 pi 2^40 x1: the twin dragon's variance series has 81 terms
+TWIN_2_40 = TrigPolynomial(2, {(1, 0): 0.5, (-1, 0): 0.5, (2**40, 0): 0.5, (-(2**40), 0): 0.5})
+
+
+def test_sigma_squared_is_one_correlation_walk(monkeypatch):
+    # the 81 terms are one walk of L^n f; a correlation call per term walked
+    # from f again, 6,640 solves
+    calls, correlation = [], stochastic.analysis.correlation
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return correlation(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic.analysis, "correlation", counted)
+    solves = count_solves(monkeypatch)
+    assert stochastic.sigma_squared(TWIN_2_40, TWIN) == 2.0
+    assert len(calls) == 1
+    assert len(solves) <= 162
+
+
+def test_sigma_squared_scan_guard(monkeypatch):
     # lambda_min = 1.0105: with frequencies 1 and 4096 the series needs 881 terms,
     # which a cap of 512 refused as an internal error; 2^30 needs 2,075, past the
     # scan guard, and is refused as a guard
@@ -520,6 +540,14 @@ def test_sigma_squared_scan_guard():
     assert stochastic.sigma_squared(cosines(4096), matrix) == 1.0
     with pytest.raises(TooLarge, match="scan guard of 2048"):
         stochastic.sigma_squared(cosines(2**30), matrix)
+    # every scan of ||A^-k||_2 reads the one guarded sequence: past 8 powers the
+    # twin dragon's tail (about 80 terms), this matrix's G (25 powers) and the
+    # twin dragon's series at 2^40 (81 terms, G after one power) are refused
+    monkeypatch.setattr(spectral, "INV_NORM_CAP", 8)
+    for read in (lambda: tiling.neumann_tail(TWIN), lambda: spectral.inv_norm_sup(matrix),
+                 lambda: stochastic.sigma_squared(TWIN_2_40, TWIN)):
+        with pytest.raises(TooLarge, match="scan guard of"):
+            read()
 
 
 def test_sigma_squared_matches_cesaro_variance():

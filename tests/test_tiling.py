@@ -25,6 +25,21 @@ def test_neumann_tail_geometric():
     assert tiling.neumann_tail(DOUBLE) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_neumann_tail_steps_one_product_per_term(monkeypatch):
+    # lambda_min = 1.06: the tail sums 424 terms, each one step adj(A) adj(A)^(k-1);
+    # forming every adj(A)^k afresh took 424 binary powers
+    matrix = lattice.validate_expanding([[0, 1, 1], [2, -2, 1], [-1, -1, -1]])
+    calls = {"mat_mul": 0, "mat_pow": 0}
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(lattice, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(lattice, name, counted)
+    tiling.neumann_tail(matrix)
+    assert calls == {"mat_mul": 424, "mat_pow": 0}
+
+
 @pytest.mark.parametrize("entries, level, window", [
     ([[0, 1, 1], [2, -2, 1], [-1, -1, -1]], 3, 54),  # float A^k read a radius 6.7 % short
     ([[1, 1, 1], [-1, 2, -1], [0, -1, 2]], 3, 7),  # ... and a window of 1.3e69 translates
