@@ -210,8 +210,8 @@ def cmd_lacunary(args):
     for n in range(0, args.nmax + 1):
         if n:  # L^n f = L(L^(n-1) f), from the built series L^0 f
             transferred = spectral.transfer_fourier(transferred, matrix, 1)
-        l2_tail, l1_tail = lacunary.tail_norms(spec, n)
         bounds = lacunary.modulus_bounds_prop2(spec, n)
+        l2_tail, l1_tail = bounds.tails
         measured = spectral.norm(transferred, 2)
         rows.append([n, l2_tail, l1_tail, bounds.sup_bound, bounds.l2_bound, measured])
     cols = ["n", "l2_tail", "l1_tail", "prop2_sup_bound", "prop2_l2_bound", "measured_l2_norm"]

@@ -192,6 +192,7 @@ class Prop2Bounds(NamedTuple):
     sup_bound: float
     l2_bound: float
     constant: float  # the head-bracket factor 2 pi |h|_2
+    tails: TailNorms  # tail_norms(spec, n), which the tail bracket carries
 
 
 def modulus_bounds_prop2(spec, n):
@@ -200,7 +201,8 @@ def modulus_bounds_prop2(spec, n):
     Head terms k <= n contribute a_k * min(2, 2 pi |h| lambda^(k-n)) to the
     sup bound (squared entries with ceiling 4 on the L2 side, exact by
     Parseval); the tail bracket carries the factor 2 from |e(phi) - 1| <= 2,
-    so n = 0 reduces to twice the pure l1 tail.
+    so n = 0 reduces to twice the pure l1 tail. The tails it read come
+    back with the bounds.
     """
     if n < 0:
         raise InputError("steps must be >= 0")
@@ -215,15 +217,15 @@ def modulus_bounds_prop2(spec, n):
     n = int(n)
     a = coefficients(spec, n)
     phase = const * lam ** (np.arange(1, n + 1) - n)
-    l2_tail, l1_tail = tail_norms(spec, n)
-    sup = float(np.sum(np.minimum(2.0, phase) * a)) + 2.0 * l1_tail
-    terms = np.append(np.minimum(2.0, phase) * np.abs(a), 2.0 * l2_tail)
+    tail = tail_norms(spec, n)
+    sup = float(np.sum(np.minimum(2.0, phase) * a)) + 2.0 * tail.l1
+    terms = np.append(np.minimum(2.0, phase) * np.abs(a), 2.0 * tail.l2)
     top = float(terms.max())
     if top == 0.0 or SQUARE_RANGE[0] <= top < SQUARE_RANGE[1]:
-        l2 = math.sqrt(float(np.sum(np.minimum(4.0, phase**2) * a**2)) + 4.0 * l2_tail**2)
+        l2 = math.sqrt(float(np.sum(np.minimum(4.0, phase**2) * a**2)) + 4.0 * tail.l2**2)
     else:
         l2 = _root_sum_squares(terms)
-    return Prop2Bounds(sup, l2, const)
+    return Prop2Bounds(sup, l2, const, tail)
 
 
 def _root_sum_squares(terms):

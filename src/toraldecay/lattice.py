@@ -151,24 +151,19 @@ def validate_expanding(entries):
     return IntegerMatrix(a, det, lam, adj)
 
 
-def exact_solve_integral(adj, det, target):
-    """Solve a x = target over the integers, or return None.
+def exact_solve_integral(adj, det, targets):
+    """Solve a x = t over the integers for each row t of targets.
 
-    adj and det are the adjugate and determinant of a. The solution is
-    adj @ target / det, integral iff det divides every component.
+    adj and det are the adjugate and determinant of a. The solutions are
+    adj @ t / det, one object-dtype (Python int) array product for all
+    rows, so no entry wraps past 2^63; a row is integral iff det divides
+    every component. Returns (kept mask, the integral solutions as int
+    tuples, in row order).
     """
-    num = mat_vec(adj, target)
-    if any(v % det != 0 for v in num):
-        return None
-    return tuple(v // det for v in num)
-
-
-def same_coset(matrix, u, v):
-    """True iff u - v lies in A Z^d, decided exactly."""
-    if len(u) != matrix.dim or len(v) != matrix.dim:
-        raise InputError("vector dimension does not match the matrix")
-    diff = tuple(int(u[i]) - int(v[i]) for i in range(matrix.dim))
-    return exact_solve_integral(matrix.adjugate, matrix.det, diff) is not None
+    t = np.array(targets, dtype=object).reshape(len(targets), len(adj))
+    num = t @ np.array(adj, dtype=object).T
+    kept = np.all(num % det == 0, axis=1)
+    return kept, list(map(tuple, (num[kept] // det).tolist()))
 
 
 def hermite(entries):

@@ -40,9 +40,10 @@ _TURN = 2.0 * math.pi * 2.0**-64  # radians per unit of a 64-bit phase word
 
 
 def _freq_key(k, dim):
-    if np.isscalar(k):
-        k = (k,)
-    key = tuple(int(v) for v in k)
+    if type(k) is tuple and all(type(v) is int for v in k):
+        key = k  # already exact, as every key of a transfer step is
+    else:
+        key = tuple(int(v) for v in ((k,) if np.isscalar(k) else k))
     if len(key) != dim:
         raise InputError("frequency %r does not have dimension %d" % (key, dim))
     return key
@@ -177,8 +178,9 @@ class TrigPolynomial:
 def transfer_fourier(f, matrix, n):
     """Exact n-step transfer: ghat(k) = fhat(A*^n k).
 
-    Each step moves a stored frequency j to the integral k with A* k = j,
-    or drops it, by exact adjugate arithmetic; survivors keep their order.
+    Each step moves every stored frequency j to the integral k with A* k = j,
+    or drops it, by one exact integer-array product with adj(A*)
+    (`lattice.exact_solve_integral`); survivors keep their order.
     A nonzero j dies within about log_lambda |j| steps and A* 0 = 0, so the
     steps stop once only k = 0 is left.
     """
@@ -189,8 +191,8 @@ def transfer_fourier(f, matrix, n):
     adj = lattice.transpose(matrix.adjugate)  # adj(A*), and det(A*) = det(A)
     coeffs = f.coeffs
     while n > 0 and any(map(any, coeffs)):
-        solved = ((lattice.exact_solve_integral(adj, matrix.det, j), c) for j, c in coeffs.items())
-        coeffs = {k: c for k, c in solved if k is not None}
+        kept, keys = lattice.exact_solve_integral(adj, matrix.det, list(coeffs))
+        coeffs = dict(zip(keys, itertools.compress(coeffs.values(), kept)))
         n -= 1
     return TrigPolynomial(f.dim, coeffs)
 
@@ -468,29 +470,40 @@ def _sup_lower(k, c):
     return np.ldexp(np.maximum(best, _polish(k, c, x, 1.0 / n_pts)), e)
 
 
+def _independent_pairs(f):
+    """(pair frequencies, adj(G), det(G)) if f's pair frequencies are linearly independent, else None.
+
+    The pair frequencies are one of each +-k, k != 0, that f holds, and G
+    is their Gram matrix, formed in exact integers; they are independent
+    when det(G) != 0 (1 for no pairs). One pair always is, and more pairs
+    than d never are.
+    """
+    pairs = []
+    for k in f.coeffs:
+        neg = tuple(-v for v in k)
+        if any(k) and (k > neg or neg not in f.coeffs):
+            pairs.append(k)
+    if len(pairs) > f.dim:
+        return None
+    gram = [[sum(a * b for a, b in zip(p, q)) for q in pairs] for p in pairs]
+    poly, adj = lattice.char_poly_and_adjugate(gram)
+    det = poly[-1] * (-1) ** len(pairs)
+    return (pairs, adj, det) if det else None
+
+
 def _independent_real(f):
     """True if f is exactly real and its pair frequencies are linearly independent.
 
     Exactly real: each coefficient at k != 0 has its exact conjugate at
-    -k, and the one at k = 0 is real. The pair frequencies (one of each
-    +-k, k != 0) are independent when their Gram matrix, formed in exact
-    integers, has a nonzero determinant (1 for no pairs). One pair always
-    is, and more pairs than d never are.
+    -k, and the one at k = 0 is real. Independence is `_independent_pairs`.
     """
     coeffs = f.coeffs
     if coeffs.get(f.zero_key, 0j).imag != 0.0:
         return False
-    pairs = []
-    for k, c in coeffs.items():
-        neg = tuple(-v for v in k)
-        if any(k) and coeffs.get(neg) != c.conjugate():
-            return False
-        if k > neg:
-            pairs.append(k)
-    if len(pairs) > f.dim:
+    if any(any(k) and coeffs.get(tuple(-v for v in k)) != c.conjugate()
+           for k, c in coeffs.items()):
         return False
-    gram = [[sum(a * b for a, b in zip(p, q)) for q in pairs] for p in pairs]
-    return lattice.char_poly_and_adjugate(gram)[0][-1] != 0  # +-det(gram)
+    return _independent_pairs(f) is not None
 
 
 def sup_norm_bracket(f):
@@ -607,6 +620,11 @@ def _onto_ball(v, rad):
     return v
 
 
+def _on_sphere(nrm, rad):
+    """True where a norm lies on its radius's sphere, to a relative 1e-12."""
+    return nrm >= rad * (1.0 - 1e-12)
+
+
 def _pattern_search(objective, v0, delta, step0, tol_factor, iters):
     """Coordinate pattern searches inside the balls |v| <= delta, one per row of v0.
 
@@ -686,7 +704,7 @@ def _newton_ascent(k, w, objective, v, best, delta):
         nrm = _row_norms(x)
         u = x / np.where(nrm > 0.0, nrm, 1.0)[:, None]
         ug = _dot_last(u, grad)
-        rim = (nrm >= rad * (1.0 - 1e-12)) & (ug > 0.0)
+        rim = _on_sphere(nrm, rad) & (ug > 0.0)
         uu = u[:, :, None] * u[:, None, :]
         hu = _dot_last(hess, u[:, None, :])
         tangent = (hess - u[:, :, None] * hu[:, None, :] - hu[:, :, None] * u[:, None, :]
@@ -709,6 +727,25 @@ def _newton_ascent(k, w, objective, v, best, delta):
     return best
 
 
+def _torus_peak(pairs, adj, det):
+    """The shortest v_s = K^T (K K^T)^-1 s / 2 over signs s in {1} x {+-1}^(p-1), p >= 2.
+
+    K holds the independent pair frequencies k_j as rows, and adj and det
+    are the adjugate and determinant of their Gram matrix G = K K^T, so
+    k_j.v_s = s_j / 2 and every sin^2(pi k_j.v_s) is 1: F(v_s) is the
+    largest value F takes. |v_s|^2 = s^T adj(G) s / (4 det(G)), with
+    det(G) > 0, so s is chosen in exact integers; each entry of
+    v_s = K^T adj(G) s / (2 det(G)) is one correctly rounded int quotient.
+    """
+    def length(s):
+        return sum(a * b for a, b in zip(s, lattice.mat_vec(adj, s)))
+
+    s = min(((1,) + t for t in itertools.product((1, -1), repeat=len(pairs) - 1)), key=length)
+    y = lattice.mat_vec(adj, s)
+    return np.array([sum(b * k[i] for b, k in zip(y, pairs)) / (2 * det)
+                     for i in range(len(pairs[0]))])
+
+
 def _omega_l2(f, radii):
     """Omega_{f,2} at each radius: sqrt of the max of F over the ball |v| <= delta.
 
@@ -716,21 +753,27 @@ def _omega_l2(f, radii):
     segment (0, delta] for d = 1, MODULUS_DIRECTIONS directions times
     MODULUS_RADII_STEPS radii for d >= 2; F is even, so in d = 2 only the
     directions with angle in [0, pi) are scanned), evaluated in slabs of at
-    most MODULUS_SCAN_CHUNK shift x frequency values. A lockstep pattern
-    search runs from there while its step exceeds MODULUS_EXPLORE_TOL *
-    delta, for at most MODULUS_EXPLORE_SWEEPS sweeps, and `_newton_ascent`
-    finishes, both on groups of radii whose Hessian terms (radii x d^2 x
-    frequencies) fit in MODULUS_SCAN_CHUNK values; no value depends on the group.
+    most MODULUS_SCAN_CHUNK shift x frequency values. From a start inside
+    the ball a lockstep pattern search runs while its step exceeds
+    MODULUS_EXPLORE_TOL * delta, for at most MODULUS_EXPLORE_SWEEPS sweeps;
+    a start on the sphere (`_on_sphere`, the rim test of `_newton_ascent`)
+    skips it. `_newton_ascent` finishes every row, on
+    groups of radii whose Hessian terms (radii x d^2 x frequencies) fit in
+    MODULUS_SCAN_CHUNK values; no value depends on the group.
     Every phase keeps only points that raise F, so each value is F at a
     feasible shift: a certified lower bound. The search runs on the
     coefficients as `_unit_scale` leaves them, and the values are scaled
     back; a weight that underflows there only lowers F.
 
+    Two routes need no scan or search, where `_independent_pairs` holds.
     A function with one nonzero frequency k up to sign (k = 0 ignored) has
     F(v) = 4 (w_k + w_-k) sin^2(pi k.v), whose maximum over the ball is at
     v* = min(delta, 1/(2|k|)) k/|k|. There each value is F at v*, pulled
-    back onto the ball as the pattern search does, with no scan or search:
-    still a certified lower bound, and the exact maximum up to rounding.
+    back onto the ball as the pattern search does: still a certified lower
+    bound, and the exact maximum up to rounding. With two or more
+    independent pairs, every radius whose ball holds `_torus_peak` v_s
+    gets F(v_s), the largest value of F on the torus, 4 sum |fhat(k)|^2,
+    up to rounding: again F at a feasible shift.
     """
     k, c = f.freq_array()
     c, e = _unit_scale(c)
@@ -738,32 +781,42 @@ def _omega_l2(f, radii):
     objective = _l2_objective(k, w)
     d = f.dim
     delta = np.array(radii, dtype=float)
-    freqs = {key for key in f.coeffs if any(key)}
-    top = max(freqs, default=None)
-    if top is not None and freqs <= {top, tuple(-v for v in top)}:
+    indep = _independent_pairs(f)
+    if indep is not None and len(indep[0]) == 1:
+        (top,) = indep[0]
         length = math.hypot(*top)
         v = np.minimum(delta, 0.5 / length)[:, None] * (np.array(top, dtype=float) / length)
         return [math.ldexp(math.sqrt(b), int(e)) for b in objective(_onto_ball(v, delta))]
+    omega = np.empty(len(delta))
+    rest = np.arange(len(delta))  # the radii the search serves
+    if indep is not None and len(indep[0]) >= 2:
+        peak = _torus_peak(*indep)[None, :]
+        inside = delta >= _row_norms(peak)[0]
+        omega[inside] = objective(peak)[0]
+        rest = np.flatnonzero(~inside)
     dirs = _directions(d, MODULUS_DIRECTIONS)
     steps = MODULUS_LINE_STEPS if d == 1 else MODULUS_RADII_STEPS
     if d == 2:  # F(-v) = F(v), and the directions come in antipodal pairs
         dirs = dirs[:len(dirs) // 2]
     fracs = np.arange(1, steps + 1) / steps
-    v0 = np.empty((len(delta), d))
+    v0 = np.empty((len(rest), d))
     slab = max(1, MODULUS_SCAN_CHUNK // len(w))  # shifts per objective call
-    for i, rad in enumerate(delta):
+    for i, rad in enumerate(delta[rest]):
         pts = (dirs[:, None, :] * (rad * fracs)[None, :, None]).reshape(-1, d)
         values = np.concatenate([objective(pts[s:s + slab]) for s in range(0, len(pts), slab)])
-        v0[i] = pts[int(np.argmax(values))]
+        j = int(np.argmax(values))
+        v0[i], omega[rest[i]] = pts[j], values[j]
+    on_rim = _on_sphere(_row_norms(v0), delta[rest])
     group = max(1, MODULUS_SCAN_CHUNK // (d * d * len(w)))  # radii per search
-    omega = []
-    for s in range(0, len(delta), group):
-        part = delta[s:s + group]
-        best, v = _pattern_search(objective, v0[s:s + group], part, part / steps,
-                                  MODULUS_EXPLORE_TOL, MODULUS_EXPLORE_SWEEPS)
-        best = _newton_ascent(k, w, objective, v, best, part)
-        omega += [math.ldexp(math.sqrt(b), int(e)) for b in best]
-    return omega
+    for s in range(0, len(rest), group):
+        rows, part, v = rest[s:s + group], delta[rest[s:s + group]], v0[s:s + group]
+        best, inner = omega[rows], ~on_rim[s:s + group]
+        if inner.any():
+            best[inner], v[inner] = _pattern_search(
+                objective, v[inner], part[inner], part[inner] / steps,
+                MODULUS_EXPLORE_TOL, MODULUS_EXPLORE_SWEEPS)
+        omega[rows] = _newton_ascent(k, w, objective, v, best, part)
+    return [math.ldexp(math.sqrt(b), int(e)) for b in omega]
 
 
 def modulus_value(f, r, delta):
@@ -775,7 +828,9 @@ def modulus_value(f, r, delta):
     modulus is constant. All radii of one call are searched together; a
     value does not depend on the other radii in the call. For r = 2 and
     a function with one nonzero frequency up to sign, the value is the
-    closed form of `_omega_l2`, exact to rounding.
+    closed form of `_omega_l2`, and with independent pair frequencies every
+    radius that reaches the torus maximum of F gets it; both are exact to
+    rounding.
     """
     many = np.ndim(delta) > 0
     radii = list(np.ravel(delta)) if many else [delta]

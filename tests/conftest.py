@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 from hypothesis import strategies as st
@@ -64,20 +65,20 @@ def mp_min_singular(matrix, n):
 
 def transfer_by_powers(f, matrix, n):
     """L^n f solved in one go: each term's preimage under A*^n from adj(A)^n
-    and det(A)^n, one solve a term. The reference for `transfer_fourier`."""
+    and det(A)^n. The reference for `transfer_fourier`."""
     adj = lattice.transpose(lattice.mat_pow(matrix.adjugate, n))
     det = matrix.det**n
-    solved = ((lattice.exact_solve_integral(adj, det, j), c) for j, c in f.coeffs.items())
-    return TrigPolynomial(f.dim, {k: c for k, c in solved if k is not None})
+    kept, keys = lattice.exact_solve_integral(adj, det, list(f.coeffs))
+    return TrigPolynomial(f.dim, dict(zip(keys, itertools.compress(f.coeffs.values(), kept))))
 
 
 def count_solves(monkeypatch):
-    """The list that collects the target of every `lattice.exact_solve_integral` call."""
+    """The list that collects every frequency given to `lattice.exact_solve_integral`."""
     solves, solve = [], lattice.exact_solve_integral
 
-    def counted(adj, det, target):
-        solves.append(target)
-        return solve(adj, det, target)
+    def counted(adj, det, targets):
+        solves.extend(targets)
+        return solve(adj, det, targets)
 
     monkeypatch.setattr(lattice, "exact_solve_integral", counted)
     return solves

@@ -338,9 +338,10 @@ def test_extreme_coefficients_keep_norms_and_modulus_finite(capsys, monkeypatch,
         assert all(0.0 < w <= two_norm * (1.0 + 1e-12) for w in omegas)
         # the first radius reaches a shift with k.v = 1/2 mod 1, where Omega = 2 ||f||_2
         assert omegas[0] == pytest.approx(two_norm, rel=1e-12)
-    # the guards each case was written for run only on the search and grid routes
+    # the guards each case was written for run only on the search and grid routes;
+    # every searched radius ends at the Newton finish
     assert searched <= called
-    assert bool(third) == ("_pattern_search" in called)
+    assert bool(third) == ("_newton_ascent" in called)
 
 
 def test_decay_row_past_float_range_is_bad_input(capsys, tmp_path):

@@ -155,8 +155,8 @@ def assert_complete_residue_system(m):
     reps = lattice.digit_set(m)
     assert len(reps) == m.det_abs
     assert reps[0] == (0,) * m.dim
-    for u, v in itertools.combinations(reps, 2):
-        assert not lattice.same_coset(m, u, v)
+    diffs = [tuple(a - b for a, b in zip(u, v)) for u, v in itertools.combinations(reps, 2)]
+    assert not lattice.exact_solve_integral(m.adjugate, m.det, diffs)[0].any()
 
 
 def test_one_dimensional_digit_sets_reach_half_the_modulus():
@@ -178,14 +178,16 @@ def test_digit_set_refuses_q_past_the_cloud_guard(monkeypatch):
 
 
 def test_digit_set_of_a_large_modulus_matches_the_pairwise_scan():
-    # the residue scan keeps what the pairwise same_coset scan kept
+    # the residue scan keeps what the pairwise coset scan (one batched solve of the
+    # differences to the points kept so far) kept
     for entries in ([[97]], [[-60]], [[7, 2], [-3, 5]], [[2, 1, 0], [0, 2, 1], [1, 0, 3]]):
         m = lattice.validate_expanding(entries)
         pairwise = []
         for r in range(lattice.coset_search_bound(m) + 1):
             for cand in lattice._shell(m.dim, r):
-                if len(pairwise) < m.det_abs and all(
-                        not lattice.same_coset(m, cand, g) for g in pairwise):
+                diffs = [tuple(a - b for a, b in zip(cand, g)) for g in pairwise]
+                if len(pairwise) < m.det_abs and not lattice.exact_solve_integral(
+                        m.adjugate, m.det, diffs)[0].any():
                     pairwise.append(cand)
         assert lattice.digit_set(m) == tuple(pairwise)
 
@@ -223,19 +225,27 @@ def test_shell_matches_the_recursive_walker():
 
 
 def test_same_coset_examples():
+    # u and v share a coset of A Z^d iff A x = u - v has an integral solution
     m = lattice.validate_expanding(TWIN)
-    assert lattice.same_coset(m, (0, 0), (1, 1))  # (1,1) = A(1,0)
-    assert not lattice.same_coset(m, (0, 0), (1, 0))
+    kept, _ = lattice.exact_solve_integral(m.adjugate, m.det, [(-1, -1), (-1, 0)])
+    assert kept.tolist() == [True, False]  # (1,1) = A(1,0)
     m2 = lattice.validate_expanding([[2]])
-    assert lattice.same_coset(m2, (5,), (3,))
-    assert not lattice.same_coset(m2, (5,), (4,))
+    kept, _ = lattice.exact_solve_integral(m2.adjugate, m2.det, [(2,), (1,)])  # 5 - 3, 5 - 4
+    assert kept.tolist() == [True, False]
 
 
 def test_exact_solve_integral():
     m = lattice.validate_expanding(TWIN)
-    sol = lattice.exact_solve_integral(m.adjugate, m.det, (1, 1))
-    assert sol == (1, 0)
-    assert lattice.exact_solve_integral(m.adjugate, m.det, (1, 0)) is None
+    kept, sols = lattice.exact_solve_integral(m.adjugate, m.det, [(1, 1), (1, 0), (0, 2)])
+    assert kept.tolist() == [True, False, True]
+    assert sols == [(1, 0), (1, 1)]
+    assert all(type(v) is int for sol in sols for v in sol)
+    # Python ints throughout: no entry wraps past 2^63
+    big = 3**80
+    kept, sols = lattice.exact_solve_integral(m.adjugate, m.det, [(big + 1, big - 1), (big, 0)])
+    assert kept.tolist() == [True, False] and sols == [(big, -1)]
+    kept, sols = lattice.exact_solve_integral(m.adjugate, m.det, [])
+    assert kept.tolist() == [] and sols == []
 
 
 def test_similarity_factor():

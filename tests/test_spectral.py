@@ -1,5 +1,6 @@
 """Transfer operator dual routes, norms, and modulus estimates."""
 
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_solves, expanding_matrices, mp_min_singular, transfer_by_powers
-from toraldecay import lattice, spectral
+from toraldecay import lacunary, lattice, spectral
 from toraldecay.errors import InputError, TooLarge
 from toraldecay.spectral import TrigPolynomial
 
@@ -236,6 +237,23 @@ def test_transfer_fourier_stops_at_the_mean(monkeypatch):
     assert len(solves) <= len(f.coeffs) * (math.floor(2 * math.log2(math.hypot(1024, 2048))) + 1)
 
 
+def test_transfer_fourier_is_exact_past_int64():
+    # each step is one Python-int array product, so no frequency past 2^63 wraps:
+    # k = 3^80 on [[3]] keeps its pair for 80 steps, and the frequencies
+    # A*^j h of a 64-term d = 3 lacunary series pass 2^63 from j = 63 on
+    cases = [(TrigPolynomial.cosine(3**80), TRIPLE, (1, 5, 79, 80, 81))]
+    matrix = lattice.validate_expanding([[0, 2, 0], [0, 0, 2], [2, 0, 0]])
+    built = lacunary.lacunary_build(lacunary.LacunarySpec((1, 2, 3), matrix, "power", 2.0, 64))
+    assert max(abs(v) for k in built.coeffs for v in k) > 2**63
+    cases.append((built, matrix, (1, 2, 30, 63, 64, 65)))
+    for f, m, steps in cases:
+        for n in steps:
+            g = spectral.transfer_fourier(f, m, n)
+            assert list(g.coeffs.items()) == list(transfer_by_powers(f, m, n).coeffs.items())
+            assert all(type(v) is int for k in g.coeffs for v in k)
+    assert spectral.transfer_fourier(cases[0][0], TRIPLE, 5).support() == [(-3**75,), (3**75,)]
+
+
 def test_spatial_guard():
     f = TrigPolynomial.cosine(1)
     digits = lattice.digit_set(DOUBLE)
@@ -397,10 +415,14 @@ def _faint_pair(f):
 
 
 def _count_searches(monkeypatch):
-    """A list that gains an entry each time `_pattern_search` runs."""
+    """A list that gains an entry each time the search runs on a group of radii.
+
+    It counts the Newton finish, which every searched radius reaches: a
+    start on the sphere skips the pattern search.
+    """
     calls = []
-    search = spectral._pattern_search
-    monkeypatch.setattr(spectral, "_pattern_search", lambda *a: calls.append(a) or search(*a))
+    finish = spectral._newton_ascent
+    monkeypatch.setattr(spectral, "_newton_ascent", lambda *a: calls.append(a) or finish(*a))
     return calls
 
 
@@ -797,10 +819,10 @@ def test_one_pair_modulus_is_the_closed_form(f, fracs):
         return lambda v: shifts.append(v.copy()) or inner(v)
 
     def no_search(*args):
-        raise AssertionError("pattern search ran")
+        raise AssertionError("the search ran")
 
     with mock.patch.object(spectral, "_l2_objective", recorded), \
-            mock.patch.object(spectral, "_pattern_search", no_search):
+            mock.patch.object(spectral, "_newton_ascent", no_search):
         values = spectral.modulus_value(f, 2, radii)
     (v,) = shifts
     # pulled back onto the ball as the pattern search pulls back: |v| ends within an ulp of delta
@@ -814,6 +836,57 @@ def test_one_pair_modulus_is_the_closed_form(f, fracs):
             assert abs(value - want) <= 4 * math.ulp(want), (delta, value, want)
     curve = spectral.ModulusCurve(radii, values)
     assert curve.check_invariants(spectral.norm(f, 2))
+
+
+@st.composite
+def independent_pair_polys(draw):
+    """f in d = 2 or 3 with p = 2..d linearly independent pair frequencies, entries in
+    [-50, 50]: arbitrary complex c_k and c_-k (either may be absent, not both), any
+    mean, and coefficients scaled by 2^-400, 1 or 2^400."""
+    d = draw(st.integers(2, 3))
+    p = draw(st.integers(2, d))
+    pairs = draw(st.lists(st.lists(st.integers(-50, 50), min_size=d, max_size=d).map(tuple),
+                          min_size=p, max_size=p))
+    assume(np.linalg.matrix_rank(np.array(pairs, dtype=float)) == p)
+    scale = draw(st.sampled_from([2.0**-400, 1.0, 2.0**400]))
+    coeffs = {(0,) * d: scale * _pair_coeff(draw)}
+    for k in pairs:
+        side = draw(st.sampled_from([k, tuple(-v for v in k), None]))
+        for key in (k, tuple(-v for v in k)):
+            coeffs[key] = scale * (_pair_coeff(draw) or 1.0) if key != side else 0.0
+    return TrigPolynomial(d, coeffs), pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(independent_pair_polys(), st.lists(st.floats(0.05, 3.0), min_size=1, max_size=4))
+def test_independent_pairs_reach_the_torus_maximum(drawn, fracs):
+    # with k_j.v = s_j / 2 for every pair, F(v) = 4 sum |fhat(k)|^2, the largest value F
+    # takes; the shortest such v_s = K^T (K K^T)^-1 s / 2, and every ball holding it
+    # has that maximum, with no search
+    mp = pytest.importorskip("mpmath")
+    f, pairs = drawn
+    d, p = f.dim, len(pairs)
+    with mp.workdps(50):
+        inv = (mp.matrix(pairs) * mp.matrix(pairs).T) ** -1
+        reach = min(mp.sqrt((mp.matrix([s]) * inv * mp.matrix(s))[0, 0]) / 2
+                    for s in ([1] + list(t) for t in itertools.product((1, -1), repeat=p - 1)))
+        want = float(2 * mp.sqrt(sum(mp.mpf(c.real) ** 2 + mp.mpf(c.imag) ** 2
+                                     for key, c in f.coeffs.items() if any(key))))
+    radii = [u * float(reach) for u in fracs]  # on both sides of |v_s|
+    values = spectral.modulus_value(f, 2, radii)
+    assert all(value <= want + 4 * math.ulp(want) for value in values)
+    peak = [x for x in radii if min(x, math.sqrt(d) / 2) >= float(reach) * (1 + 1e-9)]
+    for x, value in zip(radii, values):
+        if x in peak:
+            assert abs(value - want) <= 4 * math.ulp(want), (x, value, want)
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    if peak:
+        with mock.patch.object(spectral, "_newton_ascent", no_search):
+            assert spectral.modulus_value(f, 2, peak) == [v for x, v in zip(radii, values)
+                                                          if x in peak]
 
 
 def test_two_pair_modulus_still_searches(monkeypatch):
